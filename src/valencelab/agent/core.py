@@ -30,12 +30,10 @@ class FeedConfig:
 
     active_s: float = 2.0
     inactive_s: float = 8.0
-    sample_hz: float = 0.2
     energy_per_active_second: float = DEFAULT_ENERGY_PER_ACTIVE_S
 
     def __post_init__(self):
-        for name in ("active_s", "inactive_s", "sample_hz",
-                     "energy_per_active_second"):
+        for name in ("active_s", "inactive_s", "energy_per_active_second"):
             if getattr(self, name) <= 0:
                 raise ContractViolationError(f"{name} must be > 0")
 
@@ -46,10 +44,6 @@ class FeedConfig:
     @property
     def duty_cycle(self) -> float:
         return self.active_s / self.period_s
-
-    @property
-    def samples_per_period(self) -> int:
-        return max(1, round(self.sample_hz * self.period_s))
 
 
 @dataclass
@@ -167,13 +161,6 @@ def dedupe_store(store: LocalStore, record: Record):
     return "stored", record
 
 
-@dataclass(frozen=True)
-class SensorReading:
-    t: float
-    kind: str = "sample"
-    payload: str = ""
-
-
 @dataclass
 class AgentStatus:
     state: str = "running"
@@ -222,30 +209,21 @@ def _active_overlap(t0: float, t1: float, active: float, period: float) -> float
     return head + full + tail
 
 
-def feed_tick(agent: SensingAgent, clock) -> tuple[list[SensorReading], float]:
-    """Advance the feed to clock.now; emit samples and spend energy for the
-    active time covered. A crashed agent spends nothing but time still passes.
+def feed_tick(agent: SensingAgent, clock) -> float:
+    """Advance the feed to clock.now and spend energy for the active time
+    covered; returns that energy. A crashed agent spends nothing but time
+    still passes.
     """
     now = clock.now
     t0, agent._feed_last_t = agent._feed_last_t, now
     if agent.status.state != "running" or not agent.status.feed_alive:
-        return [], 0.0
+        return 0.0
     cfg = agent.feed
     active = _active_overlap(t0, now, cfg.active_s, cfg.period_s)
     energy = active * cfg.energy_per_active_second
     agent.energy_spent += energy
     agent.active_seconds_total += active
-    readings: list[SensorReading] = []
-    step = cfg.active_s / cfg.samples_per_period
-    k0 = math.floor(t0 / cfg.period_s)
-    k1 = math.floor(now / cfg.period_s)
-    for k in range(k0, k1 + 1):
-        base = k * cfg.period_s
-        for j in range(cfg.samples_per_period):
-            ts = base + j * step
-            if t0 <= ts < now:
-                readings.append(SensorReading(t=ts))
-    return readings, energy
+    return energy
 
 
 def ingest_report(agent: SensingAgent, click: str, timestamp: float,

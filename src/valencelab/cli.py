@@ -220,14 +220,11 @@ def drive_agents(cohort: Cohort, events, plan: FaultPlan,
     attempts on each client's own schedule."""
     keys = KeyRegistry()
     private_keys = {}
-    mstore = MemoryStore()
+    mstore = _registered_store(cohort.profiles)
     for prof in cohort.profiles:
         sk, pk = derive_keypair(config.seed, prof.entity_id)
         private_keys[prof.entity_id] = sk
         keys.register(prof.entity_id, pk)
-        mstore.register_entity(
-            prof.entity_id, prof.gender,
-            prof.birthdate.isoformat() if prof.birthdate else None)
 
     server = SyncServer(mstore, keys)
     transport = FaultyTransport(LoopbackTransport(server), plan)
@@ -301,8 +298,7 @@ def drive_agents(cohort: Cohort, events, plan: FaultPlan,
         clock = SimClock(now=t_end)
         for eid in order:
             agent = agents[eid]
-            _, spent = feed_tick(agent, clock)
-            energy_spent[eid] += spent
+            energy_spent[eid] += feed_tick(agent, clock)
             if agent.status.state == "crashed":
                 on_system_event(agent, "revive_tick", now=t_end)
                 for t_c in crash_pending.pop(eid, []):
@@ -595,6 +591,44 @@ def _store_to_jsonl(mstore: MemoryStore) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _registered_store(profiles) -> MemoryStore:
+    """An empty store that knows every entity and its demographics."""
+    mstore = MemoryStore()
+    for prof in profiles:
+        mstore.register_entity(
+            prof.entity_id, prof.gender,
+            prof.birthdate.isoformat() if prof.birthdate else None)
+    return mstore
+
+
+def _write_world(out: Path, cohort: Cohort, events, plan: FaultPlan) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "cohort.jsonl").write_text(cohort.to_jsonl())
+    (out / "events.jsonl").write_text(events_to_jsonl(events))
+    (out / "faults.txt").write_text(plan.to_text())
+
+
+def _write_learn(out: Path, funnel_rows, model_rows, registry_doc) -> None:
+    _write_csv(out / "funnel.csv", FUNNEL_FIELDS, funnel_rows)
+    _write_csv(out / "models.csv", MODEL_FIELDS, model_rows)
+    (out / "models.json").write_text(
+        json.dumps(registry_doc, sort_keys=True, indent=1))
+
+
+def _write_stats(out: Path, config: ExperimentConfig, stats_text: str,
+                 box_f1, box_mcc) -> None:
+    (out / "stats.md").write_text(stats_text)
+    if config.metric in ("f1", "both"):
+        _write_csv(out / "boxplot_f1.csv", BOX_FIELDS, box_f1)
+    if config.metric in ("mcc", "both"):
+        _write_csv(out / "boxplot_mcc.csv", BOX_FIELDS, box_mcc)
+
+
+def _write_report(out: Path, summary_text: str, digest: str) -> None:
+    (out / "summary.md").write_text(summary_text)
+    (out / "run_hash.txt").write_text(digest + "\n")
+
+
 def _load_cohort_file(out: Path) -> list:
     path = out / "cohort.jsonl"
     if not path.is_file():
@@ -609,11 +643,7 @@ def _rebuild_store(out: Path) -> MemoryStore:
     if not store_path.is_file():
         raise PipelineError(
             f"missing artifact {store_path}; run pipeline first")
-    mstore = MemoryStore()
-    for prof in profiles:
-        mstore.register_entity(
-            prof.entity_id, prof.gender,
-            prof.birthdate.isoformat() if prof.birthdate else None)
+    mstore = _registered_store(profiles)
     for line in store_path.read_text().splitlines():
         if not line.strip():
             continue
@@ -671,22 +701,11 @@ def run_experiment(config: ExperimentConfig,
 
     out = Path(config.out)
     if write:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "cohort.jsonl").write_text(cohort.to_jsonl())
-        (out / "events.jsonl").write_text(events_to_jsonl(events))
-        (out / "faults.txt").write_text(plan.to_text())
+        _write_world(out, cohort, events, plan)
         (out / "store.jsonl").write_text(_store_to_jsonl(drive.mstore))
-        _write_csv(out / "funnel.csv", FUNNEL_FIELDS, funnel_rows)
-        _write_csv(out / "models.csv", MODEL_FIELDS, model_rows)
-        (out / "models.json").write_text(
-            json.dumps(registry_doc, sort_keys=True, indent=1))
-        (out / "stats.md").write_text(stats_text)
-        if config.metric in ("f1", "both"):
-            _write_csv(out / "boxplot_f1.csv", BOX_FIELDS, box_f1)
-        if config.metric in ("mcc", "both"):
-            _write_csv(out / "boxplot_mcc.csv", BOX_FIELDS, box_mcc)
-        (out / "summary.md").write_text(summary_text)
-        (out / "run_hash.txt").write_text(digest + "\n")
+        _write_learn(out, funnel_rows, model_rows, registry_doc)
+        _write_stats(out, config, stats_text, box_f1, box_mcc)
+        _write_report(out, summary_text, digest)
 
     return RunResult(
         config=config, cohort=cohort, events=events, plan=plan, drive=drive,
@@ -715,14 +734,11 @@ def _server_from_artifacts(out: Path):
     doc = json.loads(models_path.read_text())
     profiles = _load_cohort_file(out)
     keys = KeyRegistry()
-    mstore = MemoryStore()
     for prof in profiles:
         _, pk = derive_keypair(int(doc["seed"]), prof.entity_id)
         keys.register(prof.entity_id, pk)
-        mstore.register_entity(
-            prof.entity_id, prof.gender,
-            prof.birthdate.isoformat() if prof.birthdate else None)
-    return SyncServer(mstore, keys, _registry_from_doc(doc)), int(doc["seed"])
+    return (SyncServer(_registered_store(profiles), keys,
+                       _registry_from_doc(doc)), int(doc["seed"]))
 
 
 def _predict_once(transport, seed: int, entity: str, as_entity: str,
@@ -749,10 +765,7 @@ def _predict_once(transport, seed: int, entity: str, as_entity: str,
 def cmd_simulate(config: ExperimentConfig) -> int:
     cohort, events, plan = simulate_stage(config)
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "cohort.jsonl").write_text(cohort.to_jsonl())
-    (out / "events.jsonl").write_text(events_to_jsonl(events))
-    (out / "faults.txt").write_text(plan.to_text())
+    _write_world(out, cohort, events, plan)
     print(f"simulated {len(events)} events for {len(cohort.profiles)} "
           f"entities into {out}")
     return 0
@@ -772,10 +785,7 @@ def cmd_learn(config: ExperimentConfig) -> int:
     mstore = _rebuild_store(out)
     funnel_rows, counts = funnel_stage(mstore, config)
     model_rows, _, registry_doc = learn_stage(mstore, funnel_rows, config)
-    _write_csv(out / "funnel.csv", FUNNEL_FIELDS, funnel_rows)
-    _write_csv(out / "models.csv", MODEL_FIELDS, model_rows)
-    (out / "models.json").write_text(
-        json.dumps(registry_doc, sort_keys=True, indent=1))
+    _write_learn(out, funnel_rows, model_rows, registry_doc)
     print(f"tuned {counts['eligible']} entities into {out}")
     return 0
 
@@ -784,11 +794,7 @@ def cmd_evaluate(config: ExperimentConfig) -> int:
     out = Path(config.out)
     model_rows = _parse_model_rows(_read_csv(out / "models.csv"))
     stats_text, box_f1, box_mcc = evaluate_stage(model_rows, config)
-    (out / "stats.md").write_text(stats_text)
-    if config.metric in ("f1", "both"):
-        _write_csv(out / "boxplot_f1.csv", BOX_FIELDS, box_f1)
-    if config.metric in ("mcc", "both"):
-        _write_csv(out / "boxplot_mcc.csv", BOX_FIELDS, box_mcc)
+    _write_stats(out, config, stats_text, box_f1, box_mcc)
     print(f"comparison statistics written to {out / 'stats.md'}")
     return 0
 
@@ -801,8 +807,7 @@ def cmd_report(config: ExperimentConfig) -> int:
     stats_text, _, _ = evaluate_stage(model_rows, config)
     summary_text, digest = report_stage(
         funnel_rows, counts, model_rows, config, stats_text)
-    (out / "summary.md").write_text(summary_text)
-    (out / "run_hash.txt").write_text(digest + "\n")
+    _write_report(out, summary_text, digest)
     print(f"summary written to {out / 'summary.md'}, run hash {digest}")
     return 0
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,16 +42,6 @@ class ConfusionMatrix:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-
-@dataclass
-class EvalResult:
-    """Scores for one fitted model on one entity."""
-
-    f1_weighted: float
-    mcc: float
-    per_class: list[dict] = field(default_factory=list)
-    duration_s: float = 0.0
 
 
 @dataclass
@@ -145,23 +135,6 @@ def classification_report(matrix: ConfusionMatrix, class_names=None) -> str:
         f"{'weighted':{width}}{'':11}{'':8}{f1_weighted(matrix):<8.3f}{matrix.total}"
     )
     return "\n".join(lines)
-
-
-def report_rows(matrix: ConfusionMatrix, class_names=None) -> list[dict]:
-    """Per-class report as dict rows, ready for CSV export."""
-    if class_names is None:
-        class_names = [f"class_{k}" for k in range(matrix.n_classes)]
-    precision, recall, f1, support = _precision_recall_f1(matrix)
-    return [
-        {
-            "class": class_names[k],
-            "precision": float(precision[k]),
-            "recall": float(recall[k]),
-            "f1": float(f1[k]),
-            "support": int(support[k]),
-        }
-        for k in range(matrix.n_classes)
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Learning core: clustering, cross-validation, four estimators, tuning."""
 
 from .automl import (
-    HYPERPARAM_SPACES,
     MODEL_KINDS,
     AutomlConfig,
     TrainedModel,
@@ -23,7 +22,6 @@ from .cluster import (
 from .cv import choose_cv_splits, stratified_folds
 
 __all__ = [
-    "HYPERPARAM_SPACES",
     "MODEL_KINDS",
     "AutomlConfig",
     "TrainedModel",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,31 +18,70 @@ from ..errors import ContractViolationError, UnsupportedModelError
 from ..evalstat import confusion, f1_weighted
 from .baseline import StratifiedBaseline
 from .bayesopt import Dim, SearchSpace, bayes_optimize
-from .boost import GradientBoostedTrees, _Tree
+from .boost import GradientBoostedTrees
 from .cv import choose_cv_splits, stratified_folds
 from .linear import SoftmaxRegression
 from .mlp import MLPClassifier
 
-MODEL_KINDS = ("dummy", "logreg", "gbt", "mlp")
 
-HYPERPARAM_SPACES = {
-    "dummy": SearchSpace({}),
-    "logreg": SearchSpace({
-        "l2": Dim(1e-4, 1e2, "logfloat"),
-    }),
-    "gbt": SearchSpace({
-        "rounds": Dim(10, 200, "int"),
-        "depth": Dim(1, 6, "int"),
-        "learning_rate": Dim(0.01, 0.5, "float"),
-        "subsample": Dim(0.5, 1.0, "float"),
-        "leaf_l2": Dim(0.0, 10.0, "float"),
-    }),
-    "mlp": SearchSpace({
-        "hidden": Dim(4, 64, "int"),
-        "learning_rate": Dim(1e-4, 1e-1, "logfloat"),
-        "epochs": Dim(10, 200, "int"),
-    }),
+def _renamed(hyperparams: dict, **names) -> dict:
+    """Hyperparameters keyed by constructor argument instead of tuned name."""
+    return {names.get(k, k): v for k, v in hyperparams.items()}
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """One model family: its tuning space, and a factory from tuned values
+    to an unfitted estimator. Names left unset take the constructor default.
+    """
+
+    space: SearchSpace
+    factory: Callable[[dict, int], object]  # (hyperparams, seed) -> estimator
+
+    def make(self, hyperparams: dict, seed: int):
+        unknown = sorted(set(hyperparams) - set(self.space.dims))
+        if unknown:
+            raise ContractViolationError(f"unknown hyperparameters {unknown}")
+        return self.factory(hyperparams, seed)
+
+
+KIND_TABLE = {
+    "dummy": ModelKind(
+        SearchSpace({}),
+        lambda hp, seed: StratifiedBaseline(seed=seed)),
+    "logreg": ModelKind(
+        SearchSpace({
+            "l2": Dim(1e-4, 1e2, "logfloat"),
+        }),
+        lambda hp, seed: SoftmaxRegression(**hp)),
+    "gbt": ModelKind(
+        SearchSpace({
+            "rounds": Dim(10, 200, "int"),
+            "depth": Dim(1, 6, "int"),
+            "learning_rate": Dim(0.01, 0.5, "float"),
+            "subsample": Dim(0.5, 1.0, "float"),
+            "leaf_l2": Dim(0.0, 10.0, "float"),
+        }),
+        lambda hp, seed: GradientBoostedTrees(
+            seed=seed, **_renamed(hp, rounds="n_rounds", depth="max_depth"))),
+    "mlp": ModelKind(
+        SearchSpace({
+            "hidden": Dim(4, 64, "int"),
+            "learning_rate": Dim(1e-4, 1e-1, "logfloat"),
+            "epochs": Dim(10, 200, "int"),
+        }),
+        lambda hp, seed: MLPClassifier(
+            seed=seed, **_renamed(hp, hidden="n_hidden", learning_rate="lr"))),
 }
+
+MODEL_KINDS = tuple(KIND_TABLE)
+
+
+def _kind(kind: str) -> ModelKind:
+    try:
+        return KIND_TABLE[kind]
+    except KeyError:
+        raise UnsupportedModelError(f"unknown model kind {kind!r}") from None
 
 
 @dataclass
@@ -69,29 +109,6 @@ def _kind_seed(seed: int, kind: str) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
-def _make_estimator(kind: str, hyperparams: dict, seed: int):
-    hp = hyperparams
-    if kind == "dummy":
-        return StratifiedBaseline(seed=seed)
-    if kind == "logreg":
-        return SoftmaxRegression(l2=hp.get("l2", 1e-3))
-    if kind == "gbt":
-        return GradientBoostedTrees(
-            n_rounds=hp.get("rounds", 80),
-            max_depth=hp.get("depth", 3),
-            learning_rate=hp.get("learning_rate", 0.3),
-            subsample=hp.get("subsample", 1.0),
-            leaf_l2=hp.get("leaf_l2", 1.0),
-            seed=seed)
-    if kind == "mlp":
-        return MLPClassifier(
-            n_hidden=hp.get("hidden", 16),
-            lr=hp.get("learning_rate", 0.01),
-            epochs=hp.get("epochs", 50),
-            seed=seed)
-    raise UnsupportedModelError(f"unknown model kind {kind!r}")
-
-
 def train(kind: str, X, y, n_classes: int = 3, hyperparams: dict | None = None,
           seed: int = 0, feature_names=None) -> TrainedModel:
     X = np.asarray(X, dtype=np.float64)
@@ -102,7 +119,7 @@ def train(kind: str, X, y, n_classes: int = 3, hyperparams: dict | None = None,
         raise ContractViolationError("single-class dataset")
     hp = dict(hyperparams or {})
     t0 = time.perf_counter()
-    est = _make_estimator(kind, hp, seed).fit(X, y, n_classes)
+    est = _kind(kind).make(hp, seed).fit(X, y, n_classes)
     duration = time.perf_counter() - t0
     return TrainedModel(
         kind=kind, estimator=est, hyperparams=hp, cv_splits=0,
@@ -131,12 +148,12 @@ def feature_importance(model: TrainedModel) -> dict:
     return {names[i]: float(shares[i]) for i in range(len(shares))}
 
 
-def _cv_eval(kind, X, y, n_classes, folds, seed, hyperparams):
+def _cv_eval(make, X, y, n_classes, folds, seed, hyperparams):
     """Mean per-fold weighted F1 plus the pooled out-of-fold confusion."""
     scores = []
     pooled = np.zeros((n_classes, n_classes), dtype=np.int64)
     for train_idx, test_idx in folds:
-        est = _make_estimator(kind, hyperparams, seed)
+        est = make(hyperparams, seed)
         est.fit(X[train_idx], y[train_idx], n_classes)
         pred = est.predict(X[test_idx])
         mat = confusion(y[test_idx], pred, n_classes)
@@ -145,10 +162,19 @@ def _cv_eval(kind, X, y, n_classes, folds, seed, hyperparams):
     return float(np.mean(scores)), pooled
 
 
-def _cv_objective(kind, X, y, n_classes, folds, seed):
-    def objective(hyperparams):
-        return _cv_eval(kind, X, y, n_classes, folds, seed, hyperparams)[0]
-    return objective
+def _memo_cv_eval(make, X, y, n_classes, folds, seed):
+    """`_cv_eval` once per distinct hyperparameter set. The pass is
+    deterministic, so the tuner's objective and the incumbent's final score
+    share it."""
+    scored = {}
+
+    def evaluate(hyperparams):
+        key = tuple(sorted(hyperparams.items()))
+        if key not in scored:
+            scored[key] = _cv_eval(make, X, y, n_classes, folds, seed,
+                                   hyperparams)
+        return scored[key]
+    return evaluate
 
 
 def automl_entity(X, y, config: AutomlConfig | None = None, seed: int = 0,
@@ -162,22 +188,19 @@ def automl_entity(X, y, config: AutomlConfig | None = None, seed: int = 0,
     out = {}
     for kind in config.kinds:
         t0 = time.perf_counter()
-        space = HYPERPARAM_SPACES[kind]
-        objective = _cv_objective(kind, X, y, n_classes, folds, seed)
-        if space.n_dims == 0:
-            best_hp = {}
-        else:
-            result = bayes_optimize(space, objective, config.budget,
-                                    seed=_kind_seed(seed, kind))
-            best_hp = result.best_params
-        # one more CV pass at the incumbent pools the out-of-fold confusion
-        cv_score, cv_conf = _cv_eval(kind, X, y, n_classes, folds, seed,
-                                     best_hp)
-        est = _make_estimator(kind, best_hp, seed).fit(X, y, n_classes)
+        spec = _kind(kind)
+        evaluate = _memo_cv_eval(spec.make, X, y, n_classes, folds, seed)
+        best_hp = {}
+        if spec.space.n_dims:
+            best_hp = bayes_optimize(
+                spec.space, lambda hp: evaluate(hp)[0], config.budget,
+                seed=_kind_seed(seed, kind)).best_params
+        cv_score, cv_conf = evaluate(best_hp)
+        est = spec.make(best_hp, seed).fit(X, y, n_classes)
         duration = time.perf_counter() - t0
         out[kind] = TrainedModel(
             kind=kind, estimator=est, hyperparams=best_hp,
-            cv_splits=n_splits, cv_score=float(cv_score),
+            cv_splits=n_splits, cv_score=cv_score,
             duration_s=duration, feature_names=list(feature_names or []),
             n_classes=n_classes, cv_confusion=cv_conf)
     return out
@@ -187,34 +210,6 @@ def automl_entity(X, y, config: AutomlConfig | None = None, seed: int = 0,
 
 
 def model_to_dict(model: TrainedModel) -> dict:
-    est = model.estimator
-    if model.kind == "dummy":
-        payload = {
-            "seed": est.seed,
-            "class_probs": [float(v) for v in est.class_probs_],
-        }
-    elif model.kind == "logreg":
-        payload = {
-            "l2": est.l2,
-            "weights": [[float(v) for v in row] for row in est.W_],
-        }
-    elif model.kind == "mlp":
-        W1, b1, W2, b2 = est.params_
-        payload = {
-            "n_hidden": est.n_hidden,
-            "W1": [[float(v) for v in row] for row in W1],
-            "b1": [float(v) for v in b1],
-            "W2": [[float(v) for v in row] for row in W2],
-            "b2": [float(v) for v in b2],
-        }
-    elif model.kind == "gbt":
-        payload = {
-            "trees": [[t.to_dict() for t in rnd] for rnd in est.trees_],
-            "bin_values": [[float(v) for v in u] for u in est.bin_values_],
-            "gain_sums": [float(v) for v in est.gain_sums_],
-        }
-    else:
-        raise UnsupportedModelError(f"cannot serialize kind {model.kind!r}")
     return {
         "format_version": 1,
         "kind": model.kind,
@@ -226,51 +221,20 @@ def model_to_dict(model: TrainedModel) -> dict:
         "n_classes": model.n_classes,
         "cv_confusion": (None if model.cv_confusion is None
                          else np.asarray(model.cv_confusion).tolist()),
-        "payload": payload,
+        "payload": model.estimator.to_payload(),
     }
 
 
 def model_from_dict(d: dict) -> TrainedModel:
     kind = d["kind"]
-    payload = d["payload"]
+    hyperparams = dict(d["hyperparams"])
     n_classes = int(d["n_classes"])
-    if kind == "dummy":
-        est = StratifiedBaseline(seed=int(payload["seed"]))
-        est.class_probs_ = np.array(payload["class_probs"], dtype=np.float64)
-        est.n_classes_ = n_classes
-    elif kind == "logreg":
-        est = SoftmaxRegression(l2=float(payload["l2"]))
-        est.W_ = np.array(payload["weights"], dtype=np.float64)
-        est.n_classes_ = n_classes
-    elif kind == "mlp":
-        hp = d["hyperparams"]
-        est = MLPClassifier(n_hidden=int(payload["n_hidden"]),
-                            lr=float(hp.get("learning_rate", 0.01)),
-                            epochs=int(hp.get("epochs", 50)))
-        est.params_ = (np.array(payload["W1"], dtype=np.float64),
-                       np.array(payload["b1"], dtype=np.float64),
-                       np.array(payload["W2"], dtype=np.float64),
-                       np.array(payload["b2"], dtype=np.float64))
-        est.n_classes_ = n_classes
-    elif kind == "gbt":
-        hp = d["hyperparams"]
-        est = GradientBoostedTrees(
-            n_rounds=int(hp.get("rounds", 80)),
-            max_depth=int(hp.get("depth", 3)),
-            learning_rate=float(hp.get("learning_rate", 0.3)),
-            subsample=float(hp.get("subsample", 1.0)),
-            leaf_l2=float(hp.get("leaf_l2", 1.0)))
-        est.trees_ = [[_Tree.from_dict(t) for t in rnd]
-                      for rnd in payload["trees"]]
-        est.bin_values_ = [np.array(u, dtype=np.float64)
-                           for u in payload["bin_values"]]
-        est.gain_sums_ = np.array(payload["gain_sums"], dtype=np.float64)
-        est.n_classes_ = n_classes
-    else:
-        raise UnsupportedModelError(f"cannot deserialize kind {kind!r}")
+    # the seed only steers fitting; a dummy's comes back with its payload
+    est = _kind(kind).make(hyperparams, 0).load_payload(d["payload"],
+                                                         n_classes)
     conf = d.get("cv_confusion")
     return TrainedModel(
-        kind=kind, estimator=est, hyperparams=dict(d["hyperparams"]),
+        kind=kind, estimator=est, hyperparams=hyperparams,
         cv_splits=int(d["cv_splits"]), cv_score=float(d["cv_score"]),
         duration_s=float(d["duration_s"]),
         feature_names=list(d["feature_names"]), n_classes=n_classes,

@@ -53,3 +53,12 @@ class StratifiedBaseline:
 
     def predict(self, X):
         return self.predict_proba(X).argmax(axis=1)
+
+    def to_payload(self) -> dict:
+        return {"seed": self.seed, "class_probs": self.class_probs_.tolist()}
+
+    def load_payload(self, payload: dict, n_classes: int):
+        self.seed = int(payload["seed"])
+        self.class_probs_ = np.array(payload["class_probs"], dtype=np.float64)
+        self.n_classes_ = n_classes
+        return self

@@ -111,14 +111,9 @@ class GaussianProcess:
                      - 0.5 * n * math.log(2 * math.pi))
 
     def predict(self, Xs):
-        Xs = np.asarray(Xs, dtype=np.float64)
-        Ks = self._kernel(Xs, self.X_)
-        mu = Ks @ self.alpha_
-        v = np.linalg.solve(self.L_, Ks.T)
-        var = 1.0 + self.noise_used_ - (v ** 2).sum(axis=0)
-        var = np.maximum(var, 1e-12)
-        return (mu * self.y_std_ + self.y_mean_,
-                var * self.y_std_ ** 2)
+        """Posterior mean and variance in the units of the fitted y."""
+        mu, var = self.predict_standardized(Xs)
+        return mu * self.y_std_ + self.y_mean_, var * self.y_std_ ** 2
 
     def predict_standardized(self, Xs):
         Xs = np.asarray(Xs, dtype=np.float64)

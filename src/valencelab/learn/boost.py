@@ -249,6 +249,22 @@ class GradientBoostedTrees:
     def predict(self, X):
         return self.predict_proba(X).argmax(axis=1)
 
+    def to_payload(self) -> dict:
+        return {
+            "trees": [[t.to_dict() for t in rnd] for rnd in self.trees_],
+            "bin_values": [u.tolist() for u in self.bin_values_],
+            "gain_sums": self.gain_sums_.tolist(),
+        }
+
+    def load_payload(self, payload: dict, n_classes: int):
+        self.trees_ = [[_Tree.from_dict(t) for t in rnd]
+                       for rnd in payload["trees"]]
+        self.bin_values_ = [np.array(u, dtype=np.float64)
+                            for u in payload["bin_values"]]
+        self.gain_sums_ = np.array(payload["gain_sums"], dtype=np.float64)
+        self.n_classes_ = n_classes
+        return self
+
     def importance_shares(self) -> np.ndarray:
         total = self.gain_sums_.sum()
         if total <= 0:

@@ -44,7 +44,6 @@ class SoftmaxRegression:
         self.tol = float(tol)
         self.W_ = None
         self.n_classes_ = 0
-        self.loss_curve_ = []
 
     def fit(self, X, y, n_classes: int):
         X = np.asarray(X, dtype=np.float64)
@@ -53,11 +52,9 @@ class SoftmaxRegression:
             raise ContractViolationError("empty training set")
         n, d = X.shape
         w = np.zeros((d + 1) * n_classes, dtype=np.float64)
-        self.loss_curve_ = []
         prev = np.inf
         for _ in range(self.n_iter):
             loss, grad = logreg_loss_and_grad(w, X, y, n_classes, self.l2)
-            self.loss_curve_.append(loss)
             # Backtracking keeps the full-batch step stable without tuning lr
             # per dataset.
             step = self.lr
@@ -82,3 +79,12 @@ class SoftmaxRegression:
 
     def predict(self, X):
         return self.predict_proba(X).argmax(axis=1)
+
+    def to_payload(self) -> dict:
+        return {"l2": self.l2, "weights": self.W_.tolist()}
+
+    def load_payload(self, payload: dict, n_classes: int):
+        self.l2 = float(payload["l2"])
+        self.W_ = np.array(payload["weights"], dtype=np.float64)
+        self.n_classes_ = n_classes
+        return self

@@ -63,7 +63,6 @@ class MLPClassifier:
         self.l2 = float(l2)
         self.seed = int(seed)
         self.params_ = None
-        self.loss_curve_ = []
 
     def fit(self, X, y, n_classes: int):
         X = np.asarray(X, dtype=np.float64)
@@ -77,7 +76,6 @@ class MLPClassifier:
         W2 = rng.normal(0.0, np.sqrt(2.0 / self.n_hidden),
                         size=(self.n_hidden, n_classes))
         b2 = np.zeros(n_classes)
-        self.loss_curve_ = []
         for _ in range(self.epochs):
             order = rng.permutation(n)
             for i in order:
@@ -100,13 +98,8 @@ class MLPClassifier:
                 b1 -= self.lr * gb1
                 W2 -= self.lr * gW2
                 b2 -= self.lr * gb2
-            w_flat = mlp_pack(W1, b1, W2, b2)
-            loss, _ = mlp_loss_and_grad(w_flat, X, y, d, self.n_hidden,
-                                        n_classes, self.l2)
-            self.loss_curve_.append(loss)
         self.params_ = (W1, b1, W2, b2)
         self.n_classes_ = n_classes
-        self.n_in_ = d
         return self
 
     def predict_proba(self, X):
@@ -117,3 +110,15 @@ class MLPClassifier:
 
     def predict(self, X):
         return self.predict_proba(X).argmax(axis=1)
+
+    def to_payload(self) -> dict:
+        W1, b1, W2, b2 = self.params_
+        return {"n_hidden": self.n_hidden, "W1": W1.tolist(),
+                "b1": b1.tolist(), "W2": W2.tolist(), "b2": b2.tolist()}
+
+    def load_payload(self, payload: dict, n_classes: int):
+        self.n_hidden = int(payload["n_hidden"])
+        self.params_ = tuple(np.array(payload[name], dtype=np.float64)
+                             for name in ("W1", "b1", "W2", "b2"))
+        self.n_classes_ = n_classes
+        return self

@@ -577,10 +577,6 @@ class SimWorld:
         return events, faults
 
 
-def step(world: SimWorld, dt: float):
-    return world.step(dt)
-
-
 def run_cohort(cohort: Cohort, fault_plan: FaultPlan | None = None,
                days: float | None = None, step_s: float = 21600.0):
     """Replay the whole horizon; returns (events, faults) time-sorted."""

@@ -26,27 +26,18 @@ def test_feed_config_shape():
     cfg = FeedConfig()
     assert cfg.period_s == 10.0
     assert cfg.duty_cycle == pytest.approx(0.2)
-    assert cfg.samples_per_period == 2
     with pytest.raises(ContractViolationError):
         FeedConfig(active_s=0.0)
-    with pytest.raises(ContractViolationError):
-        FeedConfig(sample_hz=-1.0)
 
 
 def test_feed_one_day_active_fraction_and_battery():
     agent = _agent()
     clock = SimClock()
-    readings = []
     for _ in range(96):                      # 15-minute ticks for a day
         clock.advance(900.0)
-        got, _ = feed_tick(agent, clock)
-        readings.extend(got)
+        feed_tick(agent, clock)
     assert agent.active_seconds_total / 86400.0 == pytest.approx(0.2, abs=1e-9)
     assert agent.energy_spent == pytest.approx(1.0, abs=1e-9)
-    assert len(readings) == 17280            # 2 samples per 10 s period
-    # sample instants sit inside the active part of their period
-    for r in readings[:50]:
-        assert (r.t % 10.0) in (0.0, 1.0)
 
 
 def test_feed_tick_partition_does_not_change_totals():
@@ -65,12 +56,12 @@ def test_feed_tick_partition_does_not_change_totals():
 def test_crashed_agent_spends_nothing():
     agent = _agent()
     on_system_event(agent, "crash")
-    got, energy = feed_tick(agent, SimClock(now=3600.0))
-    assert got == [] and energy == 0.0
+    energy = feed_tick(agent, SimClock(now=3600.0))
+    assert energy == 0.0
     assert agent.energy_spent == 0.0
     # revival does not bill the dead interval retroactively
     on_system_event(agent, "revive_tick", now=3600.0)
-    _, energy = feed_tick(agent, SimClock(now=3610.0))
+    energy = feed_tick(agent, SimClock(now=3610.0))
     assert energy == pytest.approx(2.0 / 17280.0)
 
 

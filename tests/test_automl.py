@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
 from valencelab.learn import AutomlConfig, automl_entity
+from valencelab.learn.baseline import StratifiedBaseline
+from valencelab.learn.linear import SoftmaxRegression
 
 
 def learnable_entity(seed=0, n=150):
@@ -41,3 +44,27 @@ def test_durations_recorded_positive():
     for kind, model in models.items():
         assert model.duration_s > 0, kind
         assert model.cv_splits >= 2
+
+
+@pytest.mark.parametrize("kind, estimator", [("dummy", StratifiedBaseline),
+                                             ("logreg", SoftmaxRegression)])
+def test_each_hyperparameter_set_is_fit_once_per_fold(monkeypatch, kind,
+                                                      estimator):
+    fits = []
+    fit = estimator.fit
+
+    def counting_fit(self, *args):
+        fits.append(self)
+        return fit(self, *args)
+
+    monkeypatch.setattr(estimator, "fit", counting_fit)
+    X, y = learnable_entity(3)
+    config = AutomlConfig(budget=6, cv_max_splits=3, kinds=(kind,))
+    model = automl_entity(X, y, config=config, seed=4)[kind]
+    k = model.cv_splits
+    # tuner evaluations plus the incumbent's score share CV passes; the
+    # final refit on all rows is the one extra fit
+    if kind == "dummy":
+        assert len(fits) == k + 1
+    else:
+        assert len(fits) <= config.budget * k + 1

@@ -126,6 +126,19 @@ def test_model_rows_cover_every_eligible_entity(small_run):
         assert entry["best_kind"] in ("dummy", "logreg", "gbt", "mlp")
 
 
+def test_simulate_writes_the_pipeline_world(small_run, tmp_path, capsys):
+    result, cohort_path = small_run
+    out = tmp_path / "sim"
+    assert main(["simulate", "--out", str(out), "--cohort", str(cohort_path),
+                 "--seed", "7"]) == 0
+    capsys.readouterr()
+    world = ("cohort.jsonl", "events.jsonl", "faults.txt")
+    assert sorted(p.name for p in out.iterdir()) == sorted(world)
+    for name in world:
+        assert (out / name).read_bytes() == \
+            (result.out_dir / name).read_bytes(), name
+
+
 def test_store_artifact_rebuilds_identically(small_run):
     result, _ = small_run
     rebuilt = _rebuild_store(result.out_dir)

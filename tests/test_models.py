@@ -169,6 +169,14 @@ def test_single_class_dataset_rejected(kind):
         train(kind, X, y)
 
 
+PAYLOAD_KEYS = {
+    "dummy": {"seed", "class_probs"},
+    "logreg": {"l2", "weights"},
+    "gbt": {"trees", "bin_values", "gain_sums"},
+    "mlp": {"n_hidden", "W1", "b1", "W2", "b2"},
+}
+
+
 @pytest.mark.parametrize("kind", ["dummy", "logreg", "gbt", "mlp"])
 def test_serialization_roundtrip_preserves_predictions(kind):
     rng = np.random.default_rng(9)
@@ -177,12 +185,30 @@ def test_serialization_roundtrip_preserves_predictions(kind):
     hp = {"rounds": 15} if kind == "gbt" else {"epochs": 15} if kind == "mlp" else {}
     model = train(kind, X, y, hyperparams=hp, seed=4,
                   feature_names=[f"c{i}" for i in range(5)])
-    restored = model_from_dict(model_to_dict(model))
+    doc = model_to_dict(model)
+    # the models.json format: a change here breaks saved artifacts
+    assert doc["format_version"] == 1
+    assert set(doc["payload"]) == PAYLOAD_KEYS[kind]
+    restored = model_from_dict(doc)
     Xq = rng.normal(size=(40, 5))
     assert np.allclose(predict_proba(model, Xq), predict_proba(restored, Xq))
     assert restored.kind == model.kind
     assert restored.hyperparams == model.hyperparams
     assert restored.feature_names == model.feature_names
+
+
+def test_unknown_kind_or_hyperparameter_is_rejected():
+    rng = np.random.default_rng(15)
+    X = rng.normal(size=(20, 2))
+    y = rng.integers(0, 2, size=20)
+    with pytest.raises(UnsupportedModelError):
+        train("forest", X, y)
+    with pytest.raises(ContractViolationError):
+        train("gbt", X, y, hyperparams={"trees": 5})
+    doc = model_to_dict(train("logreg", X, y))
+    doc["kind"] = "forest"
+    with pytest.raises(UnsupportedModelError):
+        model_from_dict(doc)
 
 
 def test_serialization_is_json_compatible():
