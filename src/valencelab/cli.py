@@ -54,7 +54,8 @@ from .simworld import (Cohort, CohortSpec, EntityProfile, FaultPlan, SimClock,
                        load_fault_plan, parse_kv_config, run_cohort)
 from .syncsec import (FaultyTransport, KeyRegistry, LoopbackTransport,
                       SocketServer, SocketTransport, SyncClient,
-                      derive_keypair, encode_envelope, sign)
+                      derive_keypair, encode_envelope, max_frame_bytes,
+                      sign)
 
 log = logging.getLogger("valencelab.cli")
 
@@ -815,7 +816,8 @@ def cmd_report(config: ExperimentConfig) -> int:
 def cmd_serve(config: ExperimentConfig, host: str, port: int,
               max_seconds: float | None) -> int:
     handler, _ = _server_from_artifacts(Path(config.out))
-    server = SocketServer(handler, host=host, port=port)
+    server = SocketServer(handler, host=host, port=port,
+                          max_frame=max_frame_bytes(config.sync_max_records))
     server.start()
     print(f"serving on {server.host}:{server.port}", flush=True)
     try:

@@ -149,14 +149,18 @@ def feature_importance(model: TrainedModel) -> dict:
 
 
 def _cv_eval(make, X, y, n_classes, folds, seed, hyperparams):
-    """Mean per-fold weighted F1 plus the pooled out-of-fold confusion."""
+    """Mean per-fold weighted F1 plus the pooled out-of-fold confusion.
+
+    One `fit_folds` call fits every training fold; each test fold is then
+    predicted by its own model.
+    """
+    models = [make(hyperparams, seed) for _ in folds]
+    type(models[0]).fit_folds(models, [X[train] for train, _ in folds],
+                              [y[train] for train, _ in folds], n_classes)
     scores = []
     pooled = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for train_idx, test_idx in folds:
-        est = make(hyperparams, seed)
-        est.fit(X[train_idx], y[train_idx], n_classes)
-        pred = est.predict(X[test_idx])
-        mat = confusion(y[test_idx], pred, n_classes)
+    for model, (_, test_idx) in zip(models, folds):
+        mat = confusion(y[test_idx], model.predict(X[test_idx]), n_classes)
         pooled += mat.counts
         scores.append(f1_weighted(mat))
     return float(np.mean(scores)), pooled

@@ -7,9 +7,10 @@ import hashlib
 import numpy as np
 
 from ..errors import ContractViolationError
+from .cv import PerFoldFit
 
 
-class StratifiedBaseline:
+class StratifiedBaseline(PerFoldFit):
     """Ignores feature values; samples labels from training frequencies.
 
     Draws are seeded from the model seed plus a digest of the query, so the

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ContractViolationError
+from .cv import PerFoldFit
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -33,7 +34,7 @@ def logreg_loss_and_grad(w_flat, X, y, n_classes: int, l2: float):
     return loss, grad.ravel()
 
 
-class SoftmaxRegression:
+class SoftmaxRegression(PerFoldFit):
     """Linear softmax classifier; deterministic given data and settings."""
 
     def __init__(self, l2: float = 1e-3, lr: float = 0.5, n_iter: int = 300,

@@ -53,54 +53,96 @@ def mlp_loss_and_grad(w_flat, X, y, n_in: int, n_hidden: int, n_out: int,
 
 
 class MLPClassifier:
-    """ReLU hidden layer, softmax output, one sample per update."""
+    """ReLU hidden layer, softmax output, one sample per update.
+
+    `fit_folds` trains several models that share their settings (the folds
+    of one cross-validation pass) in lockstep: their weights are stacked,
+    and each tick takes one SGD step per fold with batched numpy calls that
+    compute every fold's step exactly as a fit on its fold alone would.
+    `fit` is the one-fold case.
+    """
 
     def __init__(self, n_hidden: int = 16, lr: float = 0.01, epochs: int = 50,
-                 l2: float = 0.0, seed: int = 0):
+                 seed: int = 0):
         self.n_hidden = int(n_hidden)
         self.lr = float(lr)
         self.epochs = int(epochs)
-        self.l2 = float(l2)
         self.seed = int(seed)
         self.params_ = None
 
     def fit(self, X, y, n_classes: int):
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        if X.shape[0] == 0:
-            raise ContractViolationError("empty training set")
-        n, d = X.shape
-        rng = np.random.default_rng(self.seed)
-        W1 = rng.normal(0.0, np.sqrt(2.0 / d), size=(d, self.n_hidden))
-        b1 = np.zeros(self.n_hidden)
-        W2 = rng.normal(0.0, np.sqrt(2.0 / self.n_hidden),
-                        size=(self.n_hidden, n_classes))
-        b2 = np.zeros(n_classes)
-        for _ in range(self.epochs):
-            order = rng.permutation(n)
-            for i in order:
-                x = X[i]
-                z1 = x @ W1 + b1
-                h = np.maximum(z1, 0.0)
-                z2 = h @ W2 + b2
-                z2 = z2 - z2.max()
-                e = np.exp(z2)
-                p = e / e.sum()
-                d_z2 = p
-                d_z2[y[i]] -= 1.0
-                gW2 = np.outer(h, d_z2) + self.l2 * W2
-                gb2 = d_z2
-                d_h = W2 @ d_z2
-                d_z1 = d_h * (z1 > 0.0)
-                gW1 = np.outer(x, d_z1) + self.l2 * W1
-                gb1 = d_z1
-                W1 -= self.lr * gW1
-                b1 -= self.lr * gb1
-                W2 -= self.lr * gW2
-                b2 -= self.lr * gb2
-        self.params_ = (W1, b1, W2, b2)
-        self.n_classes_ = n_classes
+        self.fit_folds([self], [X], [y], n_classes)
         return self
+
+    @classmethod
+    def fit_folds(cls, models, Xs, ys, n_classes: int):
+        """Fit models[i] on (Xs[i], ys[i]) for every i, in lockstep.
+
+        The models must share every setting but the seed. Each draws its
+        initial weights and its per-epoch sample order from its own seed.
+        """
+        if len({(m.n_hidden, m.lr, m.epochs) for m in models}) > 1:
+            raise ContractViolationError("lockstep models differ in settings")
+        Xs = [np.asarray(X, dtype=np.float64) for X in Xs]
+        ys = [np.asarray(y, dtype=np.int64) for y in ys]
+        if any(X.shape[0] == 0 for X in Xs):
+            raise ContractViolationError("empty training set")
+        # largest fold first, so the folds still stepping at any tick of an
+        # epoch are a leading slice of the stack
+        order = sorted(range(len(models)), key=lambda i: -len(ys[i]))
+        stack = [models[i] for i in order]
+        Xs = [Xs[i] for i in order]
+        ys = [ys[i] for i in order]
+        sizes = np.array([len(y) for y in ys])
+        offsets = np.concatenate([[0], np.cumsum(sizes)])[:-1]
+        X_all = np.concatenate(Xs)
+        n_in = X_all.shape[1]
+        H = stack[0].n_hidden
+        lr = stack[0].lr
+        # each bias rides as the last row of its weights, fed by a constant
+        # input of 1, so one update covers both: 1.0 * g == g exactly
+        X_all = np.hstack([X_all, np.ones((len(X_all), 1))])
+        targets = np.eye(n_classes)[np.concatenate(ys)]
+        W1 = np.zeros((len(stack), n_in + 1, H))
+        W2 = np.zeros((len(stack), H + 1, n_classes))
+        rngs = [np.random.default_rng(m.seed) for m in stack]
+        for j, rng in enumerate(rngs):
+            W1[j, :n_in] = rng.normal(0.0, np.sqrt(2.0 / n_in), size=(n_in, H))
+            W2[j, :H] = rng.normal(0.0, np.sqrt(2.0 / H), size=(H, n_classes))
+        hidden = np.ones((len(stack), H + 1))
+        # the folds still stepping at tick t of an epoch are the first k;
+        # every vector is kept as a (k, 1, n) row or a (k, n, 1) column
+        stepping = (sizes[None, :] > np.arange(sizes[0])[:, None]).sum(axis=1)
+        views = {k: (W1[:k], W1[:k, :n_in], W1[:k, n_in:], W2[:k],
+                     W2[:k, :H], W2[:k, H:], W2[:k, :H].transpose(0, 2, 1),
+                     hidden[:k, None, :H], hidden[:k, :, None])
+                 for k in set(stepping.tolist())}
+        picks = np.zeros((sizes[0], len(stack)), dtype=np.int64)
+        for _ in range(stack[0].epochs):
+            for j, (rng, n) in enumerate(zip(rngs, sizes)):
+                picks[:n, j] = offsets[j] + rng.permutation(n)
+            X_ep = X_all[picks]
+            rows, cols = X_ep[:, :, None, :n_in], X_ep[:, :, :, None]
+            T_ep = targets[picks][:, :, None, :]
+            # each batched matmul runs, per fold, the gemv that x @ W1 runs
+            # on one fold; all else is elementwise, so no fold's bits move
+            for t, k in enumerate(stepping):
+                w1b, w1, b1, w2b, w2, b2, w2T, h, h_col = views[k]
+                z1 = rows[t, :k] @ w1 + b1
+                np.maximum(z1, 0.0, out=h)
+                z2 = h @ w2 + b2
+                z2 -= np.maximum.reduce(z2, axis=2, keepdims=True)
+                e = np.exp(z2)
+                d_z2 = e / np.add.reduce(e, axis=2, keepdims=True)
+                d_z2 -= T_ep[t, :k]
+                d_z1 = (d_z2 @ w2T) * (z1 > 0.0)
+                w1b -= lr * (cols[t, :k] * d_z1)
+                w2b -= lr * (h_col * d_z2)
+        for j, model in enumerate(stack):
+            model.params_ = (W1[j, :n_in].copy(), W1[j, n_in].copy(),
+                             W2[j, :H].copy(), W2[j, H].copy())
+            model.n_classes_ = n_classes
+        return models
 
     def predict_proba(self, X):
         X = np.asarray(X, dtype=np.float64)

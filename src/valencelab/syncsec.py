@@ -297,27 +297,45 @@ def transmit(transport, envelope: SignedEnvelope, batch_id: int = 0):
 
 
 _FRAME = struct.Struct(">I")
+# A record's canonical JSON (uuid, kind, t, x, y, a short payload) runs to a
+# few hundred bytes; these bounds leave an order of magnitude to spare.
+MAX_RECORD_BYTES = 4096
+FRAME_OVERHEAD_BYTES = 4096     # envelope header, signature, batch fields
+
+
+def max_frame_bytes(max_records: int = DEFAULT_MAX_RECORDS) -> int:
+    """Largest framed message worth reading: one full sync batch."""
+    return FRAME_OVERHEAD_BYTES + max_records * MAX_RECORD_BYTES
 
 
 def _send_framed(sock: socket.socket, data: bytes) -> None:
     sock.sendall(_FRAME.pack(len(data)) + data)
 
 
-def _recv_framed(sock: socket.socket) -> bytes | None:
-    head = b""
-    while len(head) < 4:
-        chunk = sock.recv(4 - len(head))
-        if not chunk:
+def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        k = sock.recv_into(view[got:])
+        if k == 0:
             return None
-        head += chunk
+        got += k
+    return bytes(buf)
+
+
+def _recv_framed(sock: socket.socket,
+                 max_bytes: int = max_frame_bytes()) -> bytes | None:
+    """One length-prefixed message, or None when the peer closes first or
+    announces more than max_bytes."""
+    head = _recv_exact(sock, _FRAME.size)
+    if head is None:
+        return None
     (n,) = _FRAME.unpack(head)
-    body = b""
-    while len(body) < n:
-        chunk = sock.recv(n - len(body))
-        if not chunk:
-            return None
-        body += chunk
-    return body
+    if n > max_bytes:
+        log.warning("refused a %d-byte frame; the limit is %d", n, max_bytes)
+        return None
+    return _recv_exact(sock, n)
 
 
 class SocketTransport:
@@ -337,10 +355,16 @@ class SocketTransport:
 
 
 class SocketServer:
-    """Threaded localhost server feeding framed messages to handler.receive."""
+    """Threaded localhost server feeding framed messages to handler.receive.
 
-    def __init__(self, handler, host: str = "127.0.0.1", port: int = 0):
+    A frame announcing more than max_frame bytes is refused: its connection
+    closes before any of its body is read.
+    """
+
+    def __init__(self, handler, host: str = "127.0.0.1", port: int = 0,
+                 max_frame: int = max_frame_bytes()):
         self.handler = handler
+        self.max_frame = max_frame
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
@@ -359,7 +383,9 @@ class SocketServer:
             except OSError:
                 break
             with conn:
-                msg = _recv_framed(conn)
+                # None: the client hung up, or announced an oversized frame,
+                # which closes the connection unread
+                msg = _recv_framed(conn, self.max_frame)
                 if msg is None:
                     continue
                 try:

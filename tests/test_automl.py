@@ -1,9 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from valencelab.learn import AutomlConfig, automl_entity
 from valencelab.learn.baseline import StratifiedBaseline
+from valencelab.learn.boost import GradientBoostedTrees
 from valencelab.learn.linear import SoftmaxRegression
+from valencelab.learn.mlp import MLPClassifier
 
 
 def learnable_entity(seed=0, n=150):
@@ -46,25 +50,50 @@ def test_durations_recorded_positive():
         assert model.cv_splits >= 2
 
 
-@pytest.mark.parametrize("kind, estimator", [("dummy", StratifiedBaseline),
-                                             ("logreg", SoftmaxRegression)])
+def _settings(model) -> tuple:
+    """A model's constructor settings; fitted attributes end in "_"."""
+    return tuple(sorted((name, value) for name, value in vars(model).items()
+                        if not name.endswith("_")))
+
+
+@pytest.mark.parametrize("kind, estimator", [
+    ("dummy", StratifiedBaseline), ("logreg", SoftmaxRegression),
+    ("gbt", GradientBoostedTrees), ("mlp", MLPClassifier)])
 def test_each_hyperparameter_set_is_fit_once_per_fold(monkeypatch, kind,
                                                       estimator):
-    fits = []
-    fit = estimator.fit
+    fits = Counter()        # settings -> training folds fit with them
+    handed = []             # folds per outermost fit_folds call
+    inside = []
+    fit, fit_folds = estimator.fit, estimator.fit_folds.__func__
+
+    def counting(models, run, is_lockstep):
+        if not inside:
+            fits.update(_settings(m) for m in models)
+            if is_lockstep:
+                handed.append(len(models))
+        inside.append(True)
+        try:
+            return run()
+        finally:
+            inside.pop()
 
     def counting_fit(self, *args):
-        fits.append(self)
-        return fit(self, *args)
+        return counting([self], lambda: fit(self, *args), False)
+
+    def counting_fit_folds(cls, models, *args):
+        return counting(models, lambda: fit_folds(cls, models, *args), True)
 
     monkeypatch.setattr(estimator, "fit", counting_fit)
+    monkeypatch.setattr(estimator, "fit_folds",
+                        classmethod(counting_fit_folds))
     X, y = learnable_entity(3)
     config = AutomlConfig(budget=6, cv_max_splits=3, kinds=(kind,))
     model = automl_entity(X, y, config=config, seed=4)[kind]
     k = model.cv_splits
-    # tuner evaluations plus the incumbent's score share CV passes; the
-    # final refit on all rows is the one extra fit
-    if kind == "dummy":
-        assert len(fits) == k + 1
-    else:
-        assert len(fits) <= config.budget * k + 1
+    # tuner evaluations plus the incumbent's score share CV passes, each
+    # handing all k folds to one fit_folds call; the final refit on all
+    # rows is the one extra fit
+    assert fits.pop(_settings(model.estimator)) == k + 1
+    assert set(fits.values()) <= {k}
+    assert handed.count(k) == len(fits) + 1
+    assert len(handed) <= len(fits) + 2

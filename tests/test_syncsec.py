@@ -1,6 +1,9 @@
 """Sync protocol: signing, wire framing, batching, retries, transports."""
 
 import json
+import socket
+import struct
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,8 @@ from valencelab.syncsec import (KeyRegistry, LoopbackTransport, FaultyTransport,
                                 SyncBatch, SyncClient, SyncSchedulerState,
                                 canonical_json, decode_envelope,
                                 derive_keypair, encode_envelope, handle_ack,
-                                make_batch, next_sync_interval, sign, transmit,
+                                make_batch, max_frame_bytes,
+                                next_sync_interval, sign, transmit,
                                 verify_and_scope)
 
 
@@ -288,6 +292,35 @@ def test_socket_server_reports_auth_and_internal_errors():
         _, reply = SocketTransport(srv.host, srv.port).send(
             encode_envelope(env, 1), "intruder")
         assert json.loads(reply) == {"ok": False, "error": "internal"}
+
+
+def test_socket_server_refuses_oversized_frame_and_keeps_serving():
+    reg = KeyRegistry.for_entities(7, ["e001"])
+    started = time.monotonic()
+    with SocketServer(EchoServer(reg), max_frame=1024) as srv:
+        with socket.create_connection((srv.host, srv.port),
+                                      timeout=2.0) as sock:
+            sock.sendall(struct.pack(">I", 2 ** 32 - 1))
+            # the server hangs up without waiting for a 4 GiB body
+            assert sock.recv(1) == b""
+        client = _client(srv.handler, SocketTransport(srv.host, srv.port,
+                                                      timeout_s=2.0))
+        assert client.attempt(now=1.0) == "ok"
+    assert time.monotonic() - started < 5.0
+
+
+def test_frame_cap_holds_a_full_batch_of_pipeline_records():
+    store = LocalStore("e001")
+    for i in range(200):
+        store.add_pending(Record(uuid=f"{i:032x}", kind="text",
+                                 t=1.0e6 + i, x=-122.123456789,
+                                 y=37.123456789, payload="x" * 200))
+    priv, _ = derive_keypair(7, "e001")
+    batch = make_batch(store, 200, now=1.0e6)
+    message = encode_envelope(sign(priv, batch.to_payload(), "e001"),
+                              batch.batch_id)
+    assert len(message) <= max_frame_bytes(200)
+    assert max_frame_bytes(200) < 2 ** 20
 
 
 def test_client_treats_error_reply_as_no_connectivity():
