@@ -93,8 +93,9 @@ class LocalStore:
     """Pending/synced record store with batch bookkeeping.
 
     `pending` records have not been acknowledged by the cloud side; `synced`
-    maps uuid to ack time and is pruned after the persistence limit. Batch
-    draining and acking live in the sync layer; this class only owns state.
+    maps uuid to ack time, oldest ack first, and is pruned after the
+    persistence limit. Batch draining and acking live in the sync layer;
+    this class only owns state.
     """
 
     def __init__(self, entity_id: str = "", persistence_limit_h: float = 168.0):
@@ -130,6 +131,8 @@ class LocalStore:
         return False
 
     def mark_synced(self, uuid: str, ack_time: float) -> bool:
+        if self.synced and ack_time < next(reversed(self.synced.values())):
+            raise ContractViolationError("acks must arrive in time order")
         for i, rec in enumerate(self.pending):
             if rec.uuid == uuid:
                 del self.pending[i]
@@ -140,8 +143,14 @@ class LocalStore:
         return False
 
     def prune_synced(self, now: float) -> int:
+        """Forget acks older than the persistence limit. Acks are kept in
+        time order, so the stale ones are a prefix of `synced`."""
         limit_s = self.persistence_limit_h * 3600.0
-        stale = [u for u, t in self.synced.items() if now - t > limit_s]
+        stale = []
+        for u, t in self.synced.items():
+            if now - t <= limit_s:
+                break
+            stale.append(u)
         for u in stale:
             del self.synced[u]
             self.synced_records.pop(u, None)

@@ -26,6 +26,7 @@ import io
 import json
 import logging
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -348,8 +349,36 @@ def funnel_stage(mstore: MemoryStore, config: ExperimentConfig):
 # stage 4: per-entity clustering + model tuning
 
 
+def _learn_workers(n_entities: int) -> int:
+    """Worker processes for tuning: one per entity, at most one per CPU."""
+    return min(n_entities, len(os.sched_getaffinity(0)))
+
+
+def _fork_pool(workers: int):
+    """A process pool whose workers are forks of this process, so they
+    start with its modules and state; only calls and results are pickled."""
+    # imported on use: a process that never forks workers (drive, serve,
+    # a one-worker learn) does not load the multiprocessing modules
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"))
+
+
+def _tune_entity(X, y, automl_cfg, seed, feature_names):
+    # pickles by name for the pool, and looks `automl_entity` up when called,
+    # so a worker runs the same function as the in-process path
+    return automl_entity(X, y, automl_cfg, seed=seed,
+                         feature_names=feature_names)
+
+
 def learn_stage(mstore: MemoryStore, funnel_rows, config: ExperimentConfig):
     """Cluster, featurize, and tune every eligible entity.
+
+    Clustering and dataset assembly run here, in entity order; each
+    entity's tuning goes to a forked worker process as soon as its dataset
+    is built (in process when there is one worker). Tuning is seeded per
+    entity, so the outputs do not depend on the worker count.
 
     Returns (model_rows, registry, registry_doc); rows carry both metrics
     regardless of the report metric setting.
@@ -361,43 +390,57 @@ def learn_stage(mstore: MemoryStore, funnel_rows, config: ExperimentConfig):
     automl_cfg = AutomlConfig(budget=config.budget,
                               cv_max_splits=config.cv_max_splits,
                               kinds=tuple(config.models))
-    for eid in eligible:
-        reports = [r for r in mstore.events(eid) if r.kind == "report"]
-        points = np.array([[r.x, r.y] for r in reports])
-        mcs, ms = autodiscover_cluster_params(
-            points, min_samples_grid=(config.min_samples,))
-        cmodel = fit_cluster_model(points, mcs, ms)
-        ds = build_dataset(mstore, eid, cmodel)
-        models = automl_entity(ds.X, ds.y, automl_cfg,
-                               seed=_entity_seed(config.seed, eid),
-                               feature_names=ds.feature_names)
-        best_kind = max(config.models,
-                        key=lambda k: (models[k].cv_score,
-                                       MODEL_KINDS.index(k)))
-        registry.register(eid, models[best_kind], cmodel)
-        kind_scores = {}
-        for kind in config.models:
-            m = models[kind]
-            mcc = mcc_multiclass(ConfusionMatrix(np.asarray(m.cv_confusion)))
-            model_rows.append({
-                "entity_id": eid, "kind": kind,
-                "cv_f1": float(m.cv_score), "cv_mcc": float(mcc),
-                "duration_s": float(m.duration_s),
-                "cv_splits": int(m.cv_splits),
-                "n_reports": len(reports),
-                "n_clusters": int(cmodel.n_clusters),
-                "min_cluster_size": int(mcs), "min_samples": int(ms),
-            })
-            kind_scores[kind] = {"cv_f1": float(m.cv_score),
-                                 "cv_mcc": float(mcc)}
-        registry_doc["entities"][eid] = {
-            "best_kind": best_kind,
-            "model": model_to_dict(models[best_kind]),
-            "cluster": cmodel.to_dict(),
-            "kinds": kind_scores,
-        }
-        log.info("tuned %s: best %s cv_f1=%.3f", eid, best_kind,
-                 models[best_kind].cv_score)
+    workers = _learn_workers(len(eligible))
+    pool = _fork_pool(workers) if workers > 1 else None
+    try:
+        tuned = []
+        for eid in eligible:
+            reports = [r for r in mstore.events(eid) if r.kind == "report"]
+            points = np.array([[r.x, r.y] for r in reports])
+            mcs, ms = autodiscover_cluster_params(
+                points, min_samples_grid=(config.min_samples,))
+            cmodel = fit_cluster_model(points, mcs, ms)
+            ds = build_dataset(mstore, eid, cmodel)
+            args = (ds.X, ds.y, automl_cfg, _entity_seed(config.seed, eid),
+                    ds.feature_names)
+            tuned.append((eid, len(reports), cmodel, mcs, ms,
+                          pool.submit(_tune_entity, *args) if pool
+                          else _tune_entity(*args)))
+        for eid, n_reports, cmodel, mcs, ms, job in tuned:
+            models = job.result() if pool else job
+            best_kind = max(config.models,
+                            key=lambda k: (models[k].cv_score,
+                                           MODEL_KINDS.index(k)))
+            registry.register(eid, models[best_kind], cmodel)
+            kind_scores = {}
+            for kind in config.models:
+                m = models[kind]
+                mcc = mcc_multiclass(
+                    ConfusionMatrix(np.asarray(m.cv_confusion)))
+                model_rows.append({
+                    "entity_id": eid, "kind": kind,
+                    "cv_f1": float(m.cv_score), "cv_mcc": float(mcc),
+                    "duration_s": float(m.duration_s),
+                    "cv_splits": int(m.cv_splits),
+                    "n_reports": n_reports,
+                    "n_clusters": int(cmodel.n_clusters),
+                    "min_cluster_size": int(mcs), "min_samples": int(ms),
+                })
+                kind_scores[kind] = {"cv_f1": float(m.cv_score),
+                                     "cv_mcc": float(mcc)}
+            registry_doc["entities"][eid] = {
+                "best_kind": best_kind,
+                "model": model_to_dict(models[best_kind]),
+                "cluster": cmodel.to_dict(),
+                "kinds": kind_scores,
+            }
+            log.info("tuned %s: best %s cv_f1=%.3f", eid, best_kind,
+                     models[best_kind].cv_score)
+    finally:
+        # on an error, entities not yet started are dropped; running ones
+        # finish before the error reaches the caller
+        if pool:
+            pool.shutdown(cancel_futures=True)
     return model_rows, registry, registry_doc
 
 

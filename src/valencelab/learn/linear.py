@@ -14,15 +14,21 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def logreg_loss_and_grad(w_flat, X, y, n_classes: int, l2: float):
+def _with_bias(X: np.ndarray) -> np.ndarray:
+    return np.hstack([X, np.ones((X.shape[0], 1))])
+
+
+def logreg_loss_and_grad(w_flat, X, y, n_classes: int, l2: float, Xb=None):
     """Mean cross-entropy + (l2/2)*||W||^2, and its gradient.
 
     Weights are a flat vector packing W of shape (n_features + 1, n_classes);
-    the last row is the bias, which is excluded from the penalty.
+    the last row is the bias, which is excluded from the penalty. Xb, if
+    given, is `_with_bias(X)`, built once by the caller.
     """
     n, d = X.shape
     W = w_flat.reshape(d + 1, n_classes)
-    Xb = np.hstack([X, np.ones((n, 1))])
+    if Xb is None:
+        Xb = _with_bias(X)
     probs = softmax(Xb @ W)
     eps = 1e-12
     loss = -np.log(probs[np.arange(n), y] + eps).mean()
@@ -52,31 +58,33 @@ class SoftmaxRegression(PerFoldFit):
         if X.shape[0] == 0:
             raise ContractViolationError("empty training set")
         n, d = X.shape
+        Xb = _with_bias(X)
         w = np.zeros((d + 1) * n_classes, dtype=np.float64)
+        loss, grad = logreg_loss_and_grad(w, X, y, n_classes, self.l2, Xb)
         prev = np.inf
         for _ in range(self.n_iter):
-            loss, grad = logreg_loss_and_grad(w, X, y, n_classes, self.l2)
             # Backtracking keeps the full-batch step stable without tuning lr
-            # per dataset.
+            # per dataset. The last point tried is taken, with its loss and
+            # gradient, even when no step lowered the loss.
             step = self.lr
             for _ in range(20):
                 w_new = w - step * grad
-                new_loss, _ = logreg_loss_and_grad(w_new, X, y, n_classes, self.l2)
+                new_loss, new_grad = logreg_loss_and_grad(
+                    w_new, X, y, n_classes, self.l2, Xb)
                 if new_loss <= loss:
                     break
                 step *= 0.5
-            w = w_new
-            if prev - new_loss < self.tol:
+            w, loss, grad = w_new, new_loss, new_grad
+            if prev - loss < self.tol:
                 break
-            prev = new_loss
+            prev = loss
         self.W_ = w.reshape(d + 1, n_classes)
         self.n_classes_ = n_classes
         return self
 
     def predict_proba(self, X):
         X = np.asarray(X, dtype=np.float64)
-        Xb = np.hstack([X, np.ones((X.shape[0], 1))])
-        return softmax(Xb @ self.W_)
+        return softmax(_with_bias(X) @ self.W_)
 
     def predict(self, X):
         return self.predict_proba(X).argmax(axis=1)

@@ -354,11 +354,20 @@ class SocketTransport:
         return "delivered", ack
 
 
+# What decoding a malformed request raises: bad framing or a broken
+# contract, bytes that are not UTF-8, bad JSON, a missing key. Both decode
+# errors subclass ValueError, which stays an "internal" error otherwise.
+_BAD_REQUEST_ERRORS = (ContractViolationError, UnicodeDecodeError,
+                      json.JSONDecodeError, KeyError)
+
+
 class SocketServer:
     """Threaded localhost server feeding framed messages to handler.receive.
 
     A frame announcing more than max_frame bytes is refused: its connection
-    closes before any of its body is read.
+    closes before any of its body is read. A malformed request is answered
+    with error "bad_request", a failed signature or scope check with
+    "auth", and any other handler failure with "internal".
     """
 
     def __init__(self, handler, host: str = "127.0.0.1", port: int = 0,
@@ -393,6 +402,10 @@ class SocketServer:
                 except AuthError as exc:
                     reply = canonical_json(
                         {"ok": False, "error": "auth", "kind": exc.kind})
+                except _BAD_REQUEST_ERRORS as exc:
+                    log.info("bad request: %r", exc)
+                    reply = canonical_json(
+                        {"ok": False, "error": "bad_request"})
                 except Exception as exc:  # surface, never kill the server
                     log.warning("server handler failed: %s", exc)
                     reply = canonical_json({"ok": False, "error": "internal"})

@@ -1,6 +1,7 @@
 """Device agent: duty-cycled feed, debounce, empathy, dedupe, lifecycle."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -245,6 +246,43 @@ def test_store_sync_bookkeeping_and_pruning():
     assert "a" not in store.synced and "a" not in store.synced_records
     # the id ledger never forgets
     assert store.ever_synced == {"a"}
+
+
+def test_prune_from_the_front_matches_a_full_scan():
+    """Over 30 days of interleaved records, acks and prunes, the pruned
+    store keeps exactly what a scan of every ack would keep."""
+    rng = random.Random(5)
+    store = LocalStore("e000", persistence_limit_h=6.0)
+    limit_s = 6.0 * 3600.0
+    acked: dict[str, float] = {}     # the full-scan oracle
+    now, n = 0.0, 0
+    while now < 30 * 86400.0:
+        now += rng.choice([0.0, 60.0, 900.0, 7200.0])
+        for _ in range(rng.randint(0, 3)):
+            store.add_pending(_rec(f"r{n}"))
+            n += 1
+        for rec in rng.sample(store.pending, min(len(store.pending),
+                                                 rng.randint(0, 4))):
+            assert store.mark_synced(rec.uuid, ack_time=now)
+            acked[rec.uuid] = now
+        if rng.random() < 0.3:
+            stale = [u for u, t in acked.items() if now - t > limit_s]
+            for u in stale:
+                del acked[u]
+            assert store.prune_synced(now) == len(stale)
+            assert dict(store.synced) == acked
+            assert set(store.synced_records) == set(acked)
+    assert n > 1000 and len(store.ever_synced) > 1000
+
+
+def test_acks_must_arrive_in_time_order():
+    store = LocalStore("e000")
+    store.add_pending(_rec("a"))
+    store.add_pending(_rec("b"))
+    assert store.mark_synced("a", ack_time=10.0)
+    with pytest.raises(ContractViolationError):
+        store.mark_synced("b", ack_time=9.0)
+    assert [r.uuid for r in store.pending] == ["b"]
 
 
 # -- homeostasis and lifecycle ---------------------------------------------------

@@ -2,13 +2,17 @@
 
 import json
 import shutil
+from concurrent import futures
+from types import SimpleNamespace
 
 import pytest
 
+from valencelab import cli
 from valencelab.cli import (ExperimentConfig, _funnel_counts,
                             _parse_funnel_rows, _read_csv, _rebuild_store,
                             load_experiment_config, main, run_experiment)
-from valencelab.errors import ConfigurationError
+from valencelab.errors import ConfigurationError, ContractViolationError
+from valencelab.learn import automl
 from valencelab.syncsec import SocketServer
 
 SMALL_COHORT = """\
@@ -177,6 +181,68 @@ def test_staged_commands_match_pipeline_hash(small_run, tmp_path, capsys):
     assert main(["report"] + common) == 0
     capsys.readouterr()
     assert (out2 / "run_hash.txt").read_text().strip() == result.digest
+
+
+# -- tuning in worker processes --------------------------------------------------
+
+
+def _cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(cli.os, "sched_getaffinity",
+                        lambda pid: set(range(n)))
+
+
+@pytest.mark.parametrize("n_cpus, n_entities, workers", [
+    (1, 6, 1), (2, 6, 2), (16, 2, 2), (4, 3, 3), (16, 0, 0)])
+def test_worker_count_is_bounded_by_cpus_and_entities(
+        monkeypatch, n_cpus, n_entities, workers):
+    _cpus(monkeypatch, n_cpus)
+    assert cli._learn_workers(n_entities) == workers
+
+
+def test_learn_stage_output_does_not_depend_on_worker_count(
+        small_run, monkeypatch):
+    result, _ = small_run
+    pools = []
+
+    class RecordingPool(futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kw):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kw)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+    outputs = []
+    for n_cpus in (1, 2):
+        _cpus(monkeypatch, n_cpus)
+        rows, registry, doc = cli.learn_stage(
+            result.drive.mstore, result.funnel_rows, result.config)
+        for row in rows:
+            row["duration_s"] = None
+        for entry in doc["entities"].values():
+            entry["model"]["duration_s"] = None
+        outputs.append((rows, registry.entity_ids(), doc))
+    # one CPU tunes in process; two CPUs fork one worker per entity
+    assert pools == [2]
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1]) == 2
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_tuning_error_reaches_the_caller(small_run, tmp_path, monkeypatch,
+                                         capsys, n_cpus):
+    result, cohort_path = small_run
+    _cpus(monkeypatch, n_cpus)
+    # the tuner proposes a name outside the kind's space; a forked worker
+    # inherits the patch
+    monkeypatch.setattr(automl, "bayes_optimize", lambda *a, **kw:
+                        SimpleNamespace(best_params={"bogus": 1.0}))
+    with pytest.raises(ContractViolationError, match="bogus"):
+        cli.learn_stage(result.drive.mstore, result.funnel_rows,
+                        result.config)
+    out = tmp_path / "staged"
+    shutil.copytree(result.out_dir, out)
+    assert main(["learn", "--out", str(out), "--cohort", str(cohort_path),
+                 "--seed", "7", "--budget", "5"]) == 3
+    assert "unknown hyperparameters ['bogus']" in capsys.readouterr().err
 
 
 # -- serving and exit codes ------------------------------------------------------

@@ -1,5 +1,7 @@
 """Estimator contracts: the dummy law, gradient checks, serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from valencelab.learn import (
     predict_proba,
     train,
 )
-from valencelab.learn.linear import logreg_loss_and_grad
+from valencelab.learn import linear
+from valencelab.learn.linear import SoftmaxRegression, logreg_loss_and_grad
 from valencelab.learn.mlp import mlp_loss_and_grad, mlp_pack, mlp_unpack
 
 
@@ -100,6 +103,51 @@ def test_logreg_gradient_matches_finite_differences():
         err = relative_grad_error(
             lambda wv: logreg_loss_and_grad(wv, X, y, k, l2), w)
         assert err <= 1e-4, f"trial {trial}: relative error {err}"
+
+
+def _logreg_golden_fits():
+    """A default fit, one whose steps backtrack (lr 40), and one stopped by
+    its iteration cap on nearly separable data."""
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(90, 4))
+    y = np.argmax(X[:, :3] + 0.8 * rng.normal(size=(90, 3)), axis=1)
+    Xs = np.round(rng.normal(size=(40, 2)), 2)
+    ys = (Xs[:, 0] > 0).astype(np.int64) + (Xs[:, 1] > 1).astype(np.int64)
+    return [SoftmaxRegression().fit(X, y, 3),
+            SoftmaxRegression(l2=0.05, lr=40.0).fit(X, y, 3),
+            SoftmaxRegression(l2=1e-6, n_iter=120).fit(Xs, ys, 3)]
+
+
+def test_logreg_weights_match_golden_digest():
+    # recorded with the fit that recomputed the loss and gradient at every
+    # accepted point; reusing the line search's values changes no bit
+    h = hashlib.sha256()
+    for model in _logreg_golden_fits():
+        h.update(model.W_.tobytes())
+    assert h.hexdigest() == \
+        "3f5874966d81bbd542cb77aa233bf5a0f11ab2a2c751b96a6b708bdb1d2d2f4b"
+
+
+def test_logreg_fit_evaluates_each_point_once(monkeypatch):
+    calls = []
+
+    def counted(w_flat, X, y, n_classes, l2, Xb=None):
+        calls.append((w_flat.tobytes(), Xb))
+        return logreg_loss_and_grad(w_flat, X, y, n_classes, l2, Xb)
+
+    monkeypatch.setattr(linear, "logreg_loss_and_grad", counted)
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(50, 3))
+    y = np.argmax(X + rng.normal(size=(50, 3)), axis=1)
+    for lr in (0.5, 40.0):
+        calls.clear()
+        SoftmaxRegression(lr=lr, n_iter=50).fit(X, y, 3)
+        points = [w for w, _ in calls]
+        # one call per point tried: the start, then each line-search trial
+        assert len(points) == len(set(points)) > 1
+        # the bias column is built once per fit and handed to every call
+        first = calls[0][1]
+        assert first is not None and all(xb is first for _, xb in calls)
 
 
 # -- mlp ----------------------------------------------------------------------

@@ -309,6 +309,41 @@ def test_socket_server_refuses_oversized_frame_and_keeps_serving():
     assert time.monotonic() - started < 5.0
 
 
+def _section(data: bytes) -> bytes:
+    return struct.pack(">I", len(data)) + data
+
+
+@pytest.mark.parametrize("body", [
+    b"\x00\x01\x02garbage\xff" * 8,                       # bad framing
+    _section(b"garbage") + _section(b"{}") + _section(b""),  # bad JSON
+    _section(b"\x80\x81") + _section(b"{}") + _section(b""),  # not UTF-8
+    _section(b'{"version":1}') + _section(b"{}") + _section(b""),  # no keys
+], ids=["framing", "json", "utf8", "keys"])
+def test_socket_server_answers_garbage_with_bad_request(body):
+    reg = KeyRegistry.for_entities(7, ["e001"])
+    started = time.monotonic()
+    with SocketServer(EchoServer(reg)) as srv:
+        transport = SocketTransport(srv.host, srv.port, timeout_s=2.0)
+        _, reply = transport.send(body, "e001")
+        assert json.loads(reply) == {"ok": False, "error": "bad_request"}
+        assert _client(srv.handler, transport).attempt(now=1.0) == "ok"
+    assert time.monotonic() - started < 5.0
+
+
+def test_socket_server_answers_truncated_envelope_with_bad_request():
+    reg = KeyRegistry.for_entities(7, ["e001"])
+    priv, _ = derive_keypair(7, "e001")
+    data = encode_envelope(sign(priv, b"{}", "e001"), batch_id=1)
+    started = time.monotonic()
+    with SocketServer(EchoServer(reg)) as srv:
+        transport = SocketTransport(srv.host, srv.port, timeout_s=2.0)
+        for cut in (3, len(data) - 5):
+            _, reply = transport.send(data[:cut], "e001")
+            assert json.loads(reply) == {"ok": False, "error": "bad_request"}
+        assert _client(srv.handler, transport).attempt(now=1.0) == "ok"
+    assert time.monotonic() - started < 5.0
+
+
 def test_frame_cap_holds_a_full_batch_of_pipeline_records():
     store = LocalStore("e001")
     for i in range(200):
