@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import heapq
 import io
 import json
 import logging
@@ -29,7 +30,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -40,7 +41,7 @@ from .agent import (Record, SensingAgent, analyze_sentiment, dedupe_store,
                     on_system_event)
 from .errors import (AuthError, ConfigurationError, ContractViolationError,
                      EmptyDatasetError, NoStructureError, NotFoundError,
-                     PipelineError, ValenceLabError)
+                     PipelineError)
 from .evalstat import (ConfusionMatrix, StatConfig, mcc_multiclass,
                        u_test_verdict)
 from .expanse import (EligibilityRules, MemoryStore, ModelRegistry,
@@ -51,7 +52,7 @@ from .learn import (MODEL_KINDS, AutomlConfig, ClusterModel, automl_entity,
                     model_from_dict, model_to_dict)
 from .learn.bayesopt import DESIGN_SIZE
 from .simworld import (Cohort, CohortSpec, EntityProfile, FaultPlan, SimClock,
-                       events_from_jsonl, events_to_jsonl, load_cohort_spec,
+                       build_cohort, events_to_jsonl, load_cohort_spec,
                        load_fault_plan, parse_kv_config, run_cohort)
 from .syncsec import (FaultyTransport, KeyRegistry, LoopbackTransport,
                       SocketServer, SocketTransport, SyncClient,
@@ -189,12 +190,10 @@ def _entity_seed(seed: int, entity_id: str) -> int:
 
 def simulate_stage(config: ExperimentConfig):
     """Build the cohort and replay the whole horizon."""
-    from .simworld import build_cohort
     spec = _cohort_spec_for(config)
     cohort = build_cohort(spec, config.seed)
     plan = _fault_plan_for(config)
-    events, _ = run_cohort(cohort, plan)
-    return cohort, events, plan
+    return cohort, run_cohort(cohort), plan
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +207,16 @@ class DriveResult:
     private_keys: dict
     server: SyncServer
     transport: FaultyTransport
-    agents: dict
-    clients: dict
+    agents: dict              # battery: agents[eid].energy_spent
     recoveries: list          # (entity_id, crash_t, revive_t)
-    energy_spent: dict        # entity_id -> battery percent over the run
     sentiment_counts: dict    # text-message sentiment class tallies
 
 
 def drive_agents(cohort: Cohort, events, plan: FaultPlan,
                  config: ExperimentConfig) -> DriveResult:
-    """Windowed replay: events and faults strictly in time order, periodic
-    checks (feed, revive, homeostasis) at every step_s boundary, sync
-    attempts on each client's own schedule."""
+    """Windowed replay of one timeline: events and lifecycle faults in time
+    order, periodic checks (feed, revive, homeostasis) at every step_s
+    boundary, sync attempts on each client's own schedule."""
     keys = KeyRegistry()
     private_keys = {}
     mstore = _registered_store(cohort.profiles)
@@ -247,60 +244,49 @@ def drive_agents(cohort: Cohort, events, plan: FaultPlan,
 
     horizon = cohort.spec.days * 86400.0
     agent_faults = [f for f in plan.entries if f.kind in ("crash", "reboot")]
+    # merge is stable: a fault comes before an event at the same instant,
+    # so a crash at t kills the event at t
+    timeline = heapq.merge(agent_faults, events, key=lambda item: item.t)
+    item = next(timeline, None)
     recoveries = []
     crash_pending: dict[str, list[float]] = {}
-    energy_spent = {p.entity_id: 0.0 for p in cohort.profiles}
     sentiment_counts = {"negative": 0, "neutral": 0, "positive": 0}
     order = sorted(agents)
 
-    ei = fi = 0
     n_windows = math.ceil(horizon / config.step_s)
     for w in range(n_windows):
         t_end = min((w + 1) * config.step_s, horizon)
 
-        # interleave events and lifecycle faults by time; faults win ties so
-        # a crash at t kills the event at t
-        while True:
-            ev = events[ei] if ei < len(events) and events[ei].t < t_end \
-                else None
-            fl = agent_faults[fi] if fi < len(agent_faults) \
-                and agent_faults[fi].t < t_end else None
-            if ev is None and fl is None:
-                break
-            if ev is not None and (fl is None or ev.t < fl.t):
-                ei += 1
-                agent = agents[ev.entity_id]
-                if agent.status.state != "running":
-                    continue        # device is down; the moment is lost
-                if ev.kind == "report":
-                    ingest_report(agent, ev.payload, ev.t, (ev.x, ev.y),
-                                  uuid=ev.uuid)
-                elif ev.kind == "sensor":
-                    dedupe_store(agent.store, Record(
-                        ev.uuid, "sensor", ev.t, ev.x, ev.y, ev.payload))
-                else:
-                    _, _, cls = analyze_sentiment(ev.payload)
-                    sentiment_counts[cls] += 1
-                    dedupe_store(agent.store, Record(
-                        ev.uuid, "text", ev.t, ev.x, ev.y, ev.payload))
+        while item is not None and item.t < t_end:
+            agent = agents[item.entity_id]
+            if item.kind == "crash":
+                if agent.status.state == "running":
+                    crash_pending.setdefault(
+                        item.entity_id, []).append(item.t)
+                    on_system_event(agent, "crash")
+            elif item.kind == "reboot":
+                on_system_event(agent, "boot", now=item.t)
+                for t_c in crash_pending.pop(item.entity_id, []):
+                    recoveries.append((item.entity_id, t_c, item.t))
+            elif agent.status.state != "running":
+                pass                # device is down; the moment is lost
+            elif item.kind == "report":
+                ingest_report(agent, item.payload, item.t,
+                              (item.x, item.y), uuid=item.uuid)
             else:
-                fi += 1
-                agent = agents[fl.entity_id]
-                if fl.kind == "crash":
-                    if agent.status.state == "running":
-                        crash_pending.setdefault(
-                            fl.entity_id, []).append(fl.t)
-                        on_system_event(agent, "crash")
-                else:
-                    on_system_event(agent, "boot", now=fl.t)
-                    for t_c in crash_pending.pop(fl.entity_id, []):
-                        recoveries.append((fl.entity_id, t_c, fl.t))
+                if item.kind == "text":
+                    _, _, cls = analyze_sentiment(item.payload)
+                    sentiment_counts[cls] += 1
+                dedupe_store(agent.store, Record(
+                    item.uuid, item.kind, item.t, item.x, item.y,
+                    item.payload))
+            item = next(timeline, None)
 
         # boundary work: sensing feed, revival, periodic self-checks
         clock = SimClock(now=t_end)
         for eid in order:
             agent = agents[eid]
-            energy_spent[eid] += feed_tick(agent, clock)
+            feed_tick(agent, clock)
             if agent.status.state == "crashed":
                 on_system_event(agent, "revive_tick", now=t_end)
                 for t_c in crash_pending.pop(eid, []):
@@ -332,8 +318,7 @@ def drive_agents(cohort: Cohort, events, plan: FaultPlan,
 
     return DriveResult(
         mstore=mstore, keys=keys, private_keys=private_keys, server=server,
-        transport=transport, agents=agents, clients=clients,
-        recoveries=recoveries, energy_spent=energy_spent,
+        transport=transport, agents=agents, recoveries=recoveries,
         sentiment_counts=sentiment_counts)
 
 
@@ -777,12 +762,10 @@ def _server_from_artifacts(out: Path):
         raise PipelineError(f"missing artifact {models_path}; run learn")
     doc = json.loads(models_path.read_text())
     profiles = _load_cohort_file(out)
-    keys = KeyRegistry()
-    for prof in profiles:
-        _, pk = derive_keypair(int(doc["seed"]), prof.entity_id)
-        keys.register(prof.entity_id, pk)
+    seed = int(doc["seed"])
+    keys = KeyRegistry.for_entities(seed, [p.entity_id for p in profiles])
     return (SyncServer(_registered_store(profiles), keys,
-                       _registry_from_doc(doc)), int(doc["seed"]))
+                       _registry_from_doc(doc)), seed)
 
 
 def _predict_once(transport, seed: int, entity: str, as_entity: str,

@@ -1,9 +1,9 @@
 """Metrics and statistics for the model comparison study.
 
 Confusion matrices, support-weighted F1, the multiclass (R_K) Matthews
-correlation coefficient, per-class classification reports, and a
-Mann-Whitney U test with midrank tie handling. Everything here is a pure
-function over plain arrays; nothing mutates its inputs.
+correlation coefficient, and a Mann-Whitney U test with midrank tie
+handling. Everything here is a pure function over plain arrays; nothing
+mutates its inputs.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ class ConfusionMatrix:
             raise ContractViolationError("confusion matrix must be square")
         if (self.counts < 0).any():
             raise ContractViolationError("confusion matrix entries must be >= 0")
-
-    @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
 
     @property
     def total(self) -> int:
@@ -77,24 +73,19 @@ def confusion(y_true, y_pred, n_classes: int) -> ConfusionMatrix:
     return ConfusionMatrix(counts)
 
 
-def _precision_recall_f1(matrix: ConfusionMatrix):
-    c = matrix.counts.astype(np.float64)
-    tp = np.diag(c)
-    pred_tot = c.sum(axis=0)
-    true_tot = c.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        precision = np.where(pred_tot > 0, tp / pred_tot, 0.0)
-        recall = np.where(true_tot > 0, tp / true_tot, 0.0)
-        pr = precision + recall
-        f1 = np.where(pr > 0, 2.0 * precision * recall / np.where(pr > 0, pr, 1.0), 0.0)
-    return precision, recall, f1, true_tot
-
-
 def f1_weighted(matrix: ConfusionMatrix) -> float:
     """Support-weighted mean of per-class F1; a class with P+R = 0 scores 0."""
     if matrix.total == 0:
         raise ContractViolationError("empty confusion matrix")
-    _, _, f1, support = _precision_recall_f1(matrix)
+    c = matrix.counts.astype(np.float64)
+    tp = np.diag(c)
+    pred_tot = c.sum(axis=0)
+    support = c.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(pred_tot > 0, tp / pred_tot, 0.0)
+        recall = np.where(support > 0, tp / support, 0.0)
+        pr = precision + recall
+        f1 = np.where(pr > 0, 2.0 * precision * recall / np.where(pr > 0, pr, 1.0), 0.0)
     return float(np.dot(f1, support) / support.sum())
 
 
@@ -117,24 +108,6 @@ def mcc_multiclass(matrix: ConfusionMatrix) -> float:
     if den_sq <= 0.0:
         return 0.0
     return float(num / math.sqrt(den_sq))
-
-
-def classification_report(matrix: ConfusionMatrix, class_names=None) -> str:
-    """Aligned-text per-class precision/recall/F1/support table."""
-    if class_names is None:
-        class_names = [f"class_{k}" for k in range(matrix.n_classes)]
-    precision, recall, f1, support = _precision_recall_f1(matrix)
-    width = max(len(n) for n in class_names) + 2
-    lines = [f"{'':{width}}precision  recall  f1      support"]
-    for k, name in enumerate(class_names):
-        lines.append(
-            f"{name:{width}}{precision[k]:<11.3f}{recall[k]:<8.3f}"
-            f"{f1[k]:<8.3f}{int(support[k])}"
-        )
-    lines.append(
-        f"{'weighted':{width}}{'':11}{'':8}{f1_weighted(matrix):<8.3f}{matrix.total}"
-    )
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

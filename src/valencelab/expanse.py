@@ -1,6 +1,6 @@
 """Cloud-side memory and pipeline: idempotent ingestion, per-entity
-aggregation, the eligibility funnel, context upsampling, dataset assembly,
-and the scoped prediction service.
+aggregation, the eligibility funnel, dataset assembly, and the scoped
+prediction service.
 
 Class counts use the fixed label order (negative, neutral, positive). The
 imbalance measure is the likelihood-ratio statistic against the uniform
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agent.core import Record
-from .errors import (AuthError, ContractViolationError, EmptyDatasetError,
-                     NotFoundError)
+from .errors import ContractViolationError, EmptyDatasetError, NotFoundError
 from .learn.automl import predict_proba
 from .simworld import LABELS, day_of_week, hour_band
 from .syncsec import SyncBatch, canonical_json, decode_envelope, verify_and_scope
@@ -181,32 +180,6 @@ def eligibility_funnel(store: MemoryStore, rules: EligibilityRules):
     counts = {"total": len(rows), "with_demographics": n_demo,
               "eligible": n_eligible}
     return rows, counts
-
-
-def transform_upsample(series, gap_bound_s: float):
-    """Forward-fill missing values across gaps up to gap_bound_s.
-
-    `series` is time-ordered (t, value) pairs where value None marks a hole;
-    holes further than the bound from the last observation stay None and are
-    dropped by later stages.
-    """
-    out = []
-    last_t = None
-    last_v = None
-    prev_t = -math.inf
-    for t, v in series:
-        if t < prev_t:
-            raise ContractViolationError("series must be time-ordered")
-        prev_t = t
-        if v is None:
-            if last_t is not None and (t - last_t) <= gap_bound_s:
-                out.append((t, last_v))
-            else:
-                out.append((t, None))
-        else:
-            out.append((t, v))
-            last_t, last_v = t, v
-    return out
 
 
 @dataclass(frozen=True)

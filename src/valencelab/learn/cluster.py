@@ -227,12 +227,6 @@ def _label_points(n: int, clusters, selected):
     return labels, lambdas
 
 
-def core_distances(points: np.ndarray, min_samples: int) -> np.ndarray:
-    """Distance to the min_samples-th nearest neighbor, self included."""
-    dist = _pairwise(points)
-    return np.partition(dist, min_samples - 1, axis=1)[:, min_samples - 1]
-
-
 def _cluster_full(points, min_cluster_size, min_samples):
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]

@@ -1,21 +1,22 @@
-"""Synthetic cohort generation and discrete-event world stepping.
+"""Synthetic cohort generation and a single-pass replay of its world.
 
 A cohort is a fixed roster of entity profiles. Each profile owns a small set
 of 2-D place centers (home, work, other), a valence policy mapping
 (place index, hour band) to class probabilities, and per-day event rates.
-The world replays the cohort as three independent Poisson streams per entity
-(sensor summaries, valence reports, short texts) plus a scheduled fault plan.
+`run_cohort` replays the whole horizon in one pass as three independent
+Poisson streams per entity (sensor summaries, valence reports, short texts)
+and returns them as one time-ordered list. Faults are a separate,
+scheduled plan that the harness merges in when it drives the agents.
 
 Everything is driven by ``numpy`` generators seeded from (cohort seed,
 entity index, stream id), so the full event stream is a pure function of
-(spec, seed, fault plan) and re-simulation reproduces every draw.
+(spec, seed) and re-simulation reproduces every draw.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import date, timedelta
 
 import numpy as np
@@ -184,16 +185,9 @@ class EntityProfile:
 
 @dataclass
 class SimClock:
-    """Monotone simulated time in seconds plus the run seed."""
+    """Simulated time in seconds."""
 
     now: float = 0.0
-    seed: int = 0
-
-    def advance(self, dt: float) -> float:
-        if dt <= 0:
-            raise ContractViolationError("dt must be > 0")
-        self.now += dt
-        return self.now
 
 
 @dataclass(frozen=True)
@@ -388,12 +382,6 @@ class Cohort:
         return "".join(json.dumps(p.to_dict(), sort_keys=True) + "\n"
                        for p in self.profiles)
 
-    def profile(self, entity_id: str) -> EntityProfile:
-        for p in self.profiles:
-            if p.entity_id == entity_id:
-                return p
-        raise KeyError(entity_id)
-
 
 def _sample_places(rng, n: int, min_sep: float) -> tuple:
     places: list[np.ndarray] = []
@@ -483,113 +471,50 @@ def build_cohort(spec: CohortSpec, seed: int) -> Cohort:
     return Cohort(spec=spec, seed=seed, profiles=tuple(profiles))
 
 
-def ground_truth_valence(profile: EntityProfile, location, timestamp: float) -> str:
-    """Most likely class at (nearest place, hour band); ties prefer neutral,
-    then the lowest class index. Equidistant places resolve to the lower
-    place index."""
-    loc = np.asarray(location, dtype=np.float64)
-    dists = [float(np.hypot(loc[0] - px, loc[1] - py))
-             for px, py in profile.places]
-    nearest = int(np.argmin(dists))
-    row = profile.valence_policy[nearest, hour_band(timestamp)]
-    top = float(row.max())
-    ties = [k for k in range(3) if row[k] >= top - 1e-12]
-    return LABELS[1] if 1 in ties else LABELS[ties[0]]
-
-
-@dataclass
-class _Stream:
-    entity_index: int
-    entity_id: str
-    kind: str
-    rng: np.random.Generator
-    scale: float
-    next_t: float
-    seq: int = 0
-
-
-class SimWorld:
-    """Event-stream replayer for one cohort plus an optional fault plan."""
-
-    def __init__(self, cohort: Cohort, fault_plan: FaultPlan | None = None,
-                 seed: int | None = None):
-        self.cohort = cohort
-        self.plan = fault_plan or FaultPlan()
-        run_seed = cohort.seed if seed is None else seed
-        self.clock = SimClock(now=0.0, seed=run_seed)
-        self._fault_idx = 0
-        self._streams: list[_Stream] = []
-        self._visit = {}
-        for i, prof in enumerate(cohort.profiles):
-            self._visit[prof.entity_id] = place_visit_matrix(len(prof.places))
-            for kind, rate in (("sensor", prof.sensor_rate),
-                               ("report", prof.report_rate),
-                               ("text", prof.text_rate)):
-                rng = np.random.default_rng([run_seed, i, _STREAM_IDS[kind]])
-                if rate > 0:
-                    scale = SECONDS_PER_DAY / rate
-                    first = float(rng.exponential(scale))
-                else:
-                    scale, first = math.inf, math.inf
-                self._streams.append(_Stream(i, prof.entity_id, kind, rng,
-                                             scale, first))
-
-    def _emit(self, st: _Stream, prof: EntityProfile) -> Event:
-        t = st.next_t
+def _stream_events(prof: EntityProfile, kind: str, rate: float, rng,
+                   horizon: float):
+    """One Poisson stream of `kind` events for `prof`, up to the horizon."""
+    if rate <= 0:
+        return
+    scale = SECONDS_PER_DAY / rate
+    visit = place_visit_matrix(len(prof.places))
+    t = float(rng.exponential(scale))
+    seq = 0
+    while t < horizon:
         band = hour_band(t)
-        visit = self._visit[prof.entity_id]
-        place = int(st.rng.choice(len(prof.places), p=visit[band]))
+        place = int(rng.choice(len(prof.places), p=visit[band]))
         cx, cy = prof.places[place]
-        x = cx + float(st.rng.normal(0.0, prof.place_spread))
-        y = cy + float(st.rng.normal(0.0, prof.place_spread))
-        if st.kind == "report":
-            cls = int(st.rng.choice(3, p=prof.valence_policy[place, band]))
+        x = cx + float(rng.normal(0.0, prof.place_spread))
+        y = cy + float(rng.normal(0.0, prof.place_spread))
+        if kind == "report":
+            cls = int(rng.choice(3, p=prof.valence_policy[place, band]))
             payload = LABELS[cls]
-        elif st.kind == "sensor":
-            payload = ACTIVITIES[int(st.rng.choice(3, p=ACTIVITY_PROBS))]
+        elif kind == "sensor":
+            payload = ACTIVITIES[int(rng.choice(3, p=ACTIVITY_PROBS))]
         else:
-            payload = TEXT_POOL[int(st.rng.integers(len(TEXT_POOL)))]
-        uid = f"{st.entity_id}:{st.kind[0]}{st.seq:05d}"
-        st.seq += 1
-        st.next_t = t + float(st.rng.exponential(st.scale))
-        return Event(uid, st.entity_id, st.kind, t, x, y, payload)
-
-    def step(self, dt: float):
-        """Advance dt seconds; return (events, faults) inside [now, now+dt),
-        events globally time-sorted."""
-        if dt <= 0:
-            raise ContractViolationError("dt must be > 0")
-        end = self.clock.now + dt
-        events: list[Event] = []
-        for st in self._streams:
-            if st.next_t >= end:
-                continue
-            prof = self.cohort.profiles[st.entity_index]
-            while st.next_t < end:
-                events.append(self._emit(st, prof))
-        events.sort(key=lambda e: (e.t, e.entity_id, e.kind, e.uuid))
-        faults: list[Fault] = []
-        while (self._fault_idx < len(self.plan.entries)
-               and self.plan.entries[self._fault_idx].t < end):
-            faults.append(self.plan.entries[self._fault_idx])
-            self._fault_idx += 1
-        self.clock.now = end
-        return events, faults
+            payload = TEXT_POOL[int(rng.integers(len(TEXT_POOL)))]
+        yield Event(f"{prof.entity_id}:{kind[0]}{seq:05d}", prof.entity_id,
+                    kind, t, x, y, payload)
+        seq += 1
+        t += float(rng.exponential(scale))
 
 
-def run_cohort(cohort: Cohort, fault_plan: FaultPlan | None = None,
-               days: float | None = None, step_s: float = 21600.0):
-    """Replay the whole horizon; returns (events, faults) time-sorted."""
-    world = SimWorld(cohort, fault_plan)
-    horizon = SECONDS_PER_DAY * (cohort.spec.days if days is None else days)
+def run_cohort(cohort: Cohort) -> list[Event]:
+    """Replay the whole horizon; returns every event, sorted by
+    (t, entity_id, kind, uuid).
+
+    Each (entity, kind) stream draws from its own generator, so the streams
+    are independent of each other and of how time is split."""
+    horizon = SECONDS_PER_DAY * cohort.spec.days
     events: list[Event] = []
-    faults: list[Fault] = []
-    while world.clock.now < horizon:
-        dt = min(step_s, horizon - world.clock.now)
-        ev, fl = world.step(dt)
-        events.extend(ev)
-        faults.extend(fl)
-    return events, faults
+    for i, prof in enumerate(cohort.profiles):
+        for kind, rate in (("sensor", prof.sensor_rate),
+                           ("report", prof.report_rate),
+                           ("text", prof.text_rate)):
+            rng = np.random.default_rng([cohort.seed, i, _STREAM_IDS[kind]])
+            events.extend(_stream_events(prof, kind, rate, rng, horizon))
+    events.sort(key=lambda e: (e.t, e.entity_id, e.kind, e.uuid))
+    return events
 
 
 def make_crash_plan(entity_ids, n_crashes: int, horizon_s: float,

@@ -33,10 +33,8 @@ def test_feed_config_shape():
 
 def test_feed_one_day_active_fraction_and_battery():
     agent = _agent()
-    clock = SimClock()
-    for _ in range(96):                      # 15-minute ticks for a day
-        clock.advance(900.0)
-        feed_tick(agent, clock)
+    for k in range(1, 97):                   # 15-minute ticks for a day
+        feed_tick(agent, SimClock(now=k * 900.0))
     assert agent.active_seconds_total / 86400.0 == pytest.approx(0.2, abs=1e-9)
     assert agent.energy_spent == pytest.approx(1.0, abs=1e-9)
 
@@ -45,10 +43,8 @@ def test_feed_tick_partition_does_not_change_totals():
     whole = _agent()
     feed_tick(whole, SimClock(now=86400.0))
     pieces = _agent()
-    clock = SimClock()
-    for _ in range(960):
-        clock.advance(90.0)
-        feed_tick(pieces, clock)
+    for k in range(1, 961):
+        feed_tick(pieces, SimClock(now=k * 90.0))
     assert whole.active_seconds_total == pytest.approx(
         pieces.active_seconds_total, abs=1e-9)
     assert whole.energy_spent == pytest.approx(pieces.energy_spent, abs=1e-12)

@@ -1,6 +1,7 @@
 """End-to-end harness: config parsing, artifacts, staging, exit codes."""
 
 import json
+import math
 import shutil
 from concurrent import futures
 from types import SimpleNamespace
@@ -10,9 +11,12 @@ import pytest
 from valencelab import cli
 from valencelab.cli import (ExperimentConfig, _funnel_counts,
                             _parse_funnel_rows, _read_csv, _rebuild_store,
-                            load_experiment_config, main, run_experiment)
+                            drive_agents, load_experiment_config, main,
+                            run_experiment)
 from valencelab.errors import ConfigurationError, ContractViolationError
 from valencelab.learn import automl
+from valencelab.simworld import (CohortSpec, Fault, FaultPlan, build_cohort,
+                                 run_cohort)
 from valencelab.syncsec import SocketServer
 
 SMALL_COHORT = """\
@@ -181,6 +185,36 @@ def test_staged_commands_match_pipeline_hash(small_run, tmp_path, capsys):
     assert main(["report"] + common) == 0
     capsys.readouterr()
     assert (out2 / "run_hash.txt").read_text().strip() == result.digest
+
+
+# -- drive -----------------------------------------------------------------------
+
+
+def _stored_uuids(drive) -> set:
+    return {r.uuid for eid in drive.mstore.entity_ids()
+            for r in drive.mstore.events(eid)}
+
+
+def test_crash_at_an_event_instant_loses_that_event():
+    spec = CohortSpec(n_entities=2, n_no_demographics=0, n_low_rate=0,
+                      n_single_class=0, n_skewed=0, n_interaction=1,
+                      n_band_only=1, days=1.0)
+    config = ExperimentConfig(seed=3, out="unused")
+    cohort = build_cohort(spec, config.seed)
+    events = run_cohort(cohort)
+    stored = _stored_uuids(drive_agents(cohort, events, FaultPlan(), config))
+    # a stored report inside a window, so the device stays down after it
+    ev = next(e for e in events if e.kind == "report" and e.uuid in stored
+              and e.t > config.step_s and e.t % config.step_s)
+    revive = math.ceil(ev.t / config.step_s) * config.step_s
+    crashed = drive_agents(
+        cohort, events, FaultPlan([Fault(ev.t, ev.entity_id, "crash")]),
+        config)
+    lost = {e.uuid for e in events
+            if e.entity_id == ev.entity_id and ev.t <= e.t < revive}
+    assert ev.uuid in lost
+    assert stored - _stored_uuids(crashed) == lost & stored
+    assert crashed.recoveries == [(ev.entity_id, ev.t, revive)]
 
 
 # -- tuning in worker processes --------------------------------------------------

@@ -18,7 +18,6 @@ from valencelab.errors import ContractViolationError
 from valencelab.evalstat import (
     ConfusionMatrix,
     StatConfig,
-    classification_report,
     confusion,
     f1_weighted,
     mann_whitney_u,
@@ -242,9 +241,3 @@ class TestMannWhitney:
         assert out["U"] == 0.0
         assert out["reject_h0"] is False  # p = 0.1 >= 0.05
         assert "H0" in out["verdict"]
-
-
-def test_classification_report_renders():
-    m = confusion([0, 0, 1, 2], [0, 1, 1, 2], 3)
-    text = classification_report(m, ["negative", "neutral", "positive"])
-    assert "negative" in text and "weighted" in text

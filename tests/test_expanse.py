@@ -16,7 +16,7 @@ from valencelab.expanse import (EligibilityRules, EntitySummary, MemoryStore,
                                 context_features, eligibility_funnel,
                                 feature_names_for, handle_prediction,
                                 imbalance_degree, ingest,
-                                predict_request_payload, transform_upsample)
+                                predict_request_payload)
 from valencelab.learn import ClusterModel, train
 from valencelab.syncsec import (KeyRegistry, SyncBatch, derive_keypair,
                                 encode_envelope, make_batch, sign)
@@ -179,19 +179,7 @@ def test_eligibility_funnel_counts_and_rows():
     assert by_id["a"]["imbalance_degree"] == pytest.approx(0.0)
 
 
-# -- transforms and features -----------------------------------------------------
-
-
-def test_upsample_fills_only_bounded_gaps():
-    series = [(0.0, 1.0), (5.0, None), (10.0, None), (20.0, 2.0),
-              (24.0, None)]
-    got = transform_upsample(series, gap_bound_s=6.0)
-    assert got == [(0.0, 1.0), (5.0, 1.0), (10.0, None), (20.0, 2.0),
-                   (24.0, 2.0)]
-    # nothing observed yet: leading holes stay holes
-    assert transform_upsample([(0.0, None)], 10.0) == [(0.0, None)]
-    with pytest.raises(ContractViolationError):
-        transform_upsample([(5.0, 1.0), (1.0, 2.0)], 10.0)
+# -- features --------------------------------------------------------------------
 
 
 def test_context_features_layout():
