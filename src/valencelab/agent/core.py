@@ -7,43 +7,27 @@ spawns threads; the surrounding loop decides when ticks and checks happen.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ContractViolationError
 from ..simworld import LABELS
 
-log = logging.getLogger(__name__)
-
-# calibrated so the default 20% duty cycle drains 1% battery per day:
+# Sensing rhythm: FEED_ACTIVE_S on, then off for the rest of each period.
+FEED_ACTIVE_S = 2.0
+FEED_PERIOD_S = 10.0
+# calibrated so the 20% duty cycle drains 1% battery per day:
 # 0.2 * 86400 s active per day, 1.0 (percent) / 17280 per active second
-DEFAULT_ENERGY_PER_ACTIVE_S = 1.0 / 17280.0
+ENERGY_PER_ACTIVE_S = 1.0 / 17280.0
 
 DEBOUNCE_WINDOW_S = 60.0
 DEDUPE_CELL = 1.0
 
-
-@dataclass(frozen=True)
-class FeedConfig:
-    """Sensing rhythm: `active_s` on, `inactive_s` off, repeated."""
-
-    active_s: float = 2.0
-    inactive_s: float = 8.0
-    energy_per_active_second: float = DEFAULT_ENERGY_PER_ACTIVE_S
-
-    def __post_init__(self):
-        for name in ("active_s", "inactive_s", "energy_per_active_second"):
-            if getattr(self, name) <= 0:
-                raise ContractViolationError(f"{name} must be > 0")
-
-    @property
-    def period_s(self) -> float:
-        return self.active_s + self.inactive_s
-
-    @property
-    def duty_cycle(self) -> float:
-        return self.active_s / self.period_s
+EMPATHY_HALF_LIFE_H = 48.0
+EMPATHY_PER_REPORT = 5.0
+HOMEOSTASIS_INTERVAL_S = 15 * 60.0
+# acks older than this are forgotten by the store's maintenance
+PERSISTENCE_LIMIT_S = 168 * 3600.0
 
 
 @dataclass
@@ -51,9 +35,7 @@ class EmpathyState:
     """Displayed rapport score: exponential decay plus per-report bumps."""
 
     score: float = 50.0
-    half_life_h: float = 48.0
     last_update: float = 0.0
-    increment_per_report: float = 5.0
     pending_increment: float = 0.0
 
 
@@ -62,7 +44,7 @@ def update_empathy(state: EmpathyState, now: float) -> float:
     if now < state.last_update:
         raise ContractViolationError("empathy updates must move forward in time")
     dt_h = (now - state.last_update) / 3600.0
-    decayed = state.score * 2.0 ** (-dt_h / state.half_life_h)
+    decayed = state.score * 2.0 ** (-dt_h / EMPATHY_HALF_LIFE_H)
     state.score = min(max(decayed + state.pending_increment, 0.0), 100.0)
     state.pending_increment = 0.0
     state.last_update = now
@@ -93,22 +75,19 @@ class LocalStore:
     """Pending/synced record store with batch bookkeeping.
 
     `pending` records have not been acknowledged by the cloud side; `synced`
-    maps uuid to ack time, oldest ack first, and is pruned after the
-    persistence limit. Batch draining and acking live in the sync layer;
+    maps uuid to ack time, oldest ack first, and is pruned after
+    PERSISTENCE_LIMIT_S. Batch draining and acking live in the sync layer;
     this class only owns state.
     """
 
-    def __init__(self, entity_id: str = "", persistence_limit_h: float = 168.0):
+    def __init__(self, entity_id: str = ""):
         self.entity_id = entity_id
-        self.persistence_limit_h = persistence_limit_h
         self.pending: list[Record] = []
         self.synced: dict[str, float] = {}
-        self.synced_records: dict[str, Record] = {}
-        # id-only ledger of everything ever acked; unlike synced_records it
-        # survives pruning, so delivery accounting stays possible
+        # id-only ledger of everything ever acked; it survives pruning, so
+        # delivery accounting stays possible
         self.ever_synced: set[str] = set()
         self.open_batches: dict[int, tuple[str, ...]] = {}
-        self.acked_batches: set[int] = set()
         self._next_batch_id = 1
         self._last_dedupe: dict[str, tuple] = {}
 
@@ -137,23 +116,20 @@ class LocalStore:
             if rec.uuid == uuid:
                 del self.pending[i]
                 self.synced[uuid] = ack_time
-                self.synced_records[uuid] = rec
                 self.ever_synced.add(uuid)
                 return True
         return False
 
     def prune_synced(self, now: float) -> int:
-        """Forget acks older than the persistence limit. Acks are kept in
-        time order, so the stale ones are a prefix of `synced`."""
-        limit_s = self.persistence_limit_h * 3600.0
+        """Forget acks older than PERSISTENCE_LIMIT_S. Acks are kept in time
+        order, so the stale ones are a prefix of `synced`."""
         stale = []
         for u, t in self.synced.items():
-            if now - t <= limit_s:
+            if now - t <= PERSISTENCE_LIMIT_S:
                 break
             stale.append(u)
         for u in stale:
             del self.synced[u]
-            self.synced_records.pop(u, None)
         return len(stale)
 
 
@@ -175,28 +151,20 @@ class AgentStatus:
     state: str = "running"
     feed_alive: bool = True
     last_homeostasis: float = 0.0
-    check_interval_min: float = 15.0
     user_interacting: bool = False
 
 
 class SensingAgent:
     """Per-entity agent state; all behavior goes through the module ops."""
 
-    def __init__(self, entity_id: str, feed: FeedConfig | None = None,
-                 empathy: EmpathyState | None = None,
-                 store: LocalStore | None = None,
-                 status: AgentStatus | None = None,
-                 debounce_window_s: float = DEBOUNCE_WINDOW_S,
-                 start_t: float = 0.0):
+    def __init__(self, entity_id: str):
         self.entity_id = entity_id
-        self.feed = feed or FeedConfig()
-        self.empathy = empathy or EmpathyState(last_update=start_t)
-        self.store = store or LocalStore(entity_id)
-        self.status = status or AgentStatus(last_homeostasis=start_t)
-        self.debounce_window_s = debounce_window_s
+        self.empathy = EmpathyState()
+        self.store = LocalStore(entity_id)
+        self.status = AgentStatus()
         self.energy_spent = 0.0
         self.active_seconds_total = 0.0
-        self._feed_last_t = start_t
+        self._feed_last_t = 0.0
         # debounce winner per window: window index -> (uuid, timestamp)
         self._window_reports: dict[int, tuple[str, float]] = {}
         self._click_seq = 0
@@ -227,9 +195,8 @@ def feed_tick(agent: SensingAgent, clock) -> float:
     t0, agent._feed_last_t = agent._feed_last_t, now
     if agent.status.state != "running" or not agent.status.feed_alive:
         return 0.0
-    cfg = agent.feed
-    active = _active_overlap(t0, now, cfg.active_s, cfg.period_s)
-    energy = active * cfg.energy_per_active_second
+    active = _active_overlap(t0, now, FEED_ACTIVE_S, FEED_PERIOD_S)
+    energy = active * ENERGY_PER_ACTIVE_S
     agent.energy_spent += energy
     agent.active_seconds_total += active
     return energy
@@ -241,13 +208,13 @@ def ingest_report(agent: SensingAgent, click: str, timestamp: float,
     chronologically last click survives. Every click bumps empathy."""
     if click not in LABELS:
         raise ContractViolationError(f"unknown valence class {click!r}")
-    agent.empathy.pending_increment += agent.empathy.increment_per_report
+    agent.empathy.pending_increment += EMPATHY_PER_REPORT
     if uuid is None:
         uuid = f"{agent.entity_id}:c{agent._click_seq:05d}"
         agent._click_seq += 1
     record = Record(uuid=uuid, kind="report", t=timestamp,
                     x=float(location[0]), y=float(location[1]), payload=click)
-    window = math.floor(timestamp / agent.debounce_window_s)
+    window = math.floor(timestamp / DEBOUNCE_WINDOW_S)
     prev = agent._window_reports.get(window)
     if prev is not None:
         prev_uuid, prev_t = prev
@@ -267,8 +234,7 @@ def homeostasis_check(agent: SensingAgent, now: float) -> list[str]:
     """Periodic self-check; returns the repair/maintenance actions taken."""
     if agent.status.state != "running":
         raise ContractViolationError("homeostasis runs only on a running agent")
-    interval_s = agent.status.check_interval_min * 60.0
-    if now - agent.status.last_homeostasis < interval_s:
+    if now - agent.status.last_homeostasis < HOMEOSTASIS_INTERVAL_S:
         raise ContractViolationError("homeostasis called before its interval")
     agent.status.last_homeostasis = now
     actions: list[str] = []

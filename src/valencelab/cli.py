@@ -36,17 +36,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import (Record, SensingAgent, analyze_sentiment, dedupe_store,
-                    feed_tick, homeostasis_check, ingest_report,
-                    on_system_event)
+from .agent import (HOMEOSTASIS_INTERVAL_S, Record, SensingAgent,
+                    analyze_sentiment, dedupe_store, feed_tick,
+                    homeostasis_check, ingest_report, on_system_event)
 from .errors import (AuthError, ConfigurationError, ContractViolationError,
                      EmptyDatasetError, NoStructureError, NotFoundError,
                      PipelineError)
-from .evalstat import (ConfusionMatrix, StatConfig, mcc_multiclass,
-                       u_test_verdict)
+from .evalstat import ConfusionMatrix, mcc_multiclass, u_test_verdict
 from .expanse import (EligibilityRules, MemoryStore, ModelRegistry,
                       SyncServer, build_dataset, eligibility_funnel,
-                      predict_request_payload)
+                      funnel_counts, predict_request_payload)
 from .learn import (MODEL_KINDS, AutomlConfig, ClusterModel, automl_entity,
                     autodiscover_cluster_params, fit_cluster_model,
                     model_from_dict, model_to_dict)
@@ -292,7 +291,7 @@ def drive_agents(cohort: Cohort, events, plan: FaultPlan,
                 for t_c in crash_pending.pop(eid, []):
                     recoveries.append((eid, t_c, t_end))
             elif (t_end - agent.status.last_homeostasis
-                  >= agent.status.check_interval_min * 60.0):
+                  >= HOMEOSTASIS_INTERVAL_S):
                 homeostasis_check(agent, t_end)
 
         # sync attempts due in this window (local ingest above happens
@@ -302,14 +301,14 @@ def drive_agents(cohort: Cohort, events, plan: FaultPlan,
             while next_sync[eid] <= t_end:
                 t_s = next_sync[eid]
                 if agents[eid].status.state == "running":
-                    transport.advance_to(t_s)
+                    transport.advance_to(t_s, eid)
                     client.attempt(t_s)
                 next_sync[eid] = t_s + \
                     client.scheduler.current_interval_min * 60.0
 
     # quiesce: every committed record must land exactly once
-    transport.advance_to(horizon)
     for eid in order:
+        transport.advance_to(horizon, eid)
         for _ in range(10000):
             if clients[eid].attempt(horizon) == "idle":
                 break
@@ -459,7 +458,7 @@ def _stats_table(by_kind: dict, metric_name: str) -> str:
     for i in range(len(kinds)):
         for j in range(i + 1, len(kinds)):
             a, b = kinds[i], kinds[j]
-            r = u_test_verdict(by_kind[a], by_kind[b], StatConfig())
+            r = u_test_verdict(by_kind[a], by_kind[b])
             lines.append(f"| {a} vs {b} | {r['U']:.1f} | {r['p']:.3e} "
                          f"| {r['verdict']} |")
     return "\n".join(lines)
@@ -599,15 +598,6 @@ def _roundtrip(rows, parser) -> list:
     """Normalize rows through their CSV text form so downstream numbers are
     identical whether they come from memory or from re-read artifacts."""
     return parser([{k: _fmt(v) for k, v in row.items()} for row in rows])
-
-
-def _funnel_counts(rows) -> dict:
-    return {
-        "total": len(rows),
-        "with_demographics": sum(1 for r in rows
-                                 if r["reason"] != "demographics"),
-        "eligible": sum(1 for r in rows if r["eligible"]),
-    }
 
 
 def _store_to_jsonl(mstore: MemoryStore) -> str:
@@ -830,7 +820,7 @@ def cmd_report(config: ExperimentConfig) -> int:
     out = Path(config.out)
     funnel_rows = _parse_funnel_rows(_read_csv(out / "funnel.csv"))
     model_rows = _parse_model_rows(_read_csv(out / "models.csv"))
-    counts = _funnel_counts(funnel_rows)
+    counts = funnel_counts(funnel_rows)
     stats_text, _, _ = evaluate_stage(model_rows, config)
     summary_text, digest = report_stage(
         funnel_rows, counts, model_rows, config, stats_text)

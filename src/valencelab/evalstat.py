@@ -20,6 +20,8 @@ from .errors import ContractViolationError
 # group; beyond it the normal approximation (tie- and continuity-corrected)
 # takes over.
 EXACT_ENUMERATION_LIMIT = 8
+# significance level of the model comparison's U tests
+ALPHA = 0.05
 
 
 @dataclass
@@ -38,15 +40,6 @@ class ConfusionMatrix:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-
-@dataclass
-class StatConfig:
-    alpha: float = 0.05
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ContractViolationError("alpha must lie strictly in (0, 1)")
 
 
 def confusion(y_true, y_pred, n_classes: int) -> ConfusionMatrix:
@@ -195,18 +188,17 @@ def mann_whitney_u(a, b, exact_limit: int = EXACT_ENUMERATION_LIMIT):
     return float(u_obs), float(p)
 
 
-def u_test_verdict(a, b, config: StatConfig | None = None) -> dict:
-    """U test plus the alpha-level verdict, shaped for the stats report."""
-    config = config or StatConfig()
+def u_test_verdict(a, b) -> dict:
+    """U test plus the ALPHA-level verdict, shaped for the stats report."""
     u, p = mann_whitney_u(a, b)
     return {
         "U": u,
         "p": p,
-        "alpha": config.alpha,
-        "reject_h0": bool(p < config.alpha),
+        "alpha": ALPHA,
+        "reject_h0": bool(p < ALPHA),
         "verdict": (
             "H0 can be rejected (p < alpha)"
-            if p < config.alpha
+            if p < ALPHA
             else "H0 cannot be rejected (p >= alpha)"
         ),
     }

@@ -153,19 +153,14 @@ def check_eligibility(summary: EntitySummary,
 def eligibility_funnel(store: MemoryStore, rules: EligibilityRules):
     """Run every registered entity through the rules.
 
-    Returns (rows, counts): one dict per entity plus the funnel totals
-    (total, with_demographics, eligible).
+    Returns (rows, counts): one dict per entity plus `funnel_counts(rows)`.
     """
     rows = []
-    n_demo = 0
-    n_eligible = 0
     for eid in store.entity_ids():
         summary = aggregate_entity(store, eid)
         eligible, reason = check_eligibility(summary, rules)
         degree = (imbalance_degree(summary.class_counts)
                   if summary.n_reports else float("nan"))
-        n_demo += summary.has_demographics
-        n_eligible += eligible
         rows.append({
             "entity_id": eid,
             "gender": summary.gender,
@@ -177,9 +172,19 @@ def eligibility_funnel(store: MemoryStore, rules: EligibilityRules):
             "eligible": eligible,
             "reason": reason,
         })
-    counts = {"total": len(rows), "with_demographics": n_demo,
-              "eligible": n_eligible}
-    return rows, counts
+    return rows, funnel_counts(rows)
+
+
+def funnel_counts(rows) -> dict:
+    """Funnel totals from the rows alone, so a re-run from funnel.csv
+    counts what the pipeline counted: with_demographics is every entity
+    that passed the demographics gate."""
+    return {
+        "total": len(rows),
+        "with_demographics": sum(1 for r in rows
+                                 if r["reason"] != "demographics"),
+        "eligible": sum(1 for r in rows if r["eligible"]),
+    }
 
 
 @dataclass(frozen=True)
@@ -281,14 +286,14 @@ def predict_request_payload(entity_id: str, x: float, y: float,
                            "x": x, "y": y, "t": t})
 
 
-def handle_prediction(envelope, store: MemoryStore, models: ModelRegistry,
-                      keys) -> tuple[str, list]:
+def handle_prediction(envelope, request: dict, store: MemoryStore,
+                      models: ModelRegistry, keys) -> tuple[str, list]:
     """Scoped prediction for one (location, moment) context.
 
-    The envelope must verify and may only name its own signer; the reply is
-    (class label, per-class probabilities).
+    `request` is the envelope's payload, already parsed. The envelope must
+    verify and may only name its own signer; the reply is (class label,
+    per-class probabilities).
     """
-    request = json.loads(envelope.payload)
     if request.get("kind") != "predict":
         raise ContractViolationError("payload is not a prediction request")
     target = request["entity_id"]
@@ -315,9 +320,11 @@ class SyncServer:
     def receive(self, message: bytes) -> bytes:
         envelope, _ = decode_envelope(message)
         request = json.loads(envelope.payload)
+        if not isinstance(request, dict):
+            raise ContractViolationError("payload is not a JSON object")
         kind = request.get("kind")
         if kind == "sync":
-            batch = SyncBatch.from_payload(envelope.payload)
+            batch = SyncBatch.from_dict(request)
             verify_and_scope(envelope, self.keys,
                              requested_entity=batch.entity_id)
             if not self.store.has_entity(batch.entity_id):
@@ -326,7 +333,7 @@ class SyncServer:
             return canonical_json(
                 {"ok": True, "batch_id": batch.batch_id, "new": new})
         if kind == "predict":
-            label, probs = handle_prediction(envelope, self.store,
+            label, probs = handle_prediction(envelope, request, self.store,
                                              self.models, self.keys)
             return canonical_json(
                 {"ok": True, "entity_id": envelope.signer,

@@ -24,7 +24,7 @@ VALIDITY_FLOOR = 0.05
 # the uniform null at the 1% point of the chi-square count statistic.
 QUADRAT_ALPHA_Z = 2.326
 
-DEFAULT_MCS_LADDER = (10, 15, 20, 25)
+MCS_LADDER = (10, 15, 20, 25)
 EXEMPLARS_PER_CLUSTER = 5
 
 _EPS = 1e-12
@@ -360,7 +360,7 @@ def density_validity_index(points, labels) -> float:
     return float(validity)
 
 
-def autodiscover_cluster_params(points, min_samples_grid, mcs_candidates=None):
+def autodiscover_cluster_params(points, min_samples_grid):
     """Scan (min_samples, min_cluster_size) pairs, return the best-scoring.
 
     Ties break toward smaller min_cluster_size, then smaller min_samples.
@@ -372,13 +372,12 @@ def autodiscover_cluster_params(points, min_samples_grid, mcs_candidates=None):
         raise ContractViolationError("min_samples grid is empty")
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
-    if mcs_candidates is None:
-        mcs_candidates = [c for c in DEFAULT_MCS_LADDER if c <= max(2, n // 2)]
-        if not mcs_candidates:
-            mcs_candidates = [max(2, n // 2)]
+    mcs_candidates = [c for c in MCS_LADDER if c <= max(2, n // 2)]
+    if not mcs_candidates:
+        mcs_candidates = [max(2, n // 2)]
     best = None
     for ms in sorted(grid):
-        for mcs in sorted(mcs_candidates):
+        for mcs in mcs_candidates:
             labels = density_cluster(points, mcs, ms)
             if (labels >= 0).sum() == 0:
                 continue

@@ -20,6 +20,7 @@ import logging
 import socket
 import struct
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
@@ -33,6 +34,7 @@ log = logging.getLogger(__name__)
 
 WIRE_VERSION = 1
 DEFAULT_MAX_RECORDS = 100
+SYNC_FLOOR_MIN = 1.0            # retry interval never halves below this
 
 
 def canonical_json(obj) -> bytes:
@@ -79,12 +81,10 @@ class SignedEnvelope:
     nonce: bytes
 
 
-def sign(secret_key, payload: bytes, signer: str,
-         nonce: bytes | None = None) -> SignedEnvelope:
-    """Sign payload||nonce; the nonce defaults to a payload digest so equal
-    payloads stay byte-reproducible across runs."""
-    if nonce is None:
-        nonce = hashlib.sha256(b"vl-nonce" + payload).digest()[:16]
+def sign(secret_key, payload: bytes, signer: str) -> SignedEnvelope:
+    """Sign payload||nonce; the nonce is a payload digest so equal payloads
+    stay byte-reproducible across runs."""
+    nonce = hashlib.sha256(b"vl-nonce" + payload).digest()[:16]
     signature = secret_key.sign(payload + nonce)
     return SignedEnvelope(payload=bytes(payload), signer=signer,
                           signature=signature, nonce=nonce)
@@ -167,8 +167,7 @@ class SyncBatch:
         })
 
     @classmethod
-    def from_payload(cls, payload: bytes) -> "SyncBatch":
-        d = json.loads(payload)
+    def from_dict(cls, d: dict) -> "SyncBatch":
         if d.get("kind") != "sync":
             raise ContractViolationError("payload is not a sync batch")
         return cls(batch_id=d["batch_id"], entity_id=d["entity_id"],
@@ -193,12 +192,12 @@ def handle_ack(store: LocalStore, batch_id: int, now: float = 0.0) -> int:
     """Move exactly that batch's records pending -> synced; idempotent."""
     uuids = store.open_batches.pop(batch_id, None)
     if uuids is None:
-        if batch_id not in store.acked_batches:
+        # every issued id is either still open or already acked
+        if not 0 < batch_id < store._next_batch_id:
             log.warning("ack for unknown batch %s on %s",
                         batch_id, store.entity_id)
         return 0
     moved = sum(1 for u in uuids if store.mark_synced(u, now))
-    store.acked_batches.add(batch_id)
     # retries reissue still-pending records under new ids; batches whose
     # records have all landed by other means can never mark anything again
     pending_now = {r.uuid for r in store.pending}
@@ -206,7 +205,6 @@ def handle_ack(store: LocalStore, batch_id: int, now: float = 0.0) -> int:
              if not any(u in pending_now for u in us)]
     for bid in stale:
         del store.open_batches[bid]
-        store.acked_batches.add(bid)
     return moved
 
 
@@ -214,7 +212,6 @@ def handle_ack(store: LocalStore, batch_id: int, now: float = 0.0) -> int:
 class SyncSchedulerState:
     base_interval_min: float = 15.0
     current_interval_min: float = 15.0
-    floor_min: float = 1.0
 
 
 def next_sync_interval(state: SyncSchedulerState, outcome: str) -> float:
@@ -224,7 +221,7 @@ def next_sync_interval(state: SyncSchedulerState, outcome: str) -> float:
         state.current_interval_min = state.base_interval_min
     elif outcome == "no_connectivity":
         state.current_interval_min = max(
-            state.current_interval_min / 2.0, state.floor_min)
+            state.current_interval_min / 2.0, SYNC_FLOOR_MIN)
     else:
         raise ContractViolationError(f"unknown sync outcome {outcome!r}")
     return state.current_interval_min
@@ -248,22 +245,24 @@ class FaultyTransport:
 
     net_down/net_up toggle connectivity per entity; dup_delivery and
     drop_delivery are one-shot markers consumed by that entity's next send.
-    Call advance_to(t) as simulated time passes.
+    Each entity has its own fault queue: call advance_to(t, entity_id)
+    before that entity sends at t, so a send sees only its own faults up
+    to its own send time.
     """
 
     def __init__(self, inner, plan: FaultPlan | None = None):
         self.inner = inner
-        self.plan = plan or FaultPlan()
-        self._idx = 0
+        self._queues: dict[str, deque] = {}
+        for f in (plan or FaultPlan()).entries:
+            self._queues.setdefault(f.entity_id, deque()).append(f)
         self._down: set[str] = set()
         self._oneshot: dict[str, list[str]] = {}
         self.outcomes: list[tuple[str, str]] = []
 
-    def advance_to(self, t: float) -> None:
-        entries = self.plan.entries
-        while self._idx < len(entries) and entries[self._idx].t <= t:
-            f = entries[self._idx]
-            self._idx += 1
+    def advance_to(self, t: float, entity_id: str) -> None:
+        queue = self._queues.get(entity_id, ())
+        while queue and queue[0].t <= t:
+            f = queue.popleft()
             if f.kind == "net_down":
                 self._down.add(f.entity_id)
             elif f.kind == "net_up":

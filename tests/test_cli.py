@@ -9,11 +9,11 @@ from types import SimpleNamespace
 import pytest
 
 from valencelab import cli
-from valencelab.cli import (ExperimentConfig, _funnel_counts,
-                            _parse_funnel_rows, _read_csv, _rebuild_store,
-                            drive_agents, load_experiment_config, main,
-                            run_experiment)
+from valencelab.cli import (ExperimentConfig, _parse_funnel_rows, _read_csv,
+                            _rebuild_store, drive_agents,
+                            load_experiment_config, main, run_experiment)
 from valencelab.errors import ConfigurationError, ContractViolationError
+from valencelab.expanse import funnel_counts
 from valencelab.learn import automl
 from valencelab.simworld import (CohortSpec, Fault, FaultPlan, build_cohort,
                                  run_cohort)
@@ -43,6 +43,18 @@ def small_run(tmp_path_factory):
     cohort_path.write_text(SMALL_COHORT)
     config = ExperimentConfig(seed=7, out=str(root / "out"),
                               cohort=str(cohort_path), budget=5)
+    return run_experiment(config), cohort_path
+
+
+@pytest.fixture(scope="module")
+def open_run(tmp_path_factory):
+    """The small cohort without the demographics gate, dummy models only."""
+    root = tmp_path_factory.mktemp("cli_open")
+    cohort_path = root / "cohort_small.cfg"
+    cohort_path.write_text(SMALL_COHORT)
+    config = ExperimentConfig(seed=7, out=str(root / "out"),
+                              cohort=str(cohort_path), budget=5,
+                              models=("dummy",), require_demographics=False)
     return run_experiment(config), cohort_path
 
 
@@ -108,12 +120,27 @@ def test_small_cohort_funnel(small_run):
     assert result.funnel_counts == {"total": 6, "with_demographics": 5,
                                     "eligible": 2}
     rows = _parse_funnel_rows(_read_csv(result.out_dir / "funnel.csv"))
-    assert _funnel_counts(rows) == result.funnel_counts
     reasons = {r["entity_id"]: r["reason"] for r in rows}
     assert sorted(reasons.values()) == sorted(
         ["demographics", "min_reports", "min_classes", "imbalance",
          "eligible", "eligible"])
     assert "funnel: 6 -> 5 -> 2" in result.summary_text
+
+
+@pytest.mark.parametrize("run", ["small_run", "open_run"])
+def test_report_recounts_the_funnel_the_pipeline_counted(run, request,
+                                                         tmp_path, capsys):
+    result, cohort_path = request.getfixturevalue(run)
+    rows = _parse_funnel_rows(_read_csv(result.out_dir / "funnel.csv"))
+    assert funnel_counts(rows) == result.funnel_counts
+    out = tmp_path / "report"
+    shutil.copytree(result.out_dir, out)
+    (out / "summary.md").unlink()
+    assert main(["report", "--out", str(out), "--cohort", str(cohort_path),
+                 "--seed", "7", "--budget", "5",
+                 "--models", ",".join(result.config.models)]) == 0
+    capsys.readouterr()
+    assert (out / "summary.md").read_text() == result.summary_text
 
 
 def test_model_rows_cover_every_eligible_entity(small_run):

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from valencelab.errors import ContractViolationError
 from valencelab.evalstat import (
+    ALPHA,
     ConfusionMatrix,
-    StatConfig,
     confusion,
     f1_weighted,
     mann_whitney_u,
@@ -237,7 +237,8 @@ class TestMannWhitney:
         assert 0.0 < p < 0.05
 
     def test_verdict_shape(self):
-        out = u_test_verdict([1, 2, 3], [4, 5, 6], StatConfig(alpha=0.05))
+        out = u_test_verdict([1, 2, 3], [4, 5, 6])
+        assert out["alpha"] == ALPHA == 0.05
         assert out["U"] == 0.0
         assert out["reject_h0"] is False  # p = 0.1 >= 0.05
         assert "H0" in out["verdict"]

@@ -1,5 +1,6 @@
 """Cloud side: ingestion, aggregation, funnel, features, scoped predictions."""
 
+import json
 import math
 
 import numpy as np
@@ -273,6 +274,11 @@ def _trained_service():
     return store, registry, keys
 
 
+def _predict(env, store, registry, keys):
+    return handle_prediction(env, json.loads(env.payload), store, registry,
+                             keys)
+
+
 def test_model_registry_unknown_entity():
     with pytest.raises(NotFoundError):
         ModelRegistry().get("nobody")
@@ -282,14 +288,14 @@ def test_prediction_is_scoped_to_signer():
     store, registry, keys = _trained_service()
     priv, _ = derive_keypair(7, "e1")
     env = sign(priv, predict_request_payload("e1", 0.0, 0.0, 6 * 3600.0), "e1")
-    label, probs = handle_prediction(env, store, registry, keys)
+    label, probs = _predict(env, store, registry, keys)
     assert label in ("negative", "neutral", "positive")
     assert len(probs) == 3
     assert sum(probs) == pytest.approx(1.0)
     # asking about someone else fails even with a valid signature
     env = sign(priv, predict_request_payload("e2", 0.0, 0.0, 0.0), "e1")
     with pytest.raises(AuthError) as err:
-        handle_prediction(env, store, registry, keys)
+        _predict(env, store, registry, keys)
     assert err.value.kind == "scope"
 
 
@@ -298,11 +304,11 @@ def test_prediction_rejects_bad_requests():
     priv2, pub2 = derive_keypair(7, "e2")
     env = sign(priv2, predict_request_payload("e2", 0.0, 0.0, 0.0), "e2")
     with pytest.raises(NotFoundError):                # no data for e2
-        handle_prediction(env, store, registry, keys)
+        _predict(env, store, registry, keys)
     priv, _ = derive_keypair(7, "e1")
     not_predict = sign(priv, b'{"kind":"sync"}', "e1")
     with pytest.raises(ContractViolationError):
-        handle_prediction(not_predict, store, registry, keys)
+        _predict(not_predict, store, registry, keys)
 
 
 def test_sync_server_receive_paths():
@@ -333,3 +339,12 @@ def test_sync_server_receive_paths():
     junk = sign(priv1, b'{"kind":"gossip"}', "e1")
     with pytest.raises(ContractViolationError):
         server.receive(encode_envelope(junk, 0))
+
+
+def test_sync_server_rejects_a_payload_that_is_not_an_object():
+    store, registry, keys = _trained_service()
+    server = SyncServer(store, keys, registry)
+    priv, _ = derive_keypair(7, "e1")
+    for body in (b"[]", b'"sync"', b"3"):
+        with pytest.raises(ContractViolationError):
+            server.receive(encode_envelope(sign(priv, body, "e1"), 0))

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from valencelab.agent import LocalStore, Record
 from valencelab.errors import AuthError, ContractViolationError
 from valencelab.simworld import Fault, FaultPlan
-from valencelab.syncsec import (KeyRegistry, LoopbackTransport, FaultyTransport,
-                                SignedEnvelope, SocketServer, SocketTransport,
-                                SyncBatch, SyncClient, SyncSchedulerState,
+from valencelab.syncsec import (SYNC_FLOOR_MIN, FaultyTransport, KeyRegistry,
+                                LoopbackTransport, SignedEnvelope,
+                                SocketServer, SocketTransport, SyncBatch,
+                                SyncClient, SyncSchedulerState,
                                 canonical_json, decode_envelope,
                                 derive_keypair, encode_envelope, handle_ack,
                                 make_batch, max_frame_bytes,
@@ -44,7 +45,7 @@ class EchoServer:
     def receive(self, message: bytes) -> bytes:
         env, header = decode_envelope(message)
         verify_and_scope(env, self.registry)
-        self.batches.append(SyncBatch.from_payload(env.payload))
+        self.batches.append(SyncBatch.from_dict(json.loads(env.payload)))
         return canonical_json({"ok": True, "batch_id": header["batch_id"]})
 
 
@@ -136,10 +137,10 @@ def test_envelope_framing_errors():
 def test_batch_payload_round_trip():
     batch = SyncBatch(batch_id=3, entity_id="e001",
                       records=(_rec("a"), _rec("b", t=2.0)), created_at=9.0)
-    back = SyncBatch.from_payload(batch.to_payload())
+    back = SyncBatch.from_dict(json.loads(batch.to_payload()))
     assert back == batch
     with pytest.raises(ContractViolationError):
-        SyncBatch.from_payload(canonical_json({"kind": "predict"}))
+        SyncBatch.from_dict({"kind": "predict"})
 
 
 # -- batching and acks -----------------------------------------------------------
@@ -171,6 +172,23 @@ def test_handle_ack_unknown_batch_warns(caplog):
     assert "unknown batch" in caplog.text
 
 
+def test_handle_ack_warns_only_for_ids_never_issued(caplog):
+    store = _loaded_store(2)
+    first = make_batch(store, now=1.0)
+    second = make_batch(store, now=2.0)
+    with caplog.at_level("WARNING"):
+        assert handle_ack(store, second.batch_id, now=3.0) == 2
+        # acked, and closed as stale: both known, so no warning
+        assert handle_ack(store, second.batch_id, now=4.0) == 0
+        assert handle_ack(store, first.batch_id, now=4.0) == 0
+    assert "unknown batch" not in caplog.text
+    for never_issued in (0, second.batch_id + 1):
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert handle_ack(store, never_issued, now=5.0) == 0
+        assert "unknown batch" in caplog.text
+
+
 def test_overlapping_retry_batches_cannot_double_mark():
     store = _loaded_store(2)
     first = make_batch(store, now=1.0)
@@ -200,7 +218,7 @@ def test_sync_interval_stays_bounded(outcomes):
     state = SyncSchedulerState()
     for outcome in outcomes:
         got = next_sync_interval(state, outcome)
-        assert state.floor_min <= got <= state.base_interval_min
+        assert SYNC_FLOOR_MIN <= got <= state.base_interval_min
 
 
 # -- transports ------------------------------------------------------------------
@@ -229,10 +247,10 @@ def test_faulty_transport_outage_window():
                       Fault(50.0, "e001", "net_up")])
     transport = FaultyTransport(LoopbackTransport(server), plan)
     client = _client(server, transport)
-    transport.advance_to(20.0)
+    transport.advance_to(20.0, "e001")
     assert client.attempt(now=20.0) == "no_connectivity"
     assert client.scheduler.current_interval_min == 7.5
-    transport.advance_to(60.0)
+    transport.advance_to(60.0, "e001")
     assert client.attempt(now=60.0) == "ok"
     assert client.scheduler.current_interval_min == 15.0
     assert [o for _, o in transport.outcomes] == ["dropped", "delivered"]
@@ -244,7 +262,7 @@ def test_faulty_transport_oneshot_markers():
                       Fault(2.0, "e001", "dup_delivery")])
     transport = FaultyTransport(LoopbackTransport(server), plan)
     client = _client(server, transport)
-    transport.advance_to(5.0)
+    transport.advance_to(5.0, "e001")
     assert client.attempt(now=5.0) == "no_connectivity"   # dropped send
     assert client.attempt(now=6.0) == "ok"                # duplicated send
     assert len(server.batches) == 2                        # same bytes twice
@@ -260,9 +278,33 @@ def test_faulty_transport_ignores_other_entities():
     server = EchoServer(KeyRegistry.for_entities(7, ["e001", "e002"]))
     plan = FaultPlan([Fault(0.0, "e002", "net_down")])
     transport = FaultyTransport(LoopbackTransport(server), plan)
-    transport.advance_to(1.0)
+    transport.advance_to(1.0, "e002")
+    transport.advance_to(1.0, "e001")
     client = _client(server, transport)
     assert client.attempt(now=1.0) == "ok"
+
+
+def test_faulty_transport_applies_each_entitys_faults_at_its_own_time():
+    """Advancing one entity past another's fault times leaves that other
+    entity's faults where they are until it is advanced itself."""
+
+    class Inner:
+        def send(self, message, entity_id):
+            return "delivered", b"ack"
+
+    plan = FaultPlan([Fault(100.0, "e002", "net_down"),
+                      Fault(750.0, "e002", "net_up"),
+                      Fault(760.0, "e002", "drop_delivery")])
+    transport = FaultyTransport(Inner(), plan)
+    transport.advance_to(800.0, "e001")
+    assert transport.send(b"a", "e001") == ("delivered", b"ack")
+    transport.advance_to(700.0, "e002")
+    assert transport.send(b"b", "e002") == ("dropped", None)   # still down
+    transport.advance_to(800.0, "e002")
+    assert transport.send(b"b", "e002") == ("dropped", None)   # its marker
+    assert transport.send(b"b", "e002") == ("delivered", b"ack")
+    assert transport.outcomes == [("e001", "delivered"), ("e002", "dropped"),
+                                  ("e002", "dropped"), ("e002", "delivered")]
 
 
 def test_socket_transport_matches_loopback_bytes():
