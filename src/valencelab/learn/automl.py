@@ -148,36 +148,44 @@ def feature_importance(model: TrainedModel) -> dict:
     return {names[i]: float(shares[i]) for i in range(len(shares))}
 
 
-def _cv_eval(make, X, y, n_classes, folds, seed, hyperparams):
-    """Mean per-fold weighted F1 plus the pooled out-of-fold confusion.
+def _cv_eval(make, X, y, n_classes, folds, seed, settings):
+    """Mean per-fold weighted F1 plus the pooled out-of-fold confusion, for
+    each hyperparameter set in settings.
 
-    One `fit_folds` call fits every training fold; each test fold is then
-    predicted by its own model.
+    One `fit_folds` call fits every training fold of every set; each test
+    fold is then predicted by its own model.
     """
-    models = [make(hyperparams, seed) for _ in folds]
-    type(models[0]).fit_folds(models, [X[train] for train, _ in folds],
-                              [y[train] for train, _ in folds], n_classes)
-    scores = []
-    pooled = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for model, (_, test_idx) in zip(models, folds):
-        mat = confusion(y[test_idx], model.predict(X[test_idx]), n_classes)
-        pooled += mat.counts
-        scores.append(f1_weighted(mat))
-    return float(np.mean(scores)), pooled
+    models = [make(hyperparams, seed) for hyperparams in settings
+              for _ in folds]
+    type(models[0]).fit_folds(
+        models, [X[train] for _ in settings for train, _ in folds],
+        [y[train] for _ in settings for train, _ in folds], n_classes)
+    results = []
+    for at in range(0, len(models), len(folds)):
+        scores = []
+        pooled = np.zeros((n_classes, n_classes), dtype=np.int64)
+        for model, (_, test_idx) in zip(models[at:], folds):
+            mat = confusion(y[test_idx], model.predict(X[test_idx]), n_classes)
+            pooled += mat.counts
+            scores.append(f1_weighted(mat))
+        results.append((float(np.mean(scores)), pooled))
+    return results
 
 
 def _memo_cv_eval(make, X, y, n_classes, folds, seed):
     """`_cv_eval` once per distinct hyperparameter set. The pass is
     deterministic, so the tuner's objective and the incumbent's final score
-    share it."""
+    share it. evaluate takes a batch: the sets not scored yet go to one
+    `_cv_eval` call."""
     scored = {}
 
-    def evaluate(hyperparams):
-        key = tuple(sorted(hyperparams.items()))
-        if key not in scored:
-            scored[key] = _cv_eval(make, X, y, n_classes, folds, seed,
-                                   hyperparams)
-        return scored[key]
+    def evaluate(settings):
+        keys = [tuple(sorted(hp.items())) for hp in settings]
+        new = {key: hp for key, hp in zip(keys, settings) if key not in scored}
+        if new:
+            scored.update(zip(new, _cv_eval(make, X, y, n_classes, folds,
+                                            seed, list(new.values()))))
+        return [scored[key] for key in keys]
     return evaluate
 
 
@@ -197,9 +205,10 @@ def automl_entity(X, y, config: AutomlConfig | None = None, seed: int = 0,
         best_hp = {}
         if spec.space.n_dims:
             best_hp = bayes_optimize(
-                spec.space, lambda hp: evaluate(hp)[0], config.budget,
-                seed=_kind_seed(seed, kind)).best_params
-        cv_score, cv_conf = evaluate(best_hp)
+                spec.space,
+                lambda batch: [score for score, _ in evaluate(batch)],
+                config.budget, seed=_kind_seed(seed, kind)).best_params
+        [(cv_score, cv_conf)] = evaluate([best_hp])
         est = spec.make(best_hp, seed).fit(X, y, n_classes)
         duration = time.perf_counter() - t0
         out[kind] = TrainedModel(

@@ -4,6 +4,11 @@ Maximizes a black-box objective. Starts from a Latin-hypercube design of
 fixed size, then alternates GP fit / expected-improvement acquisition over
 random multistart candidates. Everything is driven by one seeded generator,
 so a given seed always yields the same trace.
+
+The objective takes a batch: a list of settings in, a list of values out,
+in the ask/tell shape of scikit-optimize's `Optimizer`. No design point
+depends on a result, so the whole design is one batch; each acquisition
+step is a batch of one.
 """
 
 from __future__ import annotations
@@ -159,7 +164,10 @@ def _fit_best_gp(X, y):
 
 def bayes_optimize(space: SearchSpace, objective, budget: int,
                    seed: int = 0) -> OptResult:
-    """Maximize objective over the space within a fixed evaluation budget."""
+    """Maximize objective over the space within a fixed evaluation budget.
+
+    objective maps a list of settings to a list of values, one per setting.
+    """
     if space.n_dims == 0:
         raise ContractViolationError("search space has no dimensions")
     if budget < DESIGN_SIZE:
@@ -169,13 +177,9 @@ def bayes_optimize(space: SearchSpace, objective, budget: int,
     d = space.n_dims
 
     units = list(_latin_hypercube(rng, DESIGN_SIZE, d))
-    trace = []
-    raw_values = []
-    for u in units:
-        params = space.decode(u)
-        val = float(objective(params))
-        trace.append((params, val))
-        raw_values.append(val)
+    design = [space.decode(u) for u in units]
+    raw_values = [float(v) for v in objective(design)]
+    trace = list(zip(design, raw_values, strict=True))
 
     def penalized(vals):
         arr = np.array(vals, dtype=np.float64)
@@ -204,7 +208,8 @@ def bayes_optimize(space: SearchSpace, objective, budget: int,
         u_next = cand[int(np.argmax(ei))]
 
         params = space.decode(u_next)
-        val = float(objective(params))
+        (val,) = objective([params])
+        val = float(val)
         units.append(u_next)
         trace.append((params, val))
         raw_values.append(val)

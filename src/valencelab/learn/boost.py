@@ -4,13 +4,14 @@ One regression tree per class per round, fit to softmax gradients. Splits
 are exact greedy over quantized feature values; depth-limited; no histogram
 approximation beyond the quantization itself.
 
-`GradientBoostedTrees.fit_folds` fits several models that share their
-settings (the folds of one cross-validation pass) in lockstep: the rows of
-all folds are concatenated, and every tree of a round, over folds and
-classes, grows level by level with one histogram per level. Each cell of a
-histogram sums its rows in ascending row order, and each leaf sums its rows
-with numpy's own `sum`, so every model equals a fit on its fold alone,
-bit for bit. `fit` is the one-fold case.
+`GradientBoostedTrees.fit_folds` fits several models in lockstep (the
+folds of every hyperparameter set of a tuner batch): the rows of all folds
+are concatenated, and every tree of a round, over folds and classes, grows
+level by level with one histogram per level. Each model keeps its own
+settings, applied elementwise. Each cell of a histogram sums its rows in
+ascending row order, and each leaf sums its rows with numpy's own `sum`,
+so every model equals a fit on its fold alone, bit for bit. `fit` is the
+one-fold case.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from .linear import softmax
 
 MAX_BINS = 256
 ROUTE_CELLS = 1 << 11   # (tree, row) pairs routed per block in predict
+BIN_CELLS = 1 << 16     # (row, feature, bin) comparisons per block in _bin
 NODE_ROOM = 1 << 22     # most nodes a fold's first node buffer is sized for
+FEW_BINS = 8            # up to this many bins, prefix sums add bin by bin
 
 
 def leaf_weight(G, H, lam):
@@ -147,31 +150,46 @@ class GradientBoostedTrees:
         self.seed = int(seed)
         self.forest_ = None
         self.bin_values_ = []       # per feature, sorted training values
+        self.bin_table_ = None      # bin_values_ as rows, NaN-padded
         self.gain_sums_ = None
         self.loss_curve_ = []       # length n_rounds + 1, entry 0 pre-training
         self.n_classes_ = 0
 
-    def _settings(self) -> tuple:
-        return (self.n_rounds, self.max_depth, self.learning_rate,
-                self.subsample, self.leaf_l2, self.min_child_hessian)
-
     # -- binning -----------------------------------------------------------
 
     def _fit_bins(self, X: np.ndarray):
-        self.bin_values_ = []
+        values = []
         for f in range(X.shape[1]):
             uniq = np.unique(X[:, f])
             if uniq.size > MAX_BINS:
                 qs = np.quantile(X[:, f], np.linspace(0, 1, MAX_BINS))
                 uniq = np.unique(qs)
-            self.bin_values_.append(uniq)
+            values.append(uniq)
+        self._set_bins(values)
+
+    def _set_bins(self, values: list):
+        self.bin_values_ = values
+        width = max((u.size for u in values), default=0)
+        self.bin_table_ = np.full((len(values), width), np.nan)
+        for f, uniq in enumerate(values):
+            self.bin_table_[f, :uniq.size] = uniq
 
     def _bin(self, X: np.ndarray) -> np.ndarray:
-        Xb = np.empty(X.shape, dtype=np.int64)
-        for f, uniq in enumerate(self.bin_values_):
-            codes = np.searchsorted(uniq, X[:, f], side="right") - 1
-            Xb[:, f] = np.clip(codes, 0, uniq.size - 1)
-        return Xb
+        """Each value's bin: the index of the last bin value at or below
+        it, clipped to the feature's bins, as
+        `searchsorted(values, x, side="right") - 1` gives it. NaN sorts
+        above every value. The NaN padding compares false, so it counts
+        for no value.
+        """
+        table = self.bin_table_
+        n_bins = np.array([u.size for u in self.bin_values_])
+        below = np.empty(X.shape, dtype=np.int64)
+        rows = max(1, BIN_CELLS // max(1, table.size))
+        for a in range(0, X.shape[0], rows):
+            x = X[a:a + rows]
+            below[a:a + rows] = np.where(
+                np.isnan(x), n_bins, (table <= x[:, :, None]).sum(axis=2))
+        return np.clip(below - 1, 0, n_bins - 1)
 
     # -- boosting ----------------------------------------------------------
 
@@ -183,11 +201,9 @@ class GradientBoostedTrees:
     def fit_folds(cls, models, Xs, ys, n_classes: int):
         """Fit models[i] on (Xs[i], ys[i]) for every i, in lockstep.
 
-        The models must share every setting but the seed. Folds whose
-        features bin to the same count share one lockstep pass.
+        Models may differ in any setting. Folds whose features bin to the
+        same count share one lockstep pass.
         """
-        if len({m._settings() for m in models}) > 1:
-            raise ContractViolationError("lockstep models differ in settings")
         passes = {}
         for model, X, y in zip(models, Xs, ys):
             X = np.asarray(X, dtype=np.float64)
@@ -217,8 +233,8 @@ class GradientBoostedTrees:
 
     def load_payload(self, payload: dict, n_classes: int):
         self.forest_ = _Forest.from_trees(payload["trees"], n_classes)
-        self.bin_values_ = [np.array(u, dtype=np.float64)
-                            for u in payload["bin_values"]]
+        self._set_bins([np.array(u, dtype=np.float64)
+                        for u in payload["bin_values"]])
         self.gain_sums_ = np.array(payload["gain_sums"], dtype=np.float64)
         self.n_classes_ = n_classes
         return self
@@ -233,6 +249,13 @@ class GradientBoostedTrees:
 class _Lockstep:
     """One boosting pass over the concatenated rows of several folds.
 
+    Every model keeps its own settings, applied elementwise: a node splits
+    only while it is shallower than its model's max_depth, and each
+    histogram slot and leaf reads its model's leaf_l2, min_child_hessian
+    and learning_rate. Models are ordered by n_rounds, most first, so the
+    models still boosting are a leading slice, and a finished model leaves
+    the pass with its rows.
+
     An entry is one (class, row) pair, numbered class-major, so the entries
     of every tree stay in ascending row order through each partition.
     Trees are numbered fold-major: tree t = fold * n_classes + class. Rows
@@ -241,68 +264,84 @@ class _Lockstep:
     """
 
     def __init__(self, members, n_classes: int, n_bins: int):
+        members = sorted(members, key=lambda m: -m[0].n_rounds)
         self.models = [m for m, _, _ in members]
-        head = self.models[0]
-        self.n_rounds = head.n_rounds
-        self.depth = head.max_depth
-        self.lr = head.learning_rate
-        self.subsample = head.subsample
-        self.lam = head.leaf_l2
-        self.min_h = head.min_child_hessian
         self.sizes = np.array([len(y) for _, _, y in members])
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
-        Xb = np.concatenate([Xb for _, Xb, _ in members])
+        self.Xb = np.concatenate([Xb for _, Xb, _ in members])
         self.y = np.concatenate([y for _, _, y in members])
         self.K = n_classes
         self.B = n_bins
-        self.N, self.F = Xb.shape
-        fold_of_row = np.repeat(np.arange(len(members)), self.sizes)
-        self.entries = np.arange(self.K * self.N)
-        row = self.entries % self.N
-        self.tree_of_entry = (fold_of_row[row] * self.K
-                              + self.entries // self.N)
-        self.entry_bins = Xb[row]
+        self.F = self.Xb.shape[1]
+        self.rounds = np.array([m.n_rounds for m in self.models])
+
+        def per_tree(name):
+            return np.repeat([getattr(m, name) for m in self.models],
+                             n_classes)
+        self.depth = per_tree("max_depth")
+        self.lr = per_tree("learning_rate")
+        self.lam = per_tree("leaf_l2")
+        self.min_h = per_tree("min_child_hessian")
+        self._boosting(len(self.models))
+
+    def _boosting(self, n_models: int):
+        """Per-entry arrays for the rows of the first n_models models."""
+        self.n_models = n_models
+        self.N = N = int(self.offsets[n_models])
+        fold_of_row = np.repeat(np.arange(n_models), self.sizes[:n_models])
+        self.entries = np.arange(self.K * N)
+        row = self.entries % N
+        self.tree_of_entry = fold_of_row[row] * self.K + self.entries // N
+        self.entry_bins = self.Xb[row]
         # bin codes shifted so feature f owns histogram cells f*B .. f*B+B-1
         self.entry_codes = self.entry_bins + np.arange(self.F) * self.B
 
     def run(self):
-        N, K = self.N, self.K
+        K, n_rows = self.K, self.N
         rngs = [np.random.default_rng(m.seed) for m in self.models]
-        m_sub = [max(1, int(round(self.subsample * n))) for n in self.sizes]
-        onehot = np.zeros((N, K), dtype=np.float64)
-        onehot[np.arange(N), self.y] = 1.0
-        margins = np.zeros((N, K), dtype=np.float64)
+        m_sub = [max(1, int(round(m.subsample * n)))
+                 for m, n in zip(self.models, self.sizes)]
+        onehot = np.zeros((n_rows, K), dtype=np.float64)
+        onehot[np.arange(n_rows), self.y] = 1.0
+        margins = np.zeros((n_rows, K), dtype=np.float64)
         probs = softmax(margins)
         curves = [[loss] for loss in self._losses(probs)]
         gains = np.zeros((len(self.models), self.F), dtype=np.float64)
-        sampled = np.ones(N, dtype=bool)
+        sampled = np.ones(n_rows, dtype=bool)
         # A tree holds at most min(2^(depth+1), 2m) - 1 nodes for m sampled
         # rows. Each fold's nodes go into one mapped buffer of that bound, up
-        # to NODE_ROOM, doubled when full: the k forests of a lockstep fit
+        # to NODE_ROOM, doubled when full: the forests of a lockstep fit
         # are alive at once, and mapped buffers neither fragment the heap
         # nor keep their pages after the models go.
-        room = [min(NODE_ROOM, self.n_rounds * K
-                    * (min(2 ** (self.depth + 1), 2 * m) - 1)) for m in m_sub]
+        room = [min(NODE_ROOM, model.n_rounds * K
+                    * (min(2 ** (model.max_depth + 1), 2 * m) - 1))
+                for model, m in zip(self.models, m_sub)]
         links = [_mapped((3, r), np.int64) for r in room]
         values = [_mapped(r, np.float64) for r in room]
-        tree_sizes = np.empty((len(self.models), self.n_rounds * K),
-                              dtype=np.int64)
+        tree_sizes = [np.empty(model.n_rounds * K, dtype=np.int64)
+                      for model in self.models]
         filled = [0] * len(self.models)
-        for r in range(self.n_rounds):
-            g = probs - onehot
+        for r in range(self.rounds[0]):
+            n_models = int((self.rounds > r).sum())
+            if n_models < self.n_models:
+                self._boosting(n_models)
+            N = self.N
+            probs = probs[:N]
+            g = probs - onehot[:N]
             h = probs * (1.0 - probs)
-            for rng, m, n, off in zip(rngs, m_sub, self.sizes, self.offsets):
+            for rng, m, n, off in zip(rngs[:n_models], m_sub, self.sizes,
+                                      self.offsets):
                 if m < n:
                     sampled[off:off + n] = False
                     sampled[off + rng.choice(n, size=m, replace=False)] = True
             gh = np.stack([g.T.ravel(), h.T.ravel()])      # per entry
             leaf_values, (round_links, round_values, bounds) = self._grow(
-                gh, np.tile(sampled, K), gains)
-            margins += leaf_values.reshape(K, N).T
-            probs = softmax(margins)
+                gh, np.tile(sampled[:N], K), gains)
+            margins[:N] += leaf_values.reshape(K, N).T
+            probs = softmax(margins[:N])
             for curve, loss in zip(curves, self._losses(probs)):
                 curve.append(loss)
-            for j in range(len(self.models)):
+            for j in range(n_models):
                 trees = bounds[j * K:(j + 1) * K + 1]
                 at = slice(filled[j], filled[j] + trees[-1] - trees[0])
                 if at.stop > values[j].size:
@@ -311,7 +350,7 @@ class _Lockstep:
                     values[j] = _copied(values[j][:filled[j]], size)
                 links[j][:, at] = round_links[:, trees[0]:trees[-1]]
                 values[j][at] = round_values[trees[0]:trees[-1]]
-                tree_sizes[j, r * K:(r + 1) * K] = np.diff(trees)
+                tree_sizes[j][r * K:(r + 1) * K] = np.diff(trees)
                 filled[j] = at.stop
         for j, model in enumerate(self.models):
             model.forest_ = self._forest(links[j][:, :filled[j]],
@@ -321,9 +360,11 @@ class _Lockstep:
             model.n_classes_ = K
 
     def _losses(self, probs):
-        logp = np.log(probs[np.arange(self.N), self.y] + 1e-12)
+        """Each boosting model's mean log loss."""
+        logp = np.log(probs[np.arange(self.N), self.y[:self.N]] + 1e-12)
+        bounds = self.offsets[:self.n_models + 1]
         return [float(-logp[a:b].mean())
-                for a, b in zip(self.offsets[:-1], self.offsets[1:])]
+                for a, b in zip(bounds[:-1], bounds[1:])]
 
     def _forest(self, links, values, tree_sizes) -> _Forest:
         """One fold's forest from its nodes, trees in order."""
@@ -345,25 +386,29 @@ class _Lockstep:
         """
         weights = np.repeat(gh, self.F, axis=1)     # per (entry, feature)
         node = self.tree_of_entry
-        n_nodes = gains.shape[0] * self.K
+        n_nodes = self.n_models * self.K
+        node_tree = np.arange(n_nodes)      # the tree of each node
         leaf_of_entry = np.full(self.entries.size, -1, dtype=np.int64)
+        leaf_trees = []
         n_leaves = 0
         levels = []
-        for depth in range(self.depth + 1):
+        for depth in range(int(self.depth[:n_nodes].max()) + 1):
             sampled_node = np.where(sampled, node, n_nodes)
             counts = np.bincount(sampled_node, minlength=n_nodes + 1)
-            counts[n_nodes] = 0
             feat = np.full(n_nodes + 1, -1, dtype=np.int64)
             split_bin = np.full(n_nodes + 1, -1, dtype=np.int64)
             gain = np.zeros(n_nodes + 1, dtype=np.float64)
-            if depth < self.depth:
-                self._best_splits(weights, sampled_node, counts,
-                                  feat, split_bin, gain)
+            cand = np.flatnonzero((counts[:-1] >= 2)
+                                  & (self.depth[node_tree] > depth))
+            if cand.size:
+                self._best_splits(weights, sampled_node, counts, cand,
+                                  node_tree[cand], feat, split_bin, gain)
             split = feat >= 0
             leaf = ~split
             leaf[n_nodes] = False
             leaf_id = np.where(leaf, n_leaves + np.cumsum(leaf) - 1, -1)
             n_leaves += int(leaf.sum())
+            leaf_trees.append(node_tree[leaf[:-1]])
             leaf_of_entry = np.where(leaf[node], leaf_id[node], leaf_of_entry)
             levels.append((feat[:-1], split_bin[:-1], gain[:-1], leaf_id[:-1]))
             if not split.any():
@@ -375,18 +420,17 @@ class _Lockstep:
             node = np.where(split[node],
                             2 * (np.cumsum(split) - 1)[node] + go_right,
                             2 * n_split)
+            node_tree = np.repeat(node_tree[split[:-1]], 2)
             n_nodes = 2 * n_split
-        values = self._leaf_values(gh, sampled, leaf_of_entry, n_leaves)
+        values = self._leaf_values(gh, sampled, leaf_of_entry,
+                                   np.concatenate(leaf_trees))
         return values[leaf_of_entry], self._replay(levels, values, gains)
 
-    def _best_splits(self, weights, sampled_node, counts,
+    def _best_splits(self, weights, sampled_node, counts, cand, cand_tree,
                      feat, split_bin, gain):
-        """Best split of every node with two or more sampled rows, from one
-        histogram over all of them. Fills feat, split_bin and gain in place
-        where a split helps."""
-        cand = np.flatnonzero(counts >= 2)
-        if cand.size == 0:
-            return
+        """Best split of each candidate node (cand, of trees cand_tree),
+        from one histogram over all of them. Fills feat, split_bin and gain
+        in place where a split helps."""
         F, B = self.F, self.B
         # one histogram slot per candidate node; the rest collect every
         # other entry. Rounding the slot count up to a power of two keeps
@@ -405,18 +449,34 @@ class _Lockstep:
         del codes
         G_tot = gs[:, 0].sum(axis=1)
         H_tot = hs[:, 0].sum(axis=1)
-        for hist in (gs, hs, cs):
-            np.cumsum(hist, axis=2, out=hist)   # cell b now sums bins 0..b
+        # cell b now sums bins 0..b; the last cell is not read. np.cumsum
+        # loops over rows, which costs most when bins are few: then one add
+        # per bin over every slot, in np.cumsum's order, is far cheaper.
+        if B <= FEW_BINS:
+            for b in range(1, B - 1):
+                for hist in (gs, hs, cs):
+                    hist[:, :, b] += hist[:, :, b - 1]
+        else:
+            for hist in (gs, hs, cs):
+                np.cumsum(hist, axis=2, out=hist)
         GL, HL, CL = gs[:, :, :-1], hs[:, :, :-1], cs[:, :, :-1]
         GR = G_tot[:, None, None] - GL
         HR = H_tot[:, None, None] - HL
-        lam = self.lam
+
+        def per_slot(setting):
+            """Each slot's model setting; spare slots hold no rows."""
+            out = np.zeros((n_slots, 1, 1), dtype=np.float64)
+            out[:cand.size, 0, 0] = setting[cand_tree]
+            return out
+
+        lam = per_slot(self.lam)
+        min_h = per_slot(self.min_h)
         # empty or zero-hessian prefixes divide by zero at lam = 0; every
         # such lane is masked below, so silence just those warnings.
         # float_power squares the parent total with libm pow, as a numpy
         # scalar's ** does, where an array's ** 2 would multiply.
         with np.errstate(divide="ignore", invalid="ignore"):
-            parent = np.float_power(G_tot, 2) / (H_tot + lam)
+            parent = np.float_power(G_tot, 2) / (H_tot + lam[:, 0, 0])
             score = GL ** 2 / (HL + lam)
             score += GR ** 2 / (HR + lam)
             score -= parent[:, None, None]
@@ -424,7 +484,7 @@ class _Lockstep:
         rows = np.zeros(n_slots, dtype=np.int64)     # sampled rows per slot
         rows[:cand.size] = counts[cand]
         ok = ((CL >= 1) & (CL < rows[:, None, None])
-              & (HL >= self.min_h) & (HR >= self.min_h) & np.isfinite(score))
+              & (HL >= min_h) & (HR >= min_h) & np.isfinite(score))
         score[~ok] = -np.inf
         score = score.reshape(n_slots, -1)[:cand.size]
         flat = score.argmax(axis=1)
@@ -434,8 +494,9 @@ class _Lockstep:
         split_bin[cand[good]] = flat[good] % (B - 1)
         gain[cand[good]] = best[good]
 
-    def _leaf_values(self, gh, sampled, leaf_of_entry, n_leaves):
-        """Each leaf's weight from its sampled entries' gradient sums.
+    def _leaf_values(self, gh, sampled, leaf_of_entry, leaf_tree):
+        """Each leaf's weight from its sampled entries' gradient sums, with
+        the settings of its tree's model.
 
         Leaves of one size are summed as the rows of one matrix, which numpy
         adds exactly as it adds each leaf's own vector.
@@ -444,16 +505,17 @@ class _Lockstep:
         leaf = leaf_of_entry[ents]
         # grouped by leaf, ascending inside each: sort the unique keys
         ents = np.sort(leaf * sampled.size + ents) % sampled.size
-        sizes = np.bincount(leaf, minlength=n_leaves)
+        sizes = np.bincount(leaf, minlength=leaf_tree.size)
         starts = np.cumsum(sizes) - sizes
-        sums = np.zeros((2, n_leaves), dtype=np.float64)
+        sums = np.zeros((2, leaf_tree.size), dtype=np.float64)
         for size in np.unique(sizes):
             which = np.flatnonzero(sizes == size)
             take = ents[starts[which][:, None] + np.arange(size)]
             # np.take lays each leaf's values out contiguously, as the sum
             # must see them; gh[:, take] would interleave g and h
             sums[:, which] = np.take(gh, take, axis=1).sum(axis=2)
-        return self.lr * leaf_weight(sums[0], sums[1], self.lam)
+        return self.lr[leaf_tree] * leaf_weight(sums[0], sums[1],
+                                                self.lam[leaf_tree])
 
     def _replay(self, levels, values, gains):
         """The round's nodes, numbered as depth-first growth numbers them:

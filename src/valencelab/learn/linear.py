@@ -18,26 +18,39 @@ def _with_bias(X: np.ndarray) -> np.ndarray:
     return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
-def logreg_loss_and_grad(w_flat, X, y, n_classes: int, l2: float, Xb=None):
-    """Mean cross-entropy + (l2/2)*||W||^2, and its gradient.
+def logreg_loss(w_flat, Xb, y, n_classes: int, l2: float):
+    """Mean cross-entropy + (l2/2)*||W||^2, and the class probabilities.
 
     Weights are a flat vector packing W of shape (n_features + 1, n_classes);
-    the last row is the bias, which is excluded from the penalty. Xb, if
-    given, is `_with_bias(X)`, built once by the caller.
+    the last row is the bias, which is excluded from the penalty. Xb is
+    `_with_bias(X)`.
     """
-    n, d = X.shape
-    W = w_flat.reshape(d + 1, n_classes)
-    if Xb is None:
-        Xb = _with_bias(X)
+    W = w_flat.reshape(Xb.shape[1], n_classes)
     probs = softmax(Xb @ W)
     eps = 1e-12
-    loss = -np.log(probs[np.arange(n), y] + eps).mean()
+    loss = -np.log(probs[np.arange(len(y)), y] + eps).mean()
     loss += 0.5 * l2 * float((W[:-1] ** 2).sum())
+    return loss, probs
+
+
+def logreg_grad(w_flat, Xb, y, probs, l2: float):
+    """Gradient of `logreg_loss` at w_flat, from the probabilities it
+    returned there."""
+    n = len(y)
+    W = w_flat.reshape(Xb.shape[1], probs.shape[1])
     grad_z = probs.copy()
     grad_z[np.arange(n), y] -= 1.0
     grad = (Xb.T @ grad_z) / n
     grad[:-1] += l2 * W[:-1]
-    return loss, grad.ravel()
+    return grad.ravel()
+
+
+def logreg_loss_and_grad(w_flat, X, y, n_classes: int, l2: float):
+    """`logreg_loss` and `logreg_grad` at one point, as one function whose
+    gradient can be checked against finite differences."""
+    Xb = _with_bias(X)
+    loss, probs = logreg_loss(w_flat, Xb, y, n_classes, l2)
+    return loss, logreg_grad(w_flat, Xb, y, probs, l2)
 
 
 class SoftmaxRegression(PerFoldFit):
@@ -60,21 +73,24 @@ class SoftmaxRegression(PerFoldFit):
         n, d = X.shape
         Xb = _with_bias(X)
         w = np.zeros((d + 1) * n_classes, dtype=np.float64)
-        loss, grad = logreg_loss_and_grad(w, X, y, n_classes, self.l2, Xb)
+        loss, probs = logreg_loss(w, Xb, y, n_classes, self.l2)
+        grad = logreg_grad(w, Xb, y, probs, self.l2)
         prev = np.inf
         for _ in range(self.n_iter):
             # Backtracking keeps the full-batch step stable without tuning lr
             # per dataset. The last point tried is taken, with its loss and
-            # gradient, even when no step lowered the loss.
+            # gradient, even when no step lowered the loss. Only the point
+            # taken needs its gradient.
             step = self.lr
             for _ in range(20):
                 w_new = w - step * grad
-                new_loss, new_grad = logreg_loss_and_grad(
-                    w_new, X, y, n_classes, self.l2, Xb)
+                new_loss, probs = logreg_loss(w_new, Xb, y, n_classes,
+                                              self.l2)
                 if new_loss <= loss:
                     break
                 step *= 0.5
-            w, loss, grad = w_new, new_loss, new_grad
+            w, loss = w_new, new_loss
+            grad = logreg_grad(w, Xb, y, probs, self.l2)
             if prev - loss < self.tol:
                 break
             prev = loss

@@ -20,6 +20,7 @@ import logging
 import socket
 import struct
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -302,6 +303,12 @@ MAX_RECORD_BYTES = 4096
 FRAME_OVERHEAD_BYTES = 4096     # envelope header, signature, batch fields
 
 
+# The socket server serves one connection at a time; a client that has not
+# sent its whole frame this long after it was accepted is hung up on, so an
+# idle or stalled client holds every other client back at most this long.
+READ_DEADLINE_S = 2.0
+
+
 def max_frame_bytes(max_records: int = DEFAULT_MAX_RECORDS) -> int:
     """Largest framed message worth reading: one full sync batch."""
     return FRAME_OVERHEAD_BYTES + max_records * MAX_RECORD_BYTES
@@ -311,11 +318,17 @@ def _send_framed(sock: socket.socket, data: bytes) -> None:
     sock.sendall(_FRAME.pack(len(data)) + data)
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
+def _recv_exact(sock: socket.socket, n: int,
+                deadline: float | None = None) -> bytes | None:
+    """n bytes, or None when the peer closes first. With a deadline (a
+    time.monotonic() value), a read still waiting then raises
+    TimeoutError."""
     buf = bytearray(n)
     view = memoryview(buf)
     got = 0
     while got < n:
+        if deadline is not None:
+            sock.settimeout(max(deadline - time.monotonic(), 1e-3))
         k = sock.recv_into(view[got:])
         if k == 0:
             return None
@@ -323,18 +336,18 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
     return bytes(buf)
 
 
-def _recv_framed(sock: socket.socket,
-                 max_bytes: int = max_frame_bytes()) -> bytes | None:
+def _recv_framed(sock: socket.socket, max_bytes: int = max_frame_bytes(),
+                 deadline: float | None = None) -> bytes | None:
     """One length-prefixed message, or None when the peer closes first or
     announces more than max_bytes."""
-    head = _recv_exact(sock, _FRAME.size)
+    head = _recv_exact(sock, _FRAME.size, deadline)
     if head is None:
         return None
     (n,) = _FRAME.unpack(head)
     if n > max_bytes:
         log.warning("refused a %d-byte frame; the limit is %d", n, max_bytes)
         return None
-    return _recv_exact(sock, n)
+    return _recv_exact(sock, n, deadline)
 
 
 class SocketTransport:
@@ -364,9 +377,11 @@ class SocketServer:
     """Threaded localhost server feeding framed messages to handler.receive.
 
     A frame announcing more than max_frame bytes is refused: its connection
-    closes before any of its body is read. A malformed request is answered
-    with error "bad_request", a failed signature or scope check with
-    "auth", and any other handler failure with "internal".
+    closes before any of its body is read. A client whose frame has not
+    arrived READ_DEADLINE_S after its connection was accepted, or whose
+    connection fails, is treated as one that hung up. A malformed request
+    is answered with error "bad_request", a failed signature or scope
+    check with "auth", and any other handler failure with "internal".
     """
 
     def __init__(self, handler, host: str = "127.0.0.1", port: int = 0,
@@ -393,7 +408,12 @@ class SocketServer:
             with conn:
                 # None: the client hung up, or announced an oversized frame,
                 # which closes the connection unread
-                msg = _recv_framed(conn, self.max_frame)
+                try:
+                    msg = _recv_framed(conn, self.max_frame,
+                                       time.monotonic() + READ_DEADLINE_S)
+                except OSError as exc:      # the deadline passed, or a reset
+                    log.info("dropped a client: %r", exc)
+                    continue
                 if msg is None:
                     continue
                 try:
@@ -408,7 +428,11 @@ class SocketServer:
                 except Exception as exc:  # surface, never kill the server
                     log.warning("server handler failed: %s", exc)
                     reply = canonical_json({"ok": False, "error": "internal"})
-                _send_framed(conn, reply)
+                try:
+                    conn.settimeout(READ_DEADLINE_S)
+                    _send_framed(conn, reply)
+                except OSError as exc:      # the client went away
+                    log.info("could not reply: %r", exc)
 
     def start(self) -> "SocketServer":
         self._thread = threading.Thread(target=self._serve, daemon=True)

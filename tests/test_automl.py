@@ -5,6 +5,7 @@ import pytest
 
 from valencelab.learn import AutomlConfig, automl_entity
 from valencelab.learn.baseline import StratifiedBaseline
+from valencelab.learn.bayesopt import DESIGN_SIZE
 from valencelab.learn.boost import GradientBoostedTrees
 from valencelab.learn.linear import SoftmaxRegression
 from valencelab.learn.mlp import MLPClassifier
@@ -90,10 +91,30 @@ def test_each_hyperparameter_set_is_fit_once_per_fold(monkeypatch, kind,
     config = AutomlConfig(budget=6, cv_max_splits=3, kinds=(kind,))
     model = automl_entity(X, y, config=config, seed=4)[kind]
     k = model.cv_splits
-    # tuner evaluations plus the incumbent's score share CV passes, each
-    # handing all k folds to one fit_folds call; the final refit on all
-    # rows is the one extra fit
+    # tuner evaluations plus the incumbent's score share CV passes; the
+    # final refit on all rows is the one extra fit
     assert fits.pop(_settings(model.estimator)) == k + 1
     assert set(fits.values()) <= {k}
-    assert handed.count(k) == len(fits) + 1
-    assert len(handed) <= len(fits) + 2
+    # the tuner's design is one batch, whose sets hand all their folds to
+    # one fit_folds call; each later set hands its k folds alone
+    n_sets = len(fits) + 1
+    design = 1 if kind == "dummy" else DESIGN_SIZE
+    assert handed == [design * k] + [k] * (n_sets - design)
+
+
+@pytest.mark.parametrize("budget", [5, 8])
+def test_gbt_fits_the_design_in_one_call(monkeypatch, budget):
+    calls = []
+    fit_folds = GradientBoostedTrees.fit_folds.__func__
+
+    def counting_fit_folds(cls, models, *args):
+        calls.append(len(models))
+        return fit_folds(cls, models, *args)
+
+    monkeypatch.setattr(GradientBoostedTrees, "fit_folds",
+                        classmethod(counting_fit_folds))
+    X, y = learnable_entity(3)
+    config = AutomlConfig(budget=budget, cv_max_splits=3, kinds=("gbt",))
+    k = automl_entity(X, y, config=config, seed=4)["gbt"].cv_splits
+    # one call for the design, one per GP step, and the refit on all rows
+    assert calls == [DESIGN_SIZE * k] + [k] * (budget - DESIGN_SIZE) + [1]

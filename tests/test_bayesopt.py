@@ -1,3 +1,7 @@
+import hashlib
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,12 @@ from valencelab.learn.bayesopt import (
 )
 
 
+def pointwise(f):
+    """A batch objective that evaluates f at each setting in turn."""
+    return lambda batch: [f(params) for params in batch]
+
+
+@pointwise
 def quadratic(params):
     return -(params["x"] - 0.3) ** 2
 
@@ -34,6 +44,7 @@ def test_budget_equal_to_design_size_returns_best_of_design():
 def test_same_seed_identical_traces():
     space = SearchSpace({"x": Dim(0.0, 1.0), "y": Dim(-1.0, 1.0)})
 
+    @pointwise
     def objective(p):
         return -(p["x"] - 0.5) ** 2 - p["y"] ** 2
 
@@ -53,6 +64,7 @@ def test_non_finite_objective_recorded_and_skipped():
     space = SearchSpace({"x": Dim(0.0, 1.0)})
     calls = []
 
+    @pointwise
     def spiky(params):
         calls.append(params["x"])
         if len(calls) % 2 == 0:
@@ -74,6 +86,7 @@ def test_integer_and_log_dimensions_decode_within_bounds():
     })
     seen = []
 
+    @pointwise
     def objective(p):
         seen.append(p)
         return float(p["rounds"]) * p["lr"]
@@ -110,3 +123,37 @@ def test_result_shape():
     for params, value in result.trace:
         assert set(params) == {"x"}
         assert isinstance(value, float)
+
+
+def test_objective_gets_the_design_as_one_batch_then_one_setting_a_step():
+    space = SearchSpace({"x": Dim(0.0, 1.0)})
+    batches = []
+
+    def objective(batch):
+        batches.append(len(batch))
+        return quadratic(batch)
+
+    result = bayes_optimize(space, objective, budget=8, seed=2)
+    assert batches == [DESIGN_SIZE, 1, 1, 1]
+    assert len(result.trace) == 8
+
+
+# Digest of a budget-8 trace over a float, a log-scale and an integer
+# dimension, recorded while the objective still took one setting per call.
+TRACE_GOLDEN = (
+    "40b7348e61c28534038509720da7e27a7462514e4c0d0eb8c65275d583e7dda2")
+
+
+def test_budget_8_trace_digest_is_pinned():
+    space = SearchSpace({"x": Dim(0.0, 1.0), "lr": Dim(1e-4, 1e-1, "logfloat"),
+                         "n": Dim(2, 40, "int")})
+
+    @pointwise
+    def objective(p):
+        return (-(p["x"] - 0.4) ** 2 - (math.log10(p["lr"]) + 2.5) ** 2 / 9
+                - abs(p["n"] - 17) / 40)
+
+    result = bayes_optimize(space, objective, budget=8, seed=3)
+    doc = [[params, value] for params, value in result.trace]
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()
+                          ).hexdigest() == TRACE_GOLDEN

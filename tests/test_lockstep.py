@@ -1,4 +1,5 @@
-"""Lockstep fits: k folds in one pass equal k one-fold fits, bit for bit."""
+"""Lockstep fits: k folds in one pass equal k one-fold fits, bit for bit,
+also when the models differ in their settings."""
 
 import hashlib
 import json
@@ -106,17 +107,57 @@ def test_mlp_lockstep_equals_one_fold_fits(hidden):
         assert same_bits(model.predict_proba(X), alone.predict_proba(X))
 
 
-def test_lockstep_rejects_models_with_different_settings():
+# One tuner batch: settings differ in every dimension, rounds are ragged,
+# depths run from 1 to 6, and fold 0 trains on fewer bins than the rest.
+MIXED_GBT_SETTINGS = [
+    dict(n_rounds=12, max_depth=1, learning_rate=0.3),
+    dict(n_rounds=5, max_depth=2, leaf_l2=0.0, min_child_hessian=0.5),
+    dict(n_rounds=9, max_depth=3, subsample=0.7, min_child_hessian=0.05),
+    dict(n_rounds=7, max_depth=4, learning_rate=0.1, leaf_l2=2.5),
+    dict(n_rounds=3, max_depth=5, subsample=0.85, leaf_l2=0.0),
+    dict(n_rounds=10, max_depth=6, learning_rate=0.2, subsample=0.6),
+]
+# Digest of the one-fold fits of MIXED_GBT_SETTINGS, recorded before
+# fit_folds accepted models of different settings.
+MIXED_GBT_GOLDEN = (
+    "64097a86a13331f35b7964ddcc3aa82747caa8b4654e556edc6f90798a94580f")
+
+
+def test_gbt_lockstep_with_mixed_settings_equals_one_fold_fits():
     X, y, folds = ragged_folds()
-    Xs = [X[tr] for tr, _ in folds[:2]]
-    ys = [y[tr] for tr, _ in folds[:2]]
-    with pytest.raises(ContractViolationError):
-        GradientBoostedTrees.fit_folds(
-            [GradientBoostedTrees(max_depth=2), GradientBoostedTrees()],
-            Xs, ys, 3)
-    with pytest.raises(ContractViolationError):
-        MLPClassifier.fit_folds([MLPClassifier(n_hidden=4), MLPClassifier()],
-                                Xs, ys, 3)
+    X = X.copy()
+    X[folds[0][1], 0] = 7.0      # only folds other than 0 train on a 5th bin
+    batch = [(i, settings, train) for i, settings in
+             enumerate(MIXED_GBT_SETTINGS) for train, _ in folds]
+    lockstep = [GradientBoostedTrees(seed=9 + i, **settings)
+                for i, settings, _ in batch]
+    GradientBoostedTrees.fit_folds(lockstep, [X[tr] for _, _, tr in batch],
+                                   [y[tr] for _, _, tr in batch], 3)
+    assert digest([[m.to_payload(), m.loss_curve_, m.gain_sums_.tolist()]
+                   for m in lockstep]) == MIXED_GBT_GOLDEN
+    for model, (i, settings, train) in zip(lockstep, batch):
+        alone = GradientBoostedTrees(seed=9 + i, **settings).fit(
+            X[train], y[train], 3)
+        assert model.to_payload() == alone.to_payload()
+        assert len(model.loss_curve_) == settings["n_rounds"] + 1
+        assert same_bits(model.loss_curve_, alone.loss_curve_)
+        assert same_bits(model.gain_sums_, alone.gain_sums_)
+        assert same_bits(model.predict_proba(X), alone.predict_proba(X))
+
+
+def test_mlp_lockstep_with_mixed_settings_equals_one_fold_fits():
+    X, y, folds = ragged_folds()
+    settings = [dict(n_hidden=4, lr=0.05, epochs=3),
+                dict(n_hidden=9, lr=0.05, epochs=3),
+                dict(n_hidden=4, lr=0.01, epochs=2)]
+    batch = [(s, train) for s in settings for train, _ in folds[:2]]
+    lockstep = [MLPClassifier(seed=6, **s) for s, _ in batch]
+    MLPClassifier.fit_folds(lockstep, [X[tr] for _, tr in batch],
+                            [y[tr] for _, tr in batch], 3)
+    for model, (s, train) in zip(lockstep, batch):
+        alone = MLPClassifier(seed=6, **s).fit(X[train], y[train], 3)
+        assert model.to_payload() == alone.to_payload()
+        assert same_bits(model.predict_proba(X), alone.predict_proba(X))
 
 
 def test_gbt_payload_round_trip_predicts_the_same():

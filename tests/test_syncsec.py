@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valencelab import syncsec
 from valencelab.agent import LocalStore, Record
 from valencelab.errors import AuthError, ContractViolationError
 from valencelab.simworld import Fault, FaultPlan
@@ -384,6 +385,26 @@ def test_socket_server_answers_truncated_envelope_with_bad_request():
             assert json.loads(reply) == {"ok": False, "error": "bad_request"}
         assert _client(srv.handler, transport).attempt(now=1.0) == "ok"
     assert time.monotonic() - started < 5.0
+
+
+@pytest.mark.parametrize("stall", [
+    b"",                                        # connects, sends nothing
+    struct.pack(">I", 100) + b"x" * 50,         # half a frame
+], ids=["idle", "half_frame"])
+def test_socket_server_hangs_up_on_a_stalled_client(monkeypatch, stall):
+    monkeypatch.setattr(syncsec, "READ_DEADLINE_S", 0.5)
+    reg = KeyRegistry.for_entities(7, ["e001"])
+    started = time.monotonic()
+    with SocketServer(EchoServer(reg)) as srv:
+        with socket.create_connection((srv.host, srv.port),
+                                      timeout=3.0) as stalled:
+            stalled.sendall(stall)
+            time.sleep(0.2)         # the server is now waiting on it
+            transport = SocketTransport(srv.host, srv.port, timeout_s=3.0)
+            assert _client(srv.handler, transport).attempt(now=1.0) == "ok"
+            # the stalled client was hung up on, not answered
+            assert stalled.recv(1) == b""
+    assert time.monotonic() - started < 3.0
 
 
 def test_frame_cap_holds_a_full_batch_of_pipeline_records():
