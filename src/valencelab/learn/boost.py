@@ -25,9 +25,7 @@ from .linear import softmax
 
 MAX_BINS = 256
 ROUTE_CELLS = 1 << 11   # (tree, row) pairs routed per block in predict
-BIN_CELLS = 1 << 16     # (row, feature, bin) comparisons per block in _bin
 NODE_ROOM = 1 << 22     # most nodes a fold's first node buffer is sized for
-FEW_BINS = 8            # up to this many bins, prefix sums add bin by bin
 
 
 def leaf_weight(G, H, lam):
@@ -51,11 +49,57 @@ def _mapped(shape, dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
 
 
-def _copied(head: np.ndarray, shape) -> np.ndarray:
-    """A larger mapped array that starts with a copy of head."""
-    out = _mapped(shape, head.dtype)
-    out[..., :head.shape[-1]] = head
-    return out
+def _ranges(starts, counts) -> np.ndarray:
+    """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for each i,
+    concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+
+
+class _NodeRegions:
+    """The nodes of several models in one mapped buffer: each model owns a
+    region, and its nodes go there in the order they are added.
+
+    Pages are committed only when written, so a region may be sized for
+    the most nodes its model can grow. When a region is full, every region
+    moves to a new buffer in which the full ones have doubled.
+    """
+
+    def __init__(self, room):
+        self.filled = np.zeros(len(room), dtype=np.int64)
+        self.base = np.zeros(len(room), dtype=np.int64)
+        self.links = np.empty((3, 0), dtype=np.int64)
+        self.values = np.empty(0, dtype=np.float64)
+        self._place(np.asarray(room, dtype=np.int64))
+
+    def _place(self, room):
+        base = np.cumsum(room) - room
+        links = _mapped((3, int(room.sum())), np.int64)
+        values = _mapped(int(room.sum()), np.float64)
+        old, new = _ranges(self.base, self.filled), _ranges(base, self.filled)
+        links[:, new] = self.links[:, old]
+        values[new] = self.values[old]
+        self.room, self.base, self.links, self.values = room, base, links, values
+
+    def add(self, links, values, counts):
+        """Append links[:, i] and values[i], in order, counts[j] of them to
+        model j for each j < len(counts)."""
+        n = counts.size
+        need = self.filled[:n] + counts
+        full = need > self.room[:n]
+        if full.any():
+            room = self.room.copy()
+            room[:n][full] = np.maximum(need[full], 2 * room[:n][full])
+            self._place(room)
+        at = _ranges(self.base[:n] + self.filled[:n], counts)
+        self.links[:, at] = links
+        self.values[at] = values
+        self.filled[:n] = need
+
+    def region(self, j):
+        """Model j's links and values, as views of the buffer."""
+        at = slice(self.base[j], self.base[j] + self.filled[j])
+        return self.links[:, at], self.values[at]
 
 
 class _Forest:
@@ -150,7 +194,6 @@ class GradientBoostedTrees:
         self.seed = int(seed)
         self.forest_ = None
         self.bin_values_ = []       # per feature, sorted training values
-        self.bin_table_ = None      # bin_values_ as rows, NaN-padded
         self.gain_sums_ = None
         self.loss_curve_ = []       # length n_rounds + 1, entry 0 pre-training
         self.n_classes_ = 0
@@ -158,38 +201,20 @@ class GradientBoostedTrees:
     # -- binning -----------------------------------------------------------
 
     def _fit_bins(self, X: np.ndarray):
-        values = []
+        self.bin_values_ = []
         for f in range(X.shape[1]):
             uniq = np.unique(X[:, f])
             if uniq.size > MAX_BINS:
                 qs = np.quantile(X[:, f], np.linspace(0, 1, MAX_BINS))
                 uniq = np.unique(qs)
-            values.append(uniq)
-        self._set_bins(values)
-
-    def _set_bins(self, values: list):
-        self.bin_values_ = values
-        width = max((u.size for u in values), default=0)
-        self.bin_table_ = np.full((len(values), width), np.nan)
-        for f, uniq in enumerate(values):
-            self.bin_table_[f, :uniq.size] = uniq
+            self.bin_values_.append(uniq)
 
     def _bin(self, X: np.ndarray) -> np.ndarray:
-        """Each value's bin: the index of the last bin value at or below
-        it, clipped to the feature's bins, as
-        `searchsorted(values, x, side="right") - 1` gives it. NaN sorts
-        above every value. The NaN padding compares false, so it counts
-        for no value.
-        """
-        table = self.bin_table_
-        n_bins = np.array([u.size for u in self.bin_values_])
-        below = np.empty(X.shape, dtype=np.int64)
-        rows = max(1, BIN_CELLS // max(1, table.size))
-        for a in range(0, X.shape[0], rows):
-            x = X[a:a + rows]
-            below[a:a + rows] = np.where(
-                np.isnan(x), n_bins, (table <= x[:, :, None]).sum(axis=2))
-        return np.clip(below - 1, 0, n_bins - 1)
+        Xb = np.empty(X.shape, dtype=np.int64)
+        for f, uniq in enumerate(self.bin_values_):
+            codes = np.searchsorted(uniq, X[:, f], side="right") - 1
+            Xb[:, f] = np.clip(codes, 0, uniq.size - 1)
+        return Xb
 
     # -- boosting ----------------------------------------------------------
 
@@ -233,8 +258,8 @@ class GradientBoostedTrees:
 
     def load_payload(self, payload: dict, n_classes: int):
         self.forest_ = _Forest.from_trees(payload["trees"], n_classes)
-        self._set_bins([np.array(u, dtype=np.float64)
-                        for u in payload["bin_values"]])
+        self.bin_values_ = [np.array(u, dtype=np.float64)
+                            for u in payload["bin_values"]]
         self.gain_sums_ = np.array(payload["gain_sums"], dtype=np.float64)
         self.n_classes_ = n_classes
         return self
@@ -309,18 +334,16 @@ class _Lockstep:
         gains = np.zeros((len(self.models), self.F), dtype=np.float64)
         sampled = np.ones(n_rows, dtype=bool)
         # A tree holds at most min(2^(depth+1), 2m) - 1 nodes for m sampled
-        # rows. Each fold's nodes go into one mapped buffer of that bound, up
-        # to NODE_ROOM, doubled when full: the forests of a lockstep fit
-        # are alive at once, and mapped buffers neither fragment the heap
-        # nor keep their pages after the models go.
-        room = [min(NODE_ROOM, model.n_rounds * K
-                    * (min(2 ** (model.max_depth + 1), 2 * m) - 1))
-                for model, m in zip(self.models, m_sub)]
-        links = [_mapped((3, r), np.int64) for r in room]
-        values = [_mapped(r, np.float64) for r in room]
-        tree_sizes = [np.empty(model.n_rounds * K, dtype=np.int64)
-                      for model in self.models]
-        filled = [0] * len(self.models)
+        # rows. Each model's region starts at that bound, up to NODE_ROOM.
+        # The forests of a lockstep fit are alive at once, as views of one
+        # mapped buffer, which neither fragments the heap nor keeps its
+        # pages after the last of them goes.
+        nodes = _NodeRegions([
+            min(NODE_ROOM, model.n_rounds * K
+                * (min(2 ** (model.max_depth + 1), 2 * m) - 1))
+            for model, m in zip(self.models, m_sub)])
+        tree_sizes = np.zeros((self.rounds[0], len(self.models) * K),
+                              dtype=np.int64)
         for r in range(self.rounds[0]):
             n_models = int((self.rounds > r).sum())
             if n_models < self.n_models:
@@ -341,20 +364,14 @@ class _Lockstep:
             probs = softmax(margins[:N])
             for curve, loss in zip(curves, self._losses(probs)):
                 curve.append(loss)
-            for j in range(n_models):
-                trees = bounds[j * K:(j + 1) * K + 1]
-                at = slice(filled[j], filled[j] + trees[-1] - trees[0])
-                if at.stop > values[j].size:
-                    size = max(at.stop, 2 * values[j].size)
-                    links[j] = _copied(links[j][:, :filled[j]], (3, size))
-                    values[j] = _copied(values[j][:filled[j]], size)
-                links[j][:, at] = round_links[:, trees[0]:trees[-1]]
-                values[j][at] = round_values[trees[0]:trees[-1]]
-                tree_sizes[j][r * K:(r + 1) * K] = np.diff(trees)
-                filled[j] = at.stop
+            # trees are fold-major, so model j's nodes run from its first
+            # tree's start, bounds[j * K], to the next model's
+            nodes.add(round_links, round_values, np.diff(bounds[::K]))
+            tree_sizes[r, :n_models * K] = np.diff(bounds)
         for j, model in enumerate(self.models):
-            model.forest_ = self._forest(links[j][:, :filled[j]],
-                                         values[j][:filled[j]], tree_sizes[j])
+            model.forest_ = self._forest(
+                *nodes.region(j),
+                tree_sizes[:self.rounds[j], j * K:(j + 1) * K].ravel())
             model.gain_sums_ = gains[j].copy()
             model.loss_curve_ = curves[j]
             model.n_classes_ = K
@@ -449,16 +466,12 @@ class _Lockstep:
         del codes
         G_tot = gs[:, 0].sum(axis=1)
         H_tot = hs[:, 0].sum(axis=1)
-        # cell b now sums bins 0..b; the last cell is not read. np.cumsum
-        # loops over rows, which costs most when bins are few: then one add
-        # per bin over every slot, in np.cumsum's order, is far cheaper.
-        if B <= FEW_BINS:
-            for b in range(1, B - 1):
-                for hist in (gs, hs, cs):
-                    hist[:, :, b] += hist[:, :, b - 1]
-        else:
+        # cell b now sums bins 0..b; the last cell is not read. One add per
+        # bin over every slot adds in np.cumsum's order, and costs far less
+        # than np.cumsum's loop over rows when bins are few.
+        for b in range(1, B - 1):
             for hist in (gs, hs, cs):
-                np.cumsum(hist, axis=2, out=hist)
+                hist[:, :, b] += hist[:, :, b - 1]
         GL, HL, CL = gs[:, :, :-1], hs[:, :, :-1], cs[:, :, :-1]
         GR = G_tot[:, None, None] - GL
         HR = H_tot[:, None, None] - HL

@@ -18,39 +18,26 @@ def _with_bias(X: np.ndarray) -> np.ndarray:
     return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
-def logreg_loss(w_flat, Xb, y, n_classes: int, l2: float):
-    """Mean cross-entropy + (l2/2)*||W||^2, and the class probabilities.
+def logreg_loss_and_grad(w_flat, X, y, n_classes: int, l2: float, Xb=None):
+    """Mean cross-entropy + (l2/2)*||W||^2, and its gradient.
 
     Weights are a flat vector packing W of shape (n_features + 1, n_classes);
-    the last row is the bias, which is excluded from the penalty. Xb is
-    `_with_bias(X)`.
+    the last row is the bias, which is excluded from the penalty. Xb, if
+    given, is `_with_bias(X)`, built once by the caller.
     """
-    W = w_flat.reshape(Xb.shape[1], n_classes)
+    n, d = X.shape
+    W = w_flat.reshape(d + 1, n_classes)
+    if Xb is None:
+        Xb = _with_bias(X)
     probs = softmax(Xb @ W)
     eps = 1e-12
-    loss = -np.log(probs[np.arange(len(y)), y] + eps).mean()
+    loss = -np.log(probs[np.arange(n), y] + eps).mean()
     loss += 0.5 * l2 * float((W[:-1] ** 2).sum())
-    return loss, probs
-
-
-def logreg_grad(w_flat, Xb, y, probs, l2: float):
-    """Gradient of `logreg_loss` at w_flat, from the probabilities it
-    returned there."""
-    n = len(y)
-    W = w_flat.reshape(Xb.shape[1], probs.shape[1])
     grad_z = probs.copy()
     grad_z[np.arange(n), y] -= 1.0
     grad = (Xb.T @ grad_z) / n
     grad[:-1] += l2 * W[:-1]
-    return grad.ravel()
-
-
-def logreg_loss_and_grad(w_flat, X, y, n_classes: int, l2: float):
-    """`logreg_loss` and `logreg_grad` at one point, as one function whose
-    gradient can be checked against finite differences."""
-    Xb = _with_bias(X)
-    loss, probs = logreg_loss(w_flat, Xb, y, n_classes, l2)
-    return loss, logreg_grad(w_flat, Xb, y, probs, l2)
+    return loss, grad.ravel()
 
 
 class SoftmaxRegression(PerFoldFit):
@@ -73,24 +60,21 @@ class SoftmaxRegression(PerFoldFit):
         n, d = X.shape
         Xb = _with_bias(X)
         w = np.zeros((d + 1) * n_classes, dtype=np.float64)
-        loss, probs = logreg_loss(w, Xb, y, n_classes, self.l2)
-        grad = logreg_grad(w, Xb, y, probs, self.l2)
+        loss, grad = logreg_loss_and_grad(w, X, y, n_classes, self.l2, Xb)
         prev = np.inf
         for _ in range(self.n_iter):
             # Backtracking keeps the full-batch step stable without tuning lr
             # per dataset. The last point tried is taken, with its loss and
-            # gradient, even when no step lowered the loss. Only the point
-            # taken needs its gradient.
+            # gradient, even when no step lowered the loss.
             step = self.lr
             for _ in range(20):
                 w_new = w - step * grad
-                new_loss, probs = logreg_loss(w_new, Xb, y, n_classes,
-                                              self.l2)
+                new_loss, new_grad = logreg_loss_and_grad(
+                    w_new, X, y, n_classes, self.l2, Xb)
                 if new_loss <= loss:
                     break
                 step *= 0.5
-            w, loss = w_new, new_loss
-            grad = logreg_grad(w, Xb, y, probs, self.l2)
+            w, loss, grad = w_new, new_loss, new_grad
             if prev - loss < self.tol:
                 break
             prev = loss

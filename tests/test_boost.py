@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from valencelab.learn import boost
 from valencelab.learn.boost import (
     GradientBoostedTrees,
     leaf_weight,
@@ -90,33 +89,3 @@ def test_constant_features_yield_prior_predictions():
     # No split is possible, so every row carries the same probabilities.
     assert np.allclose(probs, probs[0])
     assert probs[0, 0] > probs[0, 1]
-
-
-def _searchsorted_bins(model, X):
-    """The per-feature binning the one-pass `_bin` must reproduce."""
-    Xb = np.empty(X.shape, dtype=np.int64)
-    for f, uniq in enumerate(model.bin_values_):
-        codes = np.searchsorted(uniq, X[:, f], side="right") - 1
-        Xb[:, f] = np.clip(codes, 0, uniq.size - 1)
-    return Xb
-
-
-def test_binning_matches_searchsorted_on_odd_values(monkeypatch):
-    rng = np.random.default_rng(4)
-    X = (rng.uniform(size=(60, 5)) < 0.3).astype(np.float64)
-    X[:, 0] = rng.normal(size=60)           # one bin per row
-    X[:4, 1] = np.nan                       # a NaN among the bin values
-    X[:, 2] = 1.0                           # a single bin
-    y = rng.integers(0, 3, size=60)
-    model = GradientBoostedTrees(n_rounds=2).fit(X, y, 3)
-    probe = rng.normal(scale=3.0, size=(400, 5))
-    probe[::7] = X[:len(probe[::7])]        # values equal to bin values
-    for value, share in ((np.nan, 0.1), (np.inf, 0.1), (-np.inf, 0.1),
-                         (1e300, 0.05), (-0.0, 0.05)):
-        probe[rng.uniform(size=probe.shape) < share] = value
-    want = _searchsorted_bins(model, probe)
-    assert np.array_equal(model._bin(probe), want)
-    # rows go through in blocks; a block boundary changes nothing
-    monkeypatch.setattr(boost, "BIN_CELLS", 7)
-    assert np.array_equal(model._bin(probe), want)
-    assert model._bin(probe[:0]).shape == (0, 5)

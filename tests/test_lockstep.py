@@ -123,7 +123,8 @@ MIXED_GBT_GOLDEN = (
     "64097a86a13331f35b7964ddcc3aa82747caa8b4654e556edc6f90798a94580f")
 
 
-def test_gbt_lockstep_with_mixed_settings_equals_one_fold_fits():
+def mixed_gbt_lockstep():
+    """MIXED_GBT_SETTINGS over ragged folds, fit in one call."""
     X, y, folds = ragged_folds()
     X = X.copy()
     X[folds[0][1], 0] = 7.0      # only folds other than 0 train on a 5th bin
@@ -133,8 +134,17 @@ def test_gbt_lockstep_with_mixed_settings_equals_one_fold_fits():
                 for i, settings, _ in batch]
     GradientBoostedTrees.fit_folds(lockstep, [X[tr] for _, _, tr in batch],
                                    [y[tr] for _, _, tr in batch], 3)
-    assert digest([[m.to_payload(), m.loss_curve_, m.gain_sums_.tolist()]
-                   for m in lockstep]) == MIXED_GBT_GOLDEN
+    return X, y, batch, lockstep
+
+
+def mixed_gbt_digest(lockstep) -> str:
+    return digest([[m.to_payload(), m.loss_curve_, m.gain_sums_.tolist()]
+                   for m in lockstep])
+
+
+def test_gbt_lockstep_with_mixed_settings_equals_one_fold_fits():
+    X, y, batch, lockstep = mixed_gbt_lockstep()
+    assert mixed_gbt_digest(lockstep) == MIXED_GBT_GOLDEN
     for model, (i, settings, train) in zip(lockstep, batch):
         alone = GradientBoostedTrees(seed=9 + i, **settings).fit(
             X[train], y[train], 3)
@@ -143,6 +153,13 @@ def test_gbt_lockstep_with_mixed_settings_equals_one_fold_fits():
         assert same_bits(model.loss_curve_, alone.loss_curve_)
         assert same_bits(model.gain_sums_, alone.gain_sums_)
         assert same_bits(model.predict_proba(X), alone.predict_proba(X))
+
+
+def test_gbt_node_regions_grow_when_full_in_a_mixed_lockstep(monkeypatch):
+    # regions fill while some models have already left the pass
+    monkeypatch.setattr(boost, "NODE_ROOM", 5)
+    _, _, _, lockstep = mixed_gbt_lockstep()
+    assert mixed_gbt_digest(lockstep) == MIXED_GBT_GOLDEN
 
 
 def test_mlp_lockstep_with_mixed_settings_equals_one_fold_fits():

