@@ -30,7 +30,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -52,7 +52,8 @@ from .learn import (MODEL_KINDS, AutomlConfig, ClusterModel, automl_entity,
 from .learn.bayesopt import DESIGN_SIZE
 from .simworld import (Cohort, CohortSpec, EntityProfile, FaultPlan, SimClock,
                        build_cohort, events_to_jsonl, load_cohort_spec,
-                       load_fault_plan, parse_kv_config, run_cohort)
+                       load_fault_plan, parse_kv_config, run_cohort,
+                       typed_fields)
 from .syncsec import (FaultyTransport, KeyRegistry, LoopbackTransport,
                       SocketServer, SocketTransport, SyncClient,
                       derive_keypair, encode_envelope, max_frame_bytes,
@@ -60,7 +61,9 @@ from .syncsec import (FaultyTransport, KeyRegistry, LoopbackTransport,
 
 log = logging.getLogger("valencelab.cli")
 
-METRICS = ("f1", "mcc", "both")
+# each reported metric: its model-row column and its title in stats.md
+REPORT_METRICS = {"f1": ("cv_f1", "weighted F1"), "mcc": ("cv_mcc", "MCC")}
+METRICS = (*REPORT_METRICS, "both")
 
 
 # ---------------------------------------------------------------------------
@@ -113,30 +116,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        types = {f.name: f.type for f in fields(cls)}
-        kwargs = {}
-        for key, raw in mapping.items():
-            if key not in types:
-                raise ConfigurationError(f"unknown experiment key {key!r}")
-            ann = types[key]
-            try:
-                if ann == "int":
-                    kwargs[key] = int(raw)
-                elif ann == "float":
-                    kwargs[key] = float(raw)
-                elif ann == "bool":
-                    if raw.lower() not in ("true", "false"):
-                        raise ValueError(raw)
-                    kwargs[key] = raw.lower() == "true"
-                elif ann == "tuple":
-                    kwargs[key] = tuple(
-                        v.strip() for v in raw.split(",") if v.strip())
-                else:
-                    kwargs[key] = raw
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"bad value for {key!r}: {raw!r}") from exc
-        return cls(**kwargs)
+        return cls(**typed_fields(cls, mapping, "experiment"))
 
     def rules(self) -> EligibilityRules:
         return EligibilityRules(
@@ -465,20 +445,18 @@ def _stats_table(by_kind: dict, metric_name: str) -> str:
 
 
 def evaluate_stage(model_rows, config: ExperimentConfig):
-    """Returns (stats markdown, f1 quartile rows, mcc quartile rows)."""
+    """Returns (stats markdown, f1 quartile rows, mcc quartile rows); the
+    rows of a metric that the config does not report are None."""
     if not model_rows:
         raise PipelineError("no tuned models to evaluate")
     blocks = ["# Model comparison", ""]
-    by_f1 = _metric_by_kind(model_rows, "cv_f1")
-    by_mcc = _metric_by_kind(model_rows, "cv_mcc")
-    if config.metric in ("f1", "both"):
-        blocks.append(_stats_table(by_f1, "weighted F1"))
-        blocks.append("")
-    if config.metric in ("mcc", "both"):
-        blocks.append(_stats_table(by_mcc, "MCC"))
-        blocks.append("")
-    stats_text = "\n".join(blocks)
-    return stats_text, _quartile_rows(by_f1), _quartile_rows(by_mcc)
+    boxes = dict.fromkeys(REPORT_METRICS)
+    for metric, (column, title) in REPORT_METRICS.items():
+        if config.metric in (metric, "both"):
+            by_kind = _metric_by_kind(model_rows, column)
+            blocks += [_stats_table(by_kind, title), ""]
+            boxes[metric] = _quartile_rows(by_kind)
+    return ("\n".join(blocks), *boxes.values())
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +509,15 @@ def report_stage(funnel_rows, counts, model_rows, config: ExperimentConfig,
 # artifact IO
 
 
-FUNNEL_FIELDS = ("entity_id", "gender", "n_reports", "n_negative",
-                 "n_neutral", "n_positive", "imbalance_degree", "eligible",
-                 "reason")
-MODEL_FIELDS = ("entity_id", "kind", "cv_f1", "cv_mcc", "duration_s",
-                "cv_splits", "n_reports", "n_clusters", "min_cluster_size",
-                "min_samples")
+# each CSV artifact's columns in file order, with the parser of their text
+FUNNEL_COLUMNS = {
+    "entity_id": str, "gender": str, "n_reports": int, "n_negative": int,
+    "n_neutral": int, "n_positive": int, "imbalance_degree": float,
+    "eligible": lambda text: text == "true", "reason": str}
+MODEL_COLUMNS = {
+    "entity_id": str, "kind": str, "cv_f1": float, "cv_mcc": float,
+    "duration_s": float, "cv_splits": int, "n_reports": int,
+    "n_clusters": int, "min_cluster_size": int, "min_samples": int}
 BOX_FIELDS = ("kind", "min", "q1", "median", "q3", "max", "mean", "n")
 
 
@@ -548,56 +529,33 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, fieldnames, rows) -> None:
+def _write_csv(path: Path, columns, rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fieldnames)
+    writer.writerow(columns)
     for row in rows:
-        writer.writerow([_fmt(row[k]) for k in fieldnames])
+        writer.writerow([_fmt(row[k]) for k in columns])
     path.write_text(buf.getvalue())
 
 
-def _read_csv(path: Path) -> list:
+def _artifact(path: Path, producer: str) -> Path:
+    """The path of an artifact an earlier command wrote, if it is there."""
     if not path.is_file():
-        raise PipelineError(f"missing artifact {path}; run earlier stages")
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+        raise PipelineError(f"missing artifact {path}; run {producer}")
+    return path
 
 
-def _parse_funnel_rows(raw_rows) -> list:
-    rows = []
-    for r in raw_rows:
-        rows.append({
-            "entity_id": r["entity_id"], "gender": r["gender"],
-            "n_reports": int(r["n_reports"]),
-            "n_negative": int(r["n_negative"]),
-            "n_neutral": int(r["n_neutral"]),
-            "n_positive": int(r["n_positive"]),
-            "imbalance_degree": float(r["imbalance_degree"]),
-            "eligible": r["eligible"] == "true",
-            "reason": r["reason"]})
-    return rows
+def _read_rows(path: Path, columns: dict) -> list:
+    with open(_artifact(path, "earlier stages"), newline="") as fh:
+        return [{k: parse(r[k]) for k, parse in columns.items()}
+                for r in csv.DictReader(fh)]
 
 
-def _parse_model_rows(raw_rows) -> list:
-    rows = []
-    for r in raw_rows:
-        rows.append({
-            "entity_id": r["entity_id"], "kind": r["kind"],
-            "cv_f1": float(r["cv_f1"]), "cv_mcc": float(r["cv_mcc"]),
-            "duration_s": float(r["duration_s"]),
-            "cv_splits": int(r["cv_splits"]),
-            "n_reports": int(r["n_reports"]),
-            "n_clusters": int(r["n_clusters"]),
-            "min_cluster_size": int(r["min_cluster_size"]),
-            "min_samples": int(r["min_samples"])})
-    return rows
-
-
-def _roundtrip(rows, parser) -> list:
+def _roundtrip(rows, columns: dict) -> list:
     """Normalize rows through their CSV text form so downstream numbers are
     identical whether they come from memory or from re-read artifacts."""
-    return parser([{k: _fmt(v) for k, v in row.items()} for row in rows])
+    return [{k: parse(_fmt(r[k])) for k, parse in columns.items()}
+            for r in rows]
 
 
 def _store_to_jsonl(mstore: MemoryStore) -> str:
@@ -628,19 +586,18 @@ def _write_world(out: Path, cohort: Cohort, events, plan: FaultPlan) -> None:
 
 
 def _write_learn(out: Path, funnel_rows, model_rows, registry_doc) -> None:
-    _write_csv(out / "funnel.csv", FUNNEL_FIELDS, funnel_rows)
-    _write_csv(out / "models.csv", MODEL_FIELDS, model_rows)
+    _write_csv(out / "funnel.csv", FUNNEL_COLUMNS, funnel_rows)
+    _write_csv(out / "models.csv", MODEL_COLUMNS, model_rows)
     (out / "models.json").write_text(
         json.dumps(registry_doc, sort_keys=True, indent=1))
 
 
-def _write_stats(out: Path, config: ExperimentConfig, stats_text: str,
-                 box_f1, box_mcc) -> None:
+def _write_stats(out: Path, stats_text: str, boxes) -> None:
+    """stats.md, and a box plot for each metric with quartile rows."""
     (out / "stats.md").write_text(stats_text)
-    if config.metric in ("f1", "both"):
-        _write_csv(out / "boxplot_f1.csv", BOX_FIELDS, box_f1)
-    if config.metric in ("mcc", "both"):
-        _write_csv(out / "boxplot_mcc.csv", BOX_FIELDS, box_mcc)
+    for metric, rows in zip(REPORT_METRICS, boxes):
+        if rows is not None:
+            _write_csv(out / f"boxplot_{metric}.csv", BOX_FIELDS, rows)
 
 
 def _write_report(out: Path, summary_text: str, digest: str) -> None:
@@ -649,21 +606,16 @@ def _write_report(out: Path, summary_text: str, digest: str) -> None:
 
 
 def _load_cohort_file(out: Path) -> list:
-    path = out / "cohort.jsonl"
-    if not path.is_file():
-        raise PipelineError(f"missing artifact {path}; run simulate first")
+    text = _artifact(out / "cohort.jsonl", "simulate first").read_text()
     return [EntityProfile.from_dict(json.loads(line))
-            for line in path.read_text().splitlines() if line.strip()]
+            for line in text.splitlines() if line.strip()]
 
 
 def _rebuild_store(out: Path) -> MemoryStore:
     profiles = _load_cohort_file(out)
-    store_path = out / "store.jsonl"
-    if not store_path.is_file():
-        raise PipelineError(
-            f"missing artifact {store_path}; run pipeline first")
+    text = _artifact(out / "store.jsonl", "pipeline first").read_text()
     mstore = _registered_store(profiles)
-    for line in store_path.read_text().splitlines():
+    for line in text.splitlines():
         if not line.strip():
             continue
         doc = json.loads(line)
@@ -694,8 +646,7 @@ class RunResult:
     out_dir: Path
 
 
-def run_experiment(config: ExperimentConfig,
-                   write: bool = True) -> RunResult:
+def run_experiment(config: ExperimentConfig) -> RunResult:
     """The pipeline subcommand: every stage chained in memory, artifacts
     written at the end."""
     t0 = time.perf_counter()
@@ -705,26 +656,25 @@ def run_experiment(config: ExperimentConfig,
     drive = drive_agents(cohort, events, plan, config)
     log.info("server holds %d records", drive.mstore.total_records())
     funnel_rows, counts = funnel_stage(drive.mstore, config)
-    funnel_rows = _roundtrip(funnel_rows, _parse_funnel_rows)
+    funnel_rows = _roundtrip(funnel_rows, FUNNEL_COLUMNS)
     log.info("funnel: %(total)d -> %(with_demographics)d -> %(eligible)d",
              counts)
     model_rows, registry, registry_doc = learn_stage(
         drive.mstore, funnel_rows, config)
-    model_rows = _roundtrip(model_rows, _parse_model_rows)
+    model_rows = _roundtrip(model_rows, MODEL_COLUMNS)
     drive.server.models = registry
-    stats_text, box_f1, box_mcc = evaluate_stage(model_rows, config)
+    stats_text, *boxes = evaluate_stage(model_rows, config)
     summary_text, digest = report_stage(
         funnel_rows, counts, model_rows, config, stats_text)
     log.info("pipeline finished in %.1fs, hash %s",
              time.perf_counter() - t0, digest[:12])
 
     out = Path(config.out)
-    if write:
-        _write_world(out, cohort, events, plan)
-        (out / "store.jsonl").write_text(_store_to_jsonl(drive.mstore))
-        _write_learn(out, funnel_rows, model_rows, registry_doc)
-        _write_stats(out, config, stats_text, box_f1, box_mcc)
-        _write_report(out, summary_text, digest)
+    _write_world(out, cohort, events, plan)
+    (out / "store.jsonl").write_text(_store_to_jsonl(drive.mstore))
+    _write_learn(out, funnel_rows, model_rows, registry_doc)
+    _write_stats(out, stats_text, boxes)
+    _write_report(out, summary_text, digest)
 
     return RunResult(
         config=config, cohort=cohort, events=events, plan=plan, drive=drive,
@@ -745,12 +695,13 @@ def _registry_from_doc(doc: dict) -> ModelRegistry:
     return registry
 
 
+def _models_doc(out: Path) -> dict:
+    return json.loads(_artifact(out / "models.json", "learn").read_text())
+
+
 def _server_from_artifacts(out: Path):
     """(SyncServer, seed) rebuilt from cohort.jsonl + models.json."""
-    models_path = out / "models.json"
-    if not models_path.is_file():
-        raise PipelineError(f"missing artifact {models_path}; run learn")
-    doc = json.loads(models_path.read_text())
+    doc = _models_doc(out)
     profiles = _load_cohort_file(out)
     seed = int(doc["seed"])
     keys = KeyRegistry.for_entities(seed, [p.entity_id for p in profiles])
@@ -779,7 +730,7 @@ def _predict_once(transport, seed: int, entity: str, as_entity: str,
 # subcommands
 
 
-def cmd_simulate(config: ExperimentConfig) -> int:
+def cmd_simulate(config: ExperimentConfig, args) -> int:
     cohort, events, plan = simulate_stage(config)
     out = Path(config.out)
     _write_world(out, cohort, events, plan)
@@ -788,7 +739,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_pipeline(config: ExperimentConfig) -> int:
+def cmd_pipeline(config: ExperimentConfig, args) -> int:
     result = run_experiment(config)
     c = result.funnel_counts
     print(f"funnel: {c['total']} -> {c['with_demographics']} "
@@ -797,7 +748,7 @@ def cmd_pipeline(config: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_learn(config: ExperimentConfig) -> int:
+def cmd_learn(config: ExperimentConfig, args) -> int:
     out = Path(config.out)
     mstore = _rebuild_store(out)
     funnel_rows, counts = funnel_stage(mstore, config)
@@ -807,19 +758,19 @@ def cmd_learn(config: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_evaluate(config: ExperimentConfig) -> int:
+def cmd_evaluate(config: ExperimentConfig, args) -> int:
     out = Path(config.out)
-    model_rows = _parse_model_rows(_read_csv(out / "models.csv"))
-    stats_text, box_f1, box_mcc = evaluate_stage(model_rows, config)
-    _write_stats(out, config, stats_text, box_f1, box_mcc)
+    model_rows = _read_rows(out / "models.csv", MODEL_COLUMNS)
+    stats_text, *boxes = evaluate_stage(model_rows, config)
+    _write_stats(out, stats_text, boxes)
     print(f"comparison statistics written to {out / 'stats.md'}")
     return 0
 
 
-def cmd_report(config: ExperimentConfig) -> int:
+def cmd_report(config: ExperimentConfig, args) -> int:
     out = Path(config.out)
-    funnel_rows = _parse_funnel_rows(_read_csv(out / "funnel.csv"))
-    model_rows = _parse_model_rows(_read_csv(out / "models.csv"))
+    funnel_rows = _read_rows(out / "funnel.csv", FUNNEL_COLUMNS)
+    model_rows = _read_rows(out / "models.csv", MODEL_COLUMNS)
     counts = funnel_counts(funnel_rows)
     stats_text, _, _ = evaluate_stage(model_rows, config)
     summary_text, digest = report_stage(
@@ -829,19 +780,18 @@ def cmd_report(config: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_serve(config: ExperimentConfig, host: str, port: int,
-              max_seconds: float | None) -> int:
+def cmd_serve(config: ExperimentConfig, args) -> int:
     handler, _ = _server_from_artifacts(Path(config.out))
-    server = SocketServer(handler, host=host, port=port,
+    server = SocketServer(handler, host=args.host, port=args.port,
                           max_frame=max_frame_bytes(config.sync_max_records))
     server.start()
     print(f"serving on {server.host}:{server.port}", flush=True)
     try:
-        if max_seconds is None:
+        if args.max_seconds is None:
             while True:
                 time.sleep(0.5)
         else:
-            time.sleep(max_seconds)
+            time.sleep(args.max_seconds)
     except KeyboardInterrupt:
         pass
     finally:
@@ -849,22 +799,17 @@ def cmd_serve(config: ExperimentConfig, host: str, port: int,
     return 0
 
 
-def cmd_predict(config: ExperimentConfig, entity: str, as_entity: str | None,
-                x: float, y: float, t: float, host: str | None,
-                port: int | None) -> int:
-    signer = as_entity or entity
-    if host is not None:
-        if port is None:
+def cmd_predict(config: ExperimentConfig, args) -> int:
+    if args.host is not None:
+        if args.port is None:
             raise ConfigurationError("--port is required with --host")
-        transport = SocketTransport(host, port)
-        doc_path = Path(config.out) / "models.json"
-        if not doc_path.is_file():
-            raise PipelineError(f"missing artifact {doc_path}; run learn")
-        seed = int(json.loads(doc_path.read_text())["seed"])
+        transport = SocketTransport(args.host, args.port)
+        seed = int(_models_doc(Path(config.out))["seed"])
     else:
         handler, seed = _server_from_artifacts(Path(config.out))
         transport = LoopbackTransport(handler)
-    doc = _predict_once(transport, seed, entity, signer, x, y, t)
+    doc = _predict_once(transport, seed, args.entity,
+                        args.as_entity or args.entity, args.x, args.y, args.t)
     print(json.dumps(doc, sort_keys=True))
     return 0
 
@@ -873,7 +818,11 @@ def cmd_predict(config: ExperimentConfig, entity: str, as_entity: str | None,
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_command(sub, name: str, run) -> argparse.ArgumentParser:
+    """A subcommand that runs `run(config, args)`, with the common flags;
+    each of those flags sets the ExperimentConfig field of its name."""
+    parser = sub.add_parser(name)
+    parser.set_defaults(run=run)
     parser.add_argument("--config", default=None,
                         help="experiment config file (key = value lines)")
     parser.add_argument("--seed", type=int, default=None)
@@ -888,6 +837,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metric", choices=METRICS, default=None)
     parser.add_argument("--budget", type=int, default=None,
                         help="tuning evaluations per model kind")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -895,16 +845,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="valencelab",
         description="Deterministic mobile-sensing valence pipeline.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "pipeline", "learn", "evaluate", "report"):
-        _add_common(sub.add_parser(name))
-    serve = sub.add_parser("serve")
-    _add_common(serve)
+    for name, run in (("simulate", cmd_simulate), ("pipeline", cmd_pipeline),
+                      ("learn", cmd_learn), ("evaluate", cmd_evaluate),
+                      ("report", cmd_report)):
+        _add_command(sub, name, run)
+    serve = _add_command(sub, "serve", cmd_serve)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0)
     serve.add_argument("--max-seconds", type=float, default=None,
                        help="stop after this long (default: run forever)")
-    predict = sub.add_parser("predict")
-    _add_common(predict)
+    predict = _add_command(sub, "predict", cmd_predict)
     predict.add_argument("--entity", required=True,
                          help="entity whose model answers")
     predict.add_argument("--as-entity", default=None,
@@ -919,21 +869,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The --config file's settings, or the defaults, under the flags given."""
     config = (load_experiment_config(args.config)
               if args.config else ExperimentConfig())
-    overrides = {}
-    for key in ("seed", "out", "cohort", "models", "metric", "budget"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "fault_plan", None) is not None:
-        overrides["fault_plan"] = args.fault_plan
-    if overrides:
-        merged = {f.name: getattr(config, f.name)
-                  for f in fields(ExperimentConfig)}
-        merged.update(overrides)
-        config = ExperimentConfig(**merged)
-    return config
+    given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+             if getattr(args, f.name, None) is not None}
+    return replace(config, **given)
 
 
 def main(argv=None) -> int:
@@ -941,23 +882,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        if args.command == "simulate":
-            return cmd_simulate(config)
-        if args.command == "pipeline":
-            return cmd_pipeline(config)
-        if args.command == "learn":
-            return cmd_learn(config)
-        if args.command == "evaluate":
-            return cmd_evaluate(config)
-        if args.command == "report":
-            return cmd_report(config)
-        if args.command == "serve":
-            return cmd_serve(config, args.host, args.port, args.max_seconds)
-        if args.command == "predict":
-            return cmd_predict(config, args.entity, args.as_entity,
-                               args.x, args.y, args.t, args.host, args.port)
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        return args.run(config_from_args(args), args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -136,19 +136,13 @@ def _exact_two_sided_p(pooled: np.ndarray, n1: int, u_obs: float) -> float:
     least as far from the null mean n1*n2/2 as the observed U.
     """
     n = len(pooled)
-    n2 = n - n1
-    mu = n1 * n2 / 2.0
-    obs_dev = abs(u_obs - mu)
-    hits = 0
-    total = 0
-    for combo in itertools.combinations(range(n), n1):
-        mask = np.zeros(n, dtype=bool)
-        mask[list(combo)] = True
-        u = _u_from_ranks(np.concatenate([pooled[mask], pooled[~mask]]), n1)
-        if abs(u - mu) >= obs_dev - 1e-12:
-            hits += 1
-        total += 1
-    return hits / total
+    mu = n1 * (n - n1) / 2.0
+    # a value's midrank does not depend on which group holds it
+    ranks = _midranks(pooled)
+    combos = np.array(list(itertools.combinations(range(n), n1)))
+    u = ranks[combos].sum(axis=1) - n1 * (n1 + 1) / 2.0
+    hits = np.abs(u - mu) >= abs(u_obs - mu) - 1e-12
+    return int(np.count_nonzero(hits)) / len(u)
 
 
 def _normal_two_sided_p(pooled: np.ndarray, n1: int, u_obs: float) -> float:

@@ -300,11 +300,14 @@ def handle_prediction(envelope, request: dict, store: MemoryStore,
     signer = verify_and_scope(envelope, keys, requested_entity=target)
     if not store.has_entity(signer):
         raise NotFoundError(f"unknown entity {signer!r}")
+    try:
+        x, y, t = (float(request[k]) for k in ("x", "y", "t"))
+    except (TypeError, ValueError) as exc:
+        raise ContractViolationError("prediction context is not numeric") \
+            from exc
     model, cluster_model = models.get(signer)
-    pt = np.array([[float(request["x"]), float(request["y"])]])
-    label = int(cluster_model.assign(pt)[0])
-    row = context_features(label, cluster_model.n_clusters,
-                           float(request["t"]))
+    label = int(cluster_model.assign(np.array([[x, y]]))[0])
+    row = context_features(label, cluster_model.n_clusters, t)
     probs = predict_proba(model, row)
     return LABELS[int(np.argmax(probs))], [float(p) for p in probs]
 

@@ -188,7 +188,10 @@ def bayes_optimize(space: SearchSpace, objective, budget: int,
             return np.zeros_like(arr)
         worst = arr[finite].min()
         spread = arr[finite].max() - worst
-        arr[~finite] = worst - max(spread, 1.0)
+        # strictly below the worst, also where |worst| is too large for
+        # the subtraction to move it
+        arr[~finite] = min(worst - max(spread, 1.0),
+                           np.nextafter(worst, -np.inf))
         return arr
 
     while len(trace) < budget:
@@ -214,13 +217,8 @@ def bayes_optimize(space: SearchSpace, objective, budget: int,
         trace.append((params, val))
         raw_values.append(val)
 
-    arr = np.array(raw_values, dtype=np.float64)
-    finite = np.isfinite(arr)
-    if finite.any():
-        masked = np.where(finite, arr, -np.inf)
-        best_i = int(np.argmax(masked))
-    else:
-        best_i = 0
+    # penalized puts non-finite values last; if all are, index 0 wins
+    best_i = int(np.argmax(penalized(raw_values)))
     return OptResult(best_params=trace[best_i][0],
                      best_value=raw_values[best_i],
                      trace=trace)

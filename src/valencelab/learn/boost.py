@@ -226,20 +226,20 @@ class GradientBoostedTrees:
     def fit_folds(cls, models, Xs, ys, n_classes: int):
         """Fit models[i] on (Xs[i], ys[i]) for every i, in lockstep.
 
-        Models may differ in any setting. Folds whose features bin to the
-        same count share one lockstep pass.
+        Models may differ in any setting. Every fold's histograms hold the
+        largest bin count of any fold; the bins above a fold's own count
+        hold none of its rows, so no split there is ever taken.
         """
-        passes = {}
+        members = []
         for model, X, y in zip(models, Xs, ys):
             X = np.asarray(X, dtype=np.float64)
             if X.shape[0] == 0:
                 raise ContractViolationError("empty training set")
             model._fit_bins(X)
-            n_bins = max(2, max(u.size for u in model.bin_values_))
-            passes.setdefault(n_bins, []).append(
+            members.append(
                 (model, model._bin(X), np.asarray(y, dtype=np.int64)))
-        for n_bins, members in passes.items():
-            _Lockstep(members, n_classes, n_bins).run()
+        n_bins = max(2, max(u.size for m in models for u in m.bin_values_))
+        _Lockstep(members, n_classes, n_bins).run()
         return models
 
     def predict_proba(self, X):

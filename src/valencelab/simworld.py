@@ -339,18 +339,7 @@ class CohortSpec:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "CohortSpec":
-        kwargs = {}
-        types = {f.name: f.type for f in fields(cls)}
-        for key, raw in mapping.items():
-            if key not in types:
-                raise ConfigurationError(f"unknown cohort key {key!r}")
-            kind = types[key]
-            try:
-                kwargs[key] = int(raw) if kind == "int" else float(raw)
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"bad value for {key!r}: {raw!r}") from exc
-        return cls(**kwargs)
+        return cls(**typed_fields(cls, mapping, "cohort"))
 
 
 def parse_kv_config(text: str) -> dict:
@@ -365,6 +354,37 @@ def parse_kv_config(text: str) -> dict:
         key, val = line.split("=", 1)
         out[key.strip()] = val.strip()
     return out
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() not in ("true", "false"):
+        raise ValueError(raw)
+    return raw.lower() == "true"
+
+
+# each config field's text parser, by the field's annotation
+_FIELD_PARSERS = {
+    "int": int, "float": float, "bool": _parse_bool, "str": str,
+    "tuple": lambda raw: tuple(v.strip() for v in raw.split(",")
+                               if v.strip()),
+}
+
+
+def typed_fields(cls, mapping: dict, what: str) -> dict:
+    """Constructor arguments for dataclass `cls` from `key = value` text,
+    each value parsed by its field's annotation. `what` names the kind of
+    config in the error for a key that `cls` has no field for."""
+    types = {f.name: f.type for f in fields(cls)}
+    kwargs = {}
+    for key, raw in mapping.items():
+        if key not in types:
+            raise ConfigurationError(f"unknown {what} key {key!r}")
+        try:
+            kwargs[key] = _FIELD_PARSERS[types[key]](raw)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"bad value for {key!r}: {raw!r}") from exc
+    return kwargs
 
 
 def load_cohort_spec(path) -> CohortSpec:

@@ -139,12 +139,19 @@ def decode_envelope(data: bytes) -> tuple[SignedEnvelope, dict]:
     if off != len(data):
         raise ContractViolationError("trailing bytes after envelope")
     header = json.loads(sections[0])
+    if not isinstance(header, dict):
+        raise ContractViolationError("envelope header is not a JSON object")
     if header.get("version") != WIRE_VERSION:
         raise ContractViolationError(f"unknown wire version {header.get('version')}")
-    env = SignedEnvelope(payload=bytes(sections[1]),
-                         signer=header["entity_id"],
-                         signature=bytes(sections[2]),
-                         nonce=bytes.fromhex(header["nonce"]))
+    signer, nonce = header["entity_id"], header["nonce"]
+    if not isinstance(signer, str):
+        raise ContractViolationError("envelope signer is not a string")
+    try:
+        nonce = bytes.fromhex(nonce)
+    except (TypeError, ValueError) as exc:
+        raise ContractViolationError("envelope nonce is not hex") from exc
+    env = SignedEnvelope(payload=bytes(sections[1]), signer=signer,
+                         signature=bytes(sections[2]), nonce=nonce)
     return env, header
 
 
@@ -171,9 +178,12 @@ class SyncBatch:
     def from_dict(cls, d: dict) -> "SyncBatch":
         if d.get("kind") != "sync":
             raise ContractViolationError("payload is not a sync batch")
+        try:
+            records = tuple(Record.from_dict(r) for r in d["records"])
+        except TypeError as exc:    # not a list of JSON objects
+            raise ContractViolationError("malformed sync records") from exc
         return cls(batch_id=d["batch_id"], entity_id=d["entity_id"],
-                   records=tuple(Record.from_dict(r) for r in d["records"]),
-                   created_at=d["created_at"])
+                   records=records, created_at=d["created_at"])
 
 
 def make_batch(store: LocalStore, max_records: int = DEFAULT_MAX_RECORDS,

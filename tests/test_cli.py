@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from valencelab import cli
-from valencelab.cli import (ExperimentConfig, _parse_funnel_rows, _read_csv,
+from valencelab.cli import (FUNNEL_COLUMNS, ExperimentConfig, _read_rows,
                             _rebuild_store, drive_agents,
                             load_experiment_config, main, run_experiment)
 from valencelab.errors import ConfigurationError, ContractViolationError
@@ -119,7 +119,7 @@ def test_small_cohort_funnel(small_run):
     result, _ = small_run
     assert result.funnel_counts == {"total": 6, "with_demographics": 5,
                                     "eligible": 2}
-    rows = _parse_funnel_rows(_read_csv(result.out_dir / "funnel.csv"))
+    rows = _read_rows(result.out_dir / "funnel.csv", FUNNEL_COLUMNS)
     reasons = {r["entity_id"]: r["reason"] for r in rows}
     assert sorted(reasons.values()) == sorted(
         ["demographics", "min_reports", "min_classes", "imbalance",
@@ -131,7 +131,7 @@ def test_small_cohort_funnel(small_run):
 def test_report_recounts_the_funnel_the_pipeline_counted(run, request,
                                                          tmp_path, capsys):
     result, cohort_path = request.getfixturevalue(run)
-    rows = _parse_funnel_rows(_read_csv(result.out_dir / "funnel.csv"))
+    rows = _read_rows(result.out_dir / "funnel.csv", FUNNEL_COLUMNS)
     assert funnel_counts(rows) == result.funnel_counts
     out = tmp_path / "report"
     shutil.copytree(result.out_dir, out)
@@ -189,7 +189,7 @@ def test_rerun_reproduces_the_hash(small_run, tmp_path):
     result, cohort_path = small_run
     config = ExperimentConfig(seed=7, out=str(tmp_path / "out2"),
                               cohort=str(cohort_path), budget=5)
-    again = run_experiment(config, write=False)
+    again = run_experiment(config)
     assert again.digest == result.digest
     assert again.funnel_rows == result.funnel_rows
     # durations are wall clock and may differ; everything else must match

@@ -19,7 +19,8 @@ from valencelab.expanse import (EligibilityRules, EntitySummary, MemoryStore,
                                 imbalance_degree, ingest,
                                 predict_request_payload)
 from valencelab.learn import ClusterModel, train
-from valencelab.syncsec import (KeyRegistry, SyncBatch, derive_keypair,
+from valencelab.syncsec import (KeyRegistry, SignedEnvelope, SyncBatch,
+                                canonical_json, derive_keypair,
                                 encode_envelope, make_batch, sign)
 
 
@@ -345,6 +346,15 @@ def test_sync_server_rejects_a_payload_that_is_not_an_object():
     store, registry, keys = _trained_service()
     server = SyncServer(store, keys, registry)
     priv, _ = derive_keypair(7, "e1")
-    for body in (b"[]", b'"sync"', b"3"):
+    records_5 = canonical_json({"kind": "sync", "batch_id": 1,
+                                "entity_id": "e1", "created_at": 0.0,
+                                "records": 5})
+    envelopes = [sign(priv, body, "e1") for body in (
+        b"[]", b'"sync"', b"3", records_5,
+        predict_request_payload("e1", "abc", 0.0, 0.0),
+        predict_request_payload("e1", [1], 0.0, 0.0))]
+    # the batch is parsed before its signature is checked
+    envelopes.append(SignedEnvelope(records_5, "e1", b"\0" * 64, b"\0" * 16))
+    for env in envelopes:
         with pytest.raises(ContractViolationError):
-            server.receive(encode_envelope(sign(priv, body, "e1"), 0))
+            server.receive(encode_envelope(env, 0))

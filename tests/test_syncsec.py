@@ -356,12 +356,32 @@ def _section(data: bytes) -> bytes:
     return struct.pack(">I", len(data)) + data
 
 
+def _header(**fields) -> bytes:
+    header = dict({"version": 1, "entity_id": "e001", "batch_id": 1,
+                   "nonce": "00"}, **fields)
+    return _section(canonical_json(header)) + _section(b"{}") + _section(b"")
+
+
+def _signed_records(records) -> bytes:
+    payload = canonical_json({"kind": "sync", "batch_id": 1,
+                              "entity_id": "e001", "created_at": 0.0,
+                              "records": records})
+    return encode_envelope(sign(derive_keypair(7, "e001")[0], payload,
+                                "e001"), 1)
+
+
 @pytest.mark.parametrize("body", [
     b"\x00\x01\x02garbage\xff" * 8,                       # bad framing
     _section(b"garbage") + _section(b"{}") + _section(b""),  # bad JSON
     _section(b"\x80\x81") + _section(b"{}") + _section(b""),  # not UTF-8
     _section(b'{"version":1}') + _section(b"{}") + _section(b""),  # no keys
-], ids=["framing", "json", "utf8", "keys"])
+    _section(b"[]") + _section(b"{}") + _section(b""),     # header a list
+    _header(nonce="zz"),
+    _header(nonce=5),
+    _header(entity_id=["e001"]),
+    _signed_records(5),
+], ids=["framing", "json", "utf8", "keys", "header_list", "nonce_not_hex",
+        "nonce_int", "signer_list", "records_int"])
 def test_socket_server_answers_garbage_with_bad_request(body):
     reg = KeyRegistry.for_entities(7, ["e001"])
     started = time.monotonic()
