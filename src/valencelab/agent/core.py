@@ -68,7 +68,16 @@ class Record:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Record":
-        return cls(d["uuid"], d["kind"], d["t"], d["x"], d["y"], d["payload"])
+        """The record of a JSON object from outside the program. A field of
+        the wrong type is a ContractViolationError; NaN is a number."""
+        uuid, kind, t, x, y, payload = (
+            d["uuid"], d["kind"], d["t"], d["x"], d["y"], d["payload"])
+        # type(), not isinstance(): a JSON true is a bool, not a number
+        if not (type(uuid) is str and type(kind) is str
+                and type(payload) is str and type(t) in (int, float)
+                and type(x) in (int, float) and type(y) in (int, float)):
+            raise ContractViolationError("record field of the wrong type")
+        return cls(uuid, kind, t, x, y, payload)
 
 
 class LocalStore:

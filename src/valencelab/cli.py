@@ -54,10 +54,10 @@ from .simworld import (Cohort, CohortSpec, EntityProfile, FaultPlan, SimClock,
                        build_cohort, events_to_jsonl, load_cohort_spec,
                        load_fault_plan, parse_kv_config, run_cohort,
                        typed_fields)
-from .syncsec import (FaultyTransport, KeyRegistry, LoopbackTransport,
-                      SocketServer, SocketTransport, SyncClient,
+from .syncsec import (FaultyTransport, LoopbackTransport, SocketServer,
+                      SocketTransport, SyncClient, SyncSchedulerState,
                       derive_keypair, encode_envelope, max_frame_bytes,
-                      sign)
+                      public_keys, sign)
 
 log = logging.getLogger("valencelab.cli")
 
@@ -182,9 +182,8 @@ def simulate_stage(config: ExperimentConfig):
 @dataclass
 class DriveResult:
     mstore: MemoryStore
-    keys: KeyRegistry
+    keys: dict                # entity_id -> raw public key bytes
     private_keys: dict
-    server: SyncServer
     transport: FaultyTransport
     agents: dict              # battery: agents[eid].energy_spent
     recoveries: list          # (entity_id, crash_t, revive_t)
@@ -196,13 +195,13 @@ def drive_agents(cohort: Cohort, events, plan: FaultPlan,
     """Windowed replay of one timeline: events and lifecycle faults in time
     order, periodic checks (feed, revive, homeostasis) at every step_s
     boundary, sync attempts on each client's own schedule."""
-    keys = KeyRegistry()
+    keys = {}
     private_keys = {}
     mstore = _registered_store(cohort.profiles)
     for prof in cohort.profiles:
         sk, pk = derive_keypair(config.seed, prof.entity_id)
         private_keys[prof.entity_id] = sk
-        keys.register(prof.entity_id, pk)
+        keys[prof.entity_id] = pk
 
     server = SyncServer(mstore, keys)
     transport = FaultyTransport(LoopbackTransport(server), plan)
@@ -212,13 +211,11 @@ def drive_agents(cohort: Cohort, events, plan: FaultPlan,
     next_sync = {}
     for prof in cohort.profiles:
         eid = prof.entity_id
-        client = SyncClient(
+        clients[eid] = SyncClient(
             store=agents[eid].store, private_key=private_keys[eid],
             entity_id=eid, transport=transport,
+            scheduler=SyncSchedulerState(base_min, base_min),
             max_records=config.sync_max_records)
-        client.scheduler.base_interval_min = base_min
-        client.scheduler.current_interval_min = base_min
-        clients[eid] = client
         next_sync[eid] = base_min * 60.0
 
     horizon = cohort.spec.days * 86400.0
@@ -296,7 +293,7 @@ def drive_agents(cohort: Cohort, events, plan: FaultPlan,
             raise PipelineError(f"sync for {eid} refused to quiesce")
 
     return DriveResult(
-        mstore=mstore, keys=keys, private_keys=private_keys, server=server,
+        mstore=mstore, keys=keys, private_keys=private_keys,
         transport=transport, agents=agents, recoveries=recoveries,
         sentiment_counts=sentiment_counts)
 
@@ -662,7 +659,6 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     model_rows, registry, registry_doc = learn_stage(
         drive.mstore, funnel_rows, config)
     model_rows = _roundtrip(model_rows, MODEL_COLUMNS)
-    drive.server.models = registry
     stats_text, *boxes = evaluate_stage(model_rows, config)
     summary_text, digest = report_stage(
         funnel_rows, counts, model_rows, config, stats_text)
@@ -704,7 +700,7 @@ def _server_from_artifacts(out: Path):
     doc = _models_doc(out)
     profiles = _load_cohort_file(out)
     seed = int(doc["seed"])
-    keys = KeyRegistry.for_entities(seed, [p.entity_id for p in profiles])
+    keys = public_keys(seed, [p.entity_id for p in profiles])
     return (SyncServer(_registered_store(profiles), keys,
                        _registry_from_doc(doc)), seed)
 
@@ -714,7 +710,7 @@ def _predict_once(transport, seed: int, entity: str, as_entity: str,
     sk, _ = derive_keypair(seed, as_entity)
     payload = predict_request_payload(entity, x, y, t)
     envelope = sign(sk, payload, as_entity)
-    _, reply = transport.send(encode_envelope(envelope), as_entity)
+    reply = transport.send(encode_envelope(envelope), as_entity)
     if reply is None:
         raise PipelineError("no reply from server")
     doc = json.loads(reply)

@@ -33,13 +33,6 @@ def leaf_weight(G, H, lam):
     return -G / (H + lam)
 
 
-def split_gain(GL, HL, GR, HR, lam):
-    """Loss reduction of a split, before any learning-rate shrinkage."""
-    def half_sq(G, H):
-        return G * G / (H + lam)
-    return 0.5 * (half_sq(GL, HL) + half_sq(GR, HR) - half_sq(GL + GR, HL + HR))
-
-
 def _mapped(shape, dtype) -> np.ndarray:
     """A zeroed array in its own anonymous memory mapping. Pages are
     committed only when written, and all of them return to the system

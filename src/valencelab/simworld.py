@@ -273,20 +273,10 @@ class Event:
             "x": self.x, "y": self.y, "payload": self.payload,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Event":
-        return cls(d["uuid"], d["entity_id"], d["kind"], d["t"],
-                   d["x"], d["y"], d["payload"])
-
 
 def events_to_jsonl(events) -> str:
     return "".join(json.dumps(e.to_dict(), sort_keys=True) + "\n"
                    for e in events)
-
-
-def events_from_jsonl(text: str):
-    return [Event.from_dict(json.loads(line))
-            for line in text.splitlines() if line.strip()]
 
 
 @dataclass(frozen=True)

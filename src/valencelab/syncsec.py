@@ -7,9 +7,11 @@ JSON body, raw signature); the signature covers body bytes plus nonce, so
 any payload tamper invalidates it. Ed25519 keys derive deterministically
 from (install seed, entity id).
 
-The transport layer is swappable: an in-process loopback and a real TCP
-socket share the same bytes, and a fault-injecting wrapper applies scheduled
-drop/duplicate/outage behavior to either.
+The transport layer is swappable: every transport's send(message,
+entity_id) returns the reply bytes, or None when nothing came back. An
+in-process loopback and a real TCP socket share the same bytes, and a
+fault-injecting wrapper applies scheduled drop/duplicate/outage behavior to
+either.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import hashlib
 import json
 import logging
 import socket
+import socketserver
 import struct
 import threading
 import time
@@ -53,25 +56,9 @@ def derive_keypair(install_seed: int, entity_id: str):
     return priv, pub
 
 
-class KeyRegistry:
+def public_keys(install_seed: int, entity_ids) -> dict[str, bytes]:
     """entity_id -> raw public key bytes, as known to the cloud side."""
-
-    def __init__(self):
-        self._keys: dict[str, bytes] = {}
-
-    def register(self, entity_id: str, public_bytes: bytes) -> None:
-        self._keys[entity_id] = bytes(public_bytes)
-
-    def get(self, entity_id: str) -> bytes | None:
-        return self._keys.get(entity_id)
-
-    @classmethod
-    def for_entities(cls, install_seed: int, entity_ids) -> "KeyRegistry":
-        reg = cls()
-        for eid in entity_ids:
-            _, pub = derive_keypair(install_seed, eid)
-            reg.register(eid, pub)
-        return reg
+    return {eid: derive_keypair(install_seed, eid)[1] for eid in entity_ids}
 
 
 @dataclass(frozen=True)
@@ -91,14 +78,14 @@ def sign(secret_key, payload: bytes, signer: str) -> SignedEnvelope:
                           signature=signature, nonce=nonce)
 
 
-def verify_and_scope(envelope: SignedEnvelope, registry: KeyRegistry,
+def verify_and_scope(envelope: SignedEnvelope, keys: dict[str, bytes],
                      requested_entity: str | None = None) -> str:
     """Return the verified signer id; any data access must be filtered to it.
 
     Raises AuthError("reject") for unknown keys or bad signatures and
     AuthError("scope") when the signer asks about someone else.
     """
-    pub = registry.get(envelope.signer)
+    pub = keys.get(envelope.signer)
     if pub is None:
         raise AuthError("reject", f"unknown signer {envelope.signer!r}")
     key = ed25519.Ed25519PublicKey.from_public_bytes(pub)
@@ -247,8 +234,8 @@ class LoopbackTransport:
     def __init__(self, server):
         self.server = server
 
-    def send(self, message: bytes, entity_id: str):
-        return "delivered", self.server.receive(message)
+    def send(self, message: bytes, entity_id: str) -> bytes | None:
+        return self.server.receive(message)
 
 
 class FaultyTransport:
@@ -281,29 +268,21 @@ class FaultyTransport:
             elif f.kind in ("dup_delivery", "drop_delivery"):
                 self._oneshot.setdefault(f.entity_id, []).append(f.kind)
 
-    def send(self, message: bytes, entity_id: str):
+    def send(self, message: bytes, entity_id: str) -> bytes | None:
         if entity_id in self._down:
             self.outcomes.append((entity_id, "dropped"))
-            return "dropped", None
+            return None
         queued = self._oneshot.get(entity_id)
         marker = queued.pop(0) if queued else None
         if marker == "drop_delivery":
             self.outcomes.append((entity_id, "dropped"))
-            return "dropped", None
+            return None
         if marker == "dup_delivery":
             self.inner.send(message, entity_id)
-            _, ack = self.inner.send(message, entity_id)
-            self.outcomes.append((entity_id, "duplicated"))
-            return "duplicated", ack
-        _, ack = self.inner.send(message, entity_id)
-        self.outcomes.append((entity_id, "delivered"))
-        return "delivered", ack
-
-
-def transmit(transport, envelope: SignedEnvelope, batch_id: int = 0):
-    """Encode and send one envelope; returns (outcome, ack bytes or None)."""
-    return transport.send(encode_envelope(envelope, batch_id),
-                          envelope.signer)
+        reply = self.inner.send(message, entity_id)
+        self.outcomes.append(
+            (entity_id, "duplicated" if marker else "delivered"))
+        return reply
 
 
 _FRAME = struct.Struct(">I")
@@ -368,12 +347,11 @@ class SocketTransport:
         self.port = port
         self.timeout_s = timeout_s
 
-    def send(self, message: bytes, entity_id: str):
+    def send(self, message: bytes, entity_id: str) -> bytes | None:
         with socket.create_connection((self.host, self.port),
                                       timeout=self.timeout_s) as sock:
             _send_framed(sock, message)
-            ack = _recv_framed(sock)
-        return "delivered", ack
+            return _recv_framed(sock)
 
 
 # What decoding a malformed request raises: bad framing or a broken
@@ -383,77 +361,75 @@ _BAD_REQUEST_ERRORS = (ContractViolationError, UnicodeDecodeError,
                       json.JSONDecodeError, KeyError)
 
 
-class SocketServer:
-    """Threaded localhost server feeding framed messages to handler.receive.
+class _FrameHandler(socketserver.BaseRequestHandler):
+    """One framed request and one framed reply on an accepted connection."""
+
+    def handle(self) -> None:
+        conn, server = self.request, self.server
+        # None: the client hung up, or announced an oversized frame, which
+        # closes the connection unread
+        try:
+            msg = _recv_framed(conn, server.max_frame,
+                               time.monotonic() + READ_DEADLINE_S)
+        except OSError as exc:      # the deadline passed, or a reset
+            log.info("dropped a client: %r", exc)
+            return
+        if msg is None:
+            return
+        try:
+            reply = server.handler.receive(msg)
+        except AuthError as exc:
+            reply = canonical_json(
+                {"ok": False, "error": "auth", "kind": exc.kind})
+        except _BAD_REQUEST_ERRORS as exc:
+            log.info("bad request: %r", exc)
+            reply = canonical_json({"ok": False, "error": "bad_request"})
+        except Exception as exc:  # surface, never kill the server
+            log.warning("server handler failed: %s", exc)
+            reply = canonical_json({"ok": False, "error": "internal"})
+        try:
+            conn.settimeout(READ_DEADLINE_S)
+            _send_framed(conn, reply)
+        except OSError as exc:      # the client went away
+            log.info("could not reply: %r", exc)
+
+
+class SocketServer(socketserver.TCPServer):
+    """Localhost server feeding framed messages to handler.receive, one
+    connection at a time on a background thread.
 
     A frame announcing more than max_frame bytes is refused: its connection
     closes before any of its body is read. A client whose frame has not
     arrived READ_DEADLINE_S after its connection was accepted, or whose
-    connection fails, is treated as one that hung up. A malformed request
-    is answered with error "bad_request", a failed signature or scope
-    check with "auth", and any other handler failure with "internal".
+    connection fails, is treated as one that hung up. A failed accept()
+    costs only that try. A malformed request is answered with error
+    "bad_request", a failed signature or scope check with "auth", and any
+    other handler failure with "internal".
     """
+
+    allow_reuse_address = True
+    request_queue_size = 16
 
     def __init__(self, handler, host: str = "127.0.0.1", port: int = 0,
                  max_frame: int = max_frame_bytes()):
         self.handler = handler
         self.max_frame = max_frame
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(16)
-        self.host, self.port = self._sock.getsockname()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def _serve(self) -> None:
-        self._sock.settimeout(0.1)
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            with conn:
-                # None: the client hung up, or announced an oversized frame,
-                # which closes the connection unread
-                try:
-                    msg = _recv_framed(conn, self.max_frame,
-                                       time.monotonic() + READ_DEADLINE_S)
-                except OSError as exc:      # the deadline passed, or a reset
-                    log.info("dropped a client: %r", exc)
-                    continue
-                if msg is None:
-                    continue
-                try:
-                    reply = self.handler.receive(msg)
-                except AuthError as exc:
-                    reply = canonical_json(
-                        {"ok": False, "error": "auth", "kind": exc.kind})
-                except _BAD_REQUEST_ERRORS as exc:
-                    log.info("bad request: %r", exc)
-                    reply = canonical_json(
-                        {"ok": False, "error": "bad_request"})
-                except Exception as exc:  # surface, never kill the server
-                    log.warning("server handler failed: %s", exc)
-                    reply = canonical_json({"ok": False, "error": "internal"})
-                try:
-                    conn.settimeout(READ_DEADLINE_S)
-                    _send_framed(conn, reply)
-                except OSError as exc:      # the client went away
-                    log.info("could not reply: %r", exc)
+        self._started = False
+        super().__init__((host, port), _FrameHandler)
+        self.host, self.port = self.server_address
 
     def start(self) -> "SocketServer":
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
+        self._started = True
+        threading.Thread(target=self.serve_forever, args=(0.1,),
+                         daemon=True).start()
         return self
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-        self._sock.close()
+        # shutdown() waits for serve_forever to return, so it would block
+        # forever on a server that never started serving
+        if self._started:
+            self.shutdown()
+        self.server_close()
 
     def __enter__(self):
         return self.start()
@@ -482,12 +458,10 @@ class SyncClient:
         if batch is None:
             return "idle"
         envelope = sign(self.private_key, batch.to_payload(), self.entity_id)
-        _, ack_bytes = transmit(self.transport, envelope, batch.batch_id)
-        if ack_bytes is None:
-            next_sync_interval(self.scheduler, "no_connectivity")
-            return "no_connectivity"
-        ack = json.loads(ack_bytes)
-        if not ack.get("ok"):
+        reply = self.transport.send(
+            encode_envelope(envelope, batch.batch_id), self.entity_id)
+        ack = None if reply is None else json.loads(reply)
+        if ack is None or not ack.get("ok"):
             next_sync_interval(self.scheduler, "no_connectivity")
             return "no_connectivity"
         handle_ack(self.store, ack["batch_id"], now)

@@ -1,11 +1,10 @@
-"""Boosting internals: closed-form leaves, gain accounting, descent."""
+"""Boosting internals: closed-form leaves, descent, determinism."""
 
 import numpy as np
 
 from valencelab.learn.boost import (
     GradientBoostedTrees,
     leaf_weight,
-    split_gain,
 )
 
 
@@ -20,17 +19,6 @@ def test_leaf_weight_closed_form_random_triples():
         H = float(rng.uniform(0.01, 10))
         lam = float(rng.uniform(0, 10))
         assert abs(leaf_weight(G, H, lam) - (-G / (H + lam))) <= 1e-12
-
-
-def test_split_gain_matches_manual_formula():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        GL, GR = rng.uniform(-5, 5, size=2)
-        HL, HR = rng.uniform(0.01, 5, size=2)
-        lam = float(rng.uniform(0, 5))
-        manual = 0.5 * (GL ** 2 / (HL + lam) + GR ** 2 / (HR + lam)
-                        - (GL + GR) ** 2 / (HL + HR + lam))
-        assert abs(split_gain(GL, HL, GR, HR, lam) - manual) <= 1e-12
 
 
 def make_fixture(seed, n=150):

@@ -2,8 +2,14 @@
 
 import json
 import math
+import select
 import shutil
+import socket
+import subprocess
+import sys
+import time
 from concurrent import futures
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -345,6 +351,37 @@ def test_serve_command_starts_and_stops(small_run, capsys):
     rc = main(["serve", "--out", str(result.out_dir), "--max-seconds", "0.2"])
     assert rc == 0
     assert "serving on 127.0.0.1:" in capsys.readouterr().out
+
+
+def test_serve_exits_on_sigterm_with_an_idle_client_connected(small_run):
+    """The benchmark stops `valencelab serve` with SIGTERM and kills it
+    after 10 s; a client that connected and sent nothing must not hold it
+    past that, and the launcher still reports its peak RSS."""
+    result, _ = small_run
+    launcher = Path(__file__).resolve().parents[1] / "bench" / \
+        "serve_launcher.py"
+    proc = subprocess.Popen(
+        [sys.executable, str(launcher), "--", "serve",
+         "--out", str(result.out_dir), "--host", "127.0.0.1", "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 60.0)
+        line = proc.stdout.readline() if ready else ""
+        assert line.startswith("serving on 127.0.0.1:"), line
+        port = int(line.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=5.0):
+            time.sleep(0.2)         # the server is now waiting on it
+            started = time.monotonic()
+            proc.terminate()
+            out, _ = proc.communicate(timeout=10.0)
+        assert time.monotonic() - started < 10.0
+        assert proc.returncode == 0
+        assert "peak_rss_kb " in out
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
 
 def test_exit_code_2_for_bad_configuration(tmp_path, capsys):

@@ -19,9 +19,9 @@ from valencelab.expanse import (EligibilityRules, EntitySummary, MemoryStore,
                                 imbalance_degree, ingest,
                                 predict_request_payload)
 from valencelab.learn import ClusterModel, train
-from valencelab.syncsec import (KeyRegistry, SignedEnvelope, SyncBatch,
-                                canonical_json, derive_keypair,
-                                encode_envelope, make_batch, sign)
+from valencelab.syncsec import (SignedEnvelope, SyncBatch, canonical_json,
+                                derive_keypair, encode_envelope, public_keys,
+                                sign)
 
 
 def _report(uuid, t=0.0, x=0.0, y=0.0, label="neutral"):
@@ -271,7 +271,7 @@ def _trained_service():
     model = train("logreg", X, y, n_classes=3)
     registry = ModelRegistry()
     registry.register("e1", model, cluster)
-    keys = KeyRegistry.for_entities(7, ["e1", "e2"])
+    keys = public_keys(7, ["e1", "e2"])
     return store, registry, keys
 
 
@@ -346,11 +346,19 @@ def test_sync_server_rejects_a_payload_that_is_not_an_object():
     store, registry, keys = _trained_service()
     server = SyncServer(store, keys, registry)
     priv, _ = derive_keypair(7, "e1")
-    records_5 = canonical_json({"kind": "sync", "batch_id": 1,
-                                "entity_id": "e1", "created_at": 0.0,
-                                "records": 5})
+
+    def sync_body(records):
+        return canonical_json({"kind": "sync", "batch_id": 1,
+                               "entity_id": "e1", "created_at": 0.0,
+                               "records": records})
+
+    records_5 = sync_body(5)
+    record = _report("c").to_dict()
     envelopes = [sign(priv, body, "e1") for body in (
         b"[]", b'"sync"', b"3", records_5,
+        sync_body([dict(record, t="x")]),
+        sync_body([dict(record, uuid=["c"])]),
+        sync_body([dict(record, x=True)]),
         predict_request_payload("e1", "abc", 0.0, 0.0),
         predict_request_payload("e1", [1], 0.0, 0.0))]
     # the batch is parsed before its signature is checked
@@ -358,3 +366,5 @@ def test_sync_server_rejects_a_payload_that_is_not_an_object():
     for env in envelopes:
         with pytest.raises(ContractViolationError):
             server.receive(encode_envelope(env, 0))
+    # nothing was stored: the entity's log still sorts
+    assert len(store.events("e1")) == len(_dataset_store().events("e1"))

@@ -1,8 +1,10 @@
 """Sync protocol: signing, wire framing, batching, retries, transports."""
 
+import errno
 import json
 import socket
 import struct
+import threading
 import time
 
 import pytest
@@ -13,14 +15,14 @@ from valencelab import syncsec
 from valencelab.agent import LocalStore, Record
 from valencelab.errors import AuthError, ContractViolationError
 from valencelab.simworld import Fault, FaultPlan
-from valencelab.syncsec import (SYNC_FLOOR_MIN, FaultyTransport, KeyRegistry,
+from valencelab.syncsec import (SYNC_FLOOR_MIN, FaultyTransport,
                                 LoopbackTransport, SignedEnvelope,
                                 SocketServer, SocketTransport, SyncBatch,
                                 SyncClient, SyncSchedulerState,
                                 canonical_json, decode_envelope,
                                 derive_keypair, encode_envelope, handle_ack,
                                 make_batch, max_frame_bytes,
-                                next_sync_interval, sign, transmit,
+                                next_sync_interval, public_keys, sign,
                                 verify_and_scope)
 
 
@@ -65,8 +67,7 @@ def test_keypair_is_deterministic_per_entity():
 
 def test_sign_verify_round_trip_and_reproducibility():
     priv, pub = derive_keypair(7, "e001")
-    reg = KeyRegistry()
-    reg.register("e001", pub)
+    reg = {"e001": pub}
     env = sign(priv, b"hello", "e001")
     assert verify_and_scope(env, reg) == "e001"
     assert verify_and_scope(env, reg, requested_entity="e001") == "e001"
@@ -77,7 +78,7 @@ def test_sign_verify_round_trip_and_reproducibility():
 
 def test_tampering_is_rejected():
     priv, pub = derive_keypair(7, "e001")
-    reg = KeyRegistry.for_entities(7, ["e001", "e002"])
+    reg = public_keys(7, ["e001", "e002"])
     env = sign(priv, b'{"n":1}', "e001")
     flipped = bytes([env.payload[0] ^ 1]) + env.payload[1:]
     for bad in (
@@ -101,12 +102,12 @@ def test_tampering_is_rejected():
 
 def test_unknown_signer_and_scope_violation():
     priv, pub = derive_keypair(7, "e001")
-    reg = KeyRegistry()
+    reg = {}
     env = sign(priv, b"x", "e001")
     with pytest.raises(AuthError) as err:
         verify_and_scope(env, reg)
     assert err.value.kind == "reject"
-    reg.register("e001", pub)
+    reg["e001"] = pub
     with pytest.raises(AuthError) as err:
         verify_and_scope(env, reg, requested_entity="e002")
     assert err.value.kind == "scope"
@@ -233,7 +234,7 @@ def _client(server, transport=None) -> SyncClient:
 
 
 def test_loopback_sync_round_trip():
-    server = EchoServer(KeyRegistry.for_entities(7, ["e001"]))
+    server = EchoServer(public_keys(7, ["e001"]))
     client = _client(server)
     assert client.attempt(now=5.0) == "ok"
     assert client.attempt(now=6.0) == "idle"
@@ -243,7 +244,7 @@ def test_loopback_sync_round_trip():
 
 
 def test_faulty_transport_outage_window():
-    server = EchoServer(KeyRegistry.for_entities(7, ["e001"]))
+    server = EchoServer(public_keys(7, ["e001"]))
     plan = FaultPlan([Fault(10.0, "e001", "net_down"),
                       Fault(50.0, "e001", "net_up")])
     transport = FaultyTransport(LoopbackTransport(server), plan)
@@ -258,7 +259,7 @@ def test_faulty_transport_outage_window():
 
 
 def test_faulty_transport_oneshot_markers():
-    server = EchoServer(KeyRegistry.for_entities(7, ["e001"]))
+    server = EchoServer(public_keys(7, ["e001"]))
     plan = FaultPlan([Fault(1.0, "e001", "drop_delivery"),
                       Fault(2.0, "e001", "dup_delivery")])
     transport = FaultyTransport(LoopbackTransport(server), plan)
@@ -276,7 +277,7 @@ def test_faulty_transport_oneshot_markers():
 
 
 def test_faulty_transport_ignores_other_entities():
-    server = EchoServer(KeyRegistry.for_entities(7, ["e001", "e002"]))
+    server = EchoServer(public_keys(7, ["e001", "e002"]))
     plan = FaultPlan([Fault(0.0, "e002", "net_down")])
     transport = FaultyTransport(LoopbackTransport(server), plan)
     transport.advance_to(1.0, "e002")
@@ -291,25 +292,25 @@ def test_faulty_transport_applies_each_entitys_faults_at_its_own_time():
 
     class Inner:
         def send(self, message, entity_id):
-            return "delivered", b"ack"
+            return b"ack"
 
     plan = FaultPlan([Fault(100.0, "e002", "net_down"),
                       Fault(750.0, "e002", "net_up"),
                       Fault(760.0, "e002", "drop_delivery")])
     transport = FaultyTransport(Inner(), plan)
     transport.advance_to(800.0, "e001")
-    assert transport.send(b"a", "e001") == ("delivered", b"ack")
+    assert transport.send(b"a", "e001") == b"ack"
     transport.advance_to(700.0, "e002")
-    assert transport.send(b"b", "e002") == ("dropped", None)   # still down
+    assert transport.send(b"b", "e002") is None     # still down
     transport.advance_to(800.0, "e002")
-    assert transport.send(b"b", "e002") == ("dropped", None)   # its marker
-    assert transport.send(b"b", "e002") == ("delivered", b"ack")
+    assert transport.send(b"b", "e002") is None     # its marker
+    assert transport.send(b"b", "e002") == b"ack"
     assert transport.outcomes == [("e001", "delivered"), ("e002", "dropped"),
                                   ("e002", "dropped"), ("e002", "delivered")]
 
 
 def test_socket_transport_matches_loopback_bytes():
-    reg = KeyRegistry.for_entities(7, ["e001"])
+    reg = public_keys(7, ["e001"])
     with SocketServer(EchoServer(reg)) as srv:
         transport = SocketTransport(srv.host, srv.port)
         client = _client(srv.handler, transport)
@@ -318,7 +319,7 @@ def test_socket_transport_matches_loopback_bytes():
 
 
 def test_socket_server_reports_auth_and_internal_errors():
-    reg = KeyRegistry.for_entities(7, ["e001"])
+    reg = public_keys(7, ["e001"])
 
     class Boom:
         def receive(self, message):
@@ -327,18 +328,18 @@ def test_socket_server_reports_auth_and_internal_errors():
     stranger_priv, _ = derive_keypair(99, "intruder")
     env = sign(stranger_priv, b"{}", "intruder")
     with SocketServer(EchoServer(reg)) as srv:
-        _, reply = SocketTransport(srv.host, srv.port).send(
+        reply = SocketTransport(srv.host, srv.port).send(
             encode_envelope(env, 1), "intruder")
         got = json.loads(reply)
         assert got == {"ok": False, "error": "auth", "kind": "reject"}
     with SocketServer(Boom()) as srv:
-        _, reply = SocketTransport(srv.host, srv.port).send(
+        reply = SocketTransport(srv.host, srv.port).send(
             encode_envelope(env, 1), "intruder")
         assert json.loads(reply) == {"ok": False, "error": "internal"}
 
 
 def test_socket_server_refuses_oversized_frame_and_keeps_serving():
-    reg = KeyRegistry.for_entities(7, ["e001"])
+    reg = public_keys(7, ["e001"])
     started = time.monotonic()
     with SocketServer(EchoServer(reg), max_frame=1024) as srv:
         with socket.create_connection((srv.host, srv.port),
@@ -380,28 +381,31 @@ def _signed_records(records) -> bytes:
     _header(nonce=5),
     _header(entity_id=["e001"]),
     _signed_records(5),
+    _signed_records([dict(_rec("c").to_dict(), t="x")]),
+    _signed_records([dict(_rec("c").to_dict(), uuid=["c"])]),
 ], ids=["framing", "json", "utf8", "keys", "header_list", "nonce_not_hex",
-        "nonce_int", "signer_list", "records_int"])
+        "nonce_int", "signer_list", "records_int", "record_t_str",
+        "record_uuid_list"])
 def test_socket_server_answers_garbage_with_bad_request(body):
-    reg = KeyRegistry.for_entities(7, ["e001"])
+    reg = public_keys(7, ["e001"])
     started = time.monotonic()
     with SocketServer(EchoServer(reg)) as srv:
         transport = SocketTransport(srv.host, srv.port, timeout_s=2.0)
-        _, reply = transport.send(body, "e001")
+        reply = transport.send(body, "e001")
         assert json.loads(reply) == {"ok": False, "error": "bad_request"}
         assert _client(srv.handler, transport).attempt(now=1.0) == "ok"
     assert time.monotonic() - started < 5.0
 
 
 def test_socket_server_answers_truncated_envelope_with_bad_request():
-    reg = KeyRegistry.for_entities(7, ["e001"])
+    reg = public_keys(7, ["e001"])
     priv, _ = derive_keypair(7, "e001")
     data = encode_envelope(sign(priv, b"{}", "e001"), batch_id=1)
     started = time.monotonic()
     with SocketServer(EchoServer(reg)) as srv:
         transport = SocketTransport(srv.host, srv.port, timeout_s=2.0)
         for cut in (3, len(data) - 5):
-            _, reply = transport.send(data[:cut], "e001")
+            reply = transport.send(data[:cut], "e001")
             assert json.loads(reply) == {"ok": False, "error": "bad_request"}
         assert _client(srv.handler, transport).attempt(now=1.0) == "ok"
     assert time.monotonic() - started < 5.0
@@ -413,7 +417,7 @@ def test_socket_server_answers_truncated_envelope_with_bad_request():
 ], ids=["idle", "half_frame"])
 def test_socket_server_hangs_up_on_a_stalled_client(monkeypatch, stall):
     monkeypatch.setattr(syncsec, "READ_DEADLINE_S", 0.5)
-    reg = KeyRegistry.for_entities(7, ["e001"])
+    reg = public_keys(7, ["e001"])
     started = time.monotonic()
     with SocketServer(EchoServer(reg)) as srv:
         with socket.create_connection((srv.host, srv.port),
@@ -425,6 +429,38 @@ def test_socket_server_hangs_up_on_a_stalled_client(monkeypatch, stall):
             # the stalled client was hung up on, not answered
             assert stalled.recv(1) == b""
     assert time.monotonic() - started < 3.0
+
+
+def test_socket_server_survives_a_failed_accept(monkeypatch):
+    """An accept() that fails, as it does when the process is out of file
+    descriptors, costs that attempt only: the connection is accepted on
+    the next try and the server keeps answering."""
+    accept = socket.socket.accept
+    failures = []
+
+    def accept_failing_once(sock):
+        if not failures:
+            failures.append(errno.EMFILE)
+            raise OSError(errno.EMFILE, "Too many open files")
+        return accept(sock)
+
+    monkeypatch.setattr(socket.socket, "accept", accept_failing_once)
+    started = time.monotonic()
+    with SocketServer(EchoServer(public_keys(7, ["e001"]))) as srv:
+        transport = SocketTransport(srv.host, srv.port, timeout_s=2.0)
+        assert _client(srv.handler, transport).attempt(now=1.0) == "ok"
+        assert failures == [errno.EMFILE]
+        reply = transport.send(b"garbage", "e001")
+        assert json.loads(reply) == {"ok": False, "error": "bad_request"}
+    assert time.monotonic() - started < 5.0
+
+
+def test_socket_server_that_never_started_stops_promptly():
+    srv = SocketServer(EchoServer({}))
+    stopper = threading.Thread(target=srv.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=2.0)
+    assert not stopper.is_alive()
 
 
 def test_frame_cap_holds_a_full_batch_of_pipeline_records():
