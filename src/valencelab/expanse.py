@@ -29,12 +29,12 @@ BAND_NAMES = ("morning", "afternoon", "night")
 
 
 class MemoryStore:
-    """Per-entity append-only event log with a uuid dedupe index."""
+    """Per-entity append-only event log with a per-entity uuid index."""
 
     def __init__(self):
         self._events: dict[str, list[Record]] = {}
         self._dirty: set[str] = set()
-        self._uuids: set[str] = set()
+        self._uuids: dict[str, set[str]] = {}
         self._demographics: dict[str, dict] = {}
 
     def register_entity(self, entity_id: str, gender: str = "undisclosed",
@@ -56,9 +56,10 @@ class MemoryStore:
             entity_id, {"gender": "undisclosed", "birthdate": None})
 
     def add(self, entity_id: str, record: Record) -> bool:
-        if record.uuid in self._uuids:
+        seen = self._uuids.setdefault(entity_id, set())
+        if record.uuid in seen:
             return False
-        self._uuids.add(record.uuid)
+        seen.add(record.uuid)
         self._events.setdefault(entity_id, []).append(record)
         self._dirty.add(entity_id)
         return True
@@ -72,7 +73,7 @@ class MemoryStore:
         return self._events[entity_id]
 
     def total_records(self) -> int:
-        return len(self._uuids)
+        return sum(len(seen) for seen in self._uuids.values())
 
 
 def ingest(store: MemoryStore, batch: SyncBatch) -> int:
@@ -229,22 +230,21 @@ def feature_names_for(n_clusters: int) -> tuple:
 def build_dataset(store: MemoryStore, entity_id: str, cluster_model) -> Dataset:
     """Feature rows for every usable report of one entity.
 
-    When the cluster model was fitted on exactly this entity's reports its
-    stored labels are reused (keeping noise rows in the noise bucket);
-    otherwise locations are assigned to the nearest exemplar.
+    The cluster model must have been fitted on exactly this entity's
+    reports: its stored labels are the cluster features (noise rows stay in
+    the noise bucket).
     """
     reports = [r for r in store.events(entity_id) if r.kind == "report"]
     if not reports:
         raise EmptyDatasetError(f"{entity_id} has no reports")
+    if len(cluster_model.labels) != len(reports):
+        raise ContractViolationError(
+            f"cluster model has {len(cluster_model.labels)} labels for "
+            f"{len(reports)} reports of {entity_id}")
     n_clusters = cluster_model.n_clusters
-    if len(cluster_model.labels) == len(reports):
-        labels = np.asarray(cluster_model.labels, dtype=np.int64)
-    else:
-        pts = np.array([[r.x, r.y] for r in reports])
-        labels = cluster_model.assign(pts)
     rows = []
     y = []
-    for rec, lab in zip(reports, labels):
+    for rec, lab in zip(reports, cluster_model.labels):
         if not (math.isfinite(rec.t) and math.isfinite(rec.x)
                 and math.isfinite(rec.y)):
             continue
@@ -305,6 +305,8 @@ def handle_prediction(envelope, request: dict, store: MemoryStore,
     except (TypeError, ValueError) as exc:
         raise ContractViolationError("prediction context is not numeric") \
             from exc
+    if not all(math.isfinite(v) for v in (x, y, t)):
+        raise ContractViolationError("prediction context is not finite")
     model, cluster_model = models.get(signer)
     label = int(cluster_model.assign(np.array([[x, y]]))[0])
     row = context_features(label, cluster_model.n_clusters, t)

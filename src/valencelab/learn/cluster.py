@@ -61,7 +61,6 @@ class _CondensedCluster:
     children: list = field(default_factory=list)
     fallouts: list = field(default_factory=list)  # (point, lambda)
     death_lambda: float = 0.0
-    stability: float = 0.0
     size: int = 0
 
 
@@ -112,10 +111,13 @@ def _leaf_points(node: int, n: int, children) -> list:
 
 
 def _condense(n: int, children, dists, sizes, min_cluster_size: int):
-    """Collapse the dendrogram into clusters of at least min_cluster_size."""
+    """Collapse the dendrogram into clusters of at least min_cluster_size.
+
+    Returns the clusters as a list indexed by id; every child has a larger
+    id than its parent.
+    """
     root_node = n + len(children) - 1
-    clusters = {0: _CondensedCluster(birth_lambda=0.0)}
-    next_id = 1
+    clusters = [_CondensedCluster(birth_lambda=0.0)]
     # (dendrogram node, condensed cluster id)
     stack = [(root_node, 0)]
     while stack:
@@ -128,11 +130,9 @@ def _condense(n: int, children, dists, sizes, min_cluster_size: int):
         if big_a and big_b:
             cl.death_lambda = lam
             for child in (a, b):
-                kid = _CondensedCluster(birth_lambda=lam, parent=cid)
-                clusters[next_id] = kid
-                cl.children.append(next_id)
-                stack.append((child, next_id))
-                next_id += 1
+                cl.children.append(len(clusters))
+                stack.append((child, len(clusters)))
+                clusters.append(_CondensedCluster(birth_lambda=lam, parent=cid))
         else:
             for child, big in ((a, big_a), (b, big_b)):
                 if big:
@@ -140,86 +140,54 @@ def _condense(n: int, children, dists, sizes, min_cluster_size: int):
                 else:
                     for p in _leaf_points(child, n, children):
                         cl.fallouts.append((p, lam))
-    # A cluster that never truly split dies when its last point falls out.
-    for cl in clusters.values():
-        cl.size = len(cl.fallouts)
+    # Children first: each cluster's size is complete before it is added to
+    # its parent's. A cluster that never truly split dies when its last
+    # point falls out.
+    for cl in reversed(clusters):
+        cl.size += len(cl.fallouts)
         if not cl.children:
             cl.death_lambda = max((lam for _, lam in cl.fallouts),
                                   default=cl.birth_lambda)
-    # Sizes include descendants' points; children accumulated first.
-    for cid in _postorder(clusters):
-        cl = clusters[cid]
-        for kid in cl.children:
-            cl.size += clusters[kid].size
+        if cl.parent != -1:
+            clusters[cl.parent].size += cl.size
     return clusters
 
 
-def _postorder(clusters) -> list:
-    out = []
-    stack = [(0, False)]
-    while stack:
-        cid, expanded = stack.pop()
-        if expanded:
-            out.append(cid)
-        else:
-            stack.append((cid, True))
-            for kid in clusters[cid].children:
-                stack.append((kid, False))
-    return out
-
-
-def _stabilities(clusters):
-    for cl in clusters.values():
-        s = sum(min(lam, cl.death_lambda) - cl.birth_lambda
-                for _, lam in cl.fallouts)
-        if cl.children:
-            passed = cl.size - len(cl.fallouts)
-            s += passed * (cl.death_lambda - cl.birth_lambda)
-        cl.stability = s
-
-
-def _extract_eom(clusters) -> set:
-    """Excess-of-mass selection; the root is an eligible candidate."""
-    selected = set()
-    scores = {}
-    for cid in _postorder(clusters):
-        cl = clusters[cid]
-        child_sum = sum(scores[k] for k in cl.children)
-        if not cl.children or cl.stability >= child_sum:
-            scores[cid] = cl.stability
-            selected.add(cid)
-            _unselect_descendants(clusters, cid, selected)
-        else:
-            scores[cid] = child_sum
-    return selected
-
-
-def _unselect_descendants(clusters, cid, selected):
-    stack = list(clusters[cid].children)
-    while stack:
-        k = stack.pop()
-        selected.discard(k)
-        stack.extend(clusters[k].children)
-
-
-def _label_points(n: int, clusters, selected):
-    """Assign each point to the selected ancestor of its fallout cluster.
+def _label_points(n: int, clusters):
+    """Excess-of-mass selection (the root is an eligible candidate), then
+    each point goes to the selected ancestor of its fallout cluster.
 
     Membership additionally requires the point to persist strictly past the
     cluster's birth density; stragglers that detach right at (or before) the
     split that created the cluster stay noise.
     """
-    owner = {}
-    for cid, cl in clusters.items():
-        cur = cid
-        while cur != -1 and cur not in selected:
-            cur = clusters[cur].parent
-        owner[cid] = cur
+    # Children first: a cluster is kept when its stability is at least the
+    # summed score of its children.
+    keep = [False] * len(clusters)
+    score = [0.0] * len(clusters)
+    for cid in range(len(clusters) - 1, -1, -1):
+        cl = clusters[cid]
+        stability = sum(min(lam, cl.death_lambda) - cl.birth_lambda
+                        for _, lam in cl.fallouts)
+        if cl.children:
+            passed = cl.size - len(cl.fallouts)
+            stability += passed * (cl.death_lambda - cl.birth_lambda)
+        child_sum = sum(score[k] for k in cl.children)
+        keep[cid] = not cl.children or stability >= child_sum
+        score[cid] = stability if keep[cid] else child_sum
+    # Parents first: a kept cluster is selected unless an ancestor already
+    # is; every other cluster's points go to its parent's owner. Selected
+    # ids come up in sorted order and are numbered as they do.
+    owner = [-1] * len(clusters)
+    compact = {}
     labels = np.full(n, -1, dtype=np.int64)
     lambdas = np.zeros(n, dtype=np.float64)
-    compact = {cid: i for i, cid in enumerate(sorted(selected))}
-    for cid, cl in clusters.items():
-        sel = owner[cid]
+    for cid, cl in enumerate(clusters):
+        sel = owner[cl.parent] if cid else -1
+        if sel == -1 and keep[cid]:
+            sel = cid
+            compact[cid] = len(compact)
+        owner[cid] = sel
         for p, lam in cl.fallouts:
             lambdas[p] = lam
             if sel != -1 and lam > clusters[sel].birth_lambda:
@@ -245,10 +213,8 @@ def _cluster_full(points, min_cluster_size, min_samples):
     mrd = np.maximum(dist, np.maximum(core[:, None], core[None, :]))
     np.fill_diagonal(mrd, 0.0)
     children, dists, sizes = _single_linkage(mrd)
-    clusters = _condense(n, children, dists, sizes, min_cluster_size)
-    _stabilities(clusters)
-    selected = _extract_eom(clusters)
-    return _label_points(n, clusters, selected)
+    return _label_points(
+        n, _condense(n, children, dists, sizes, min_cluster_size))
 
 
 def density_cluster(points, min_cluster_size: int, min_samples: int):

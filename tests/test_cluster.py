@@ -1,5 +1,8 @@
 """Density clustering contracts, frozen-seed fixtures."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -139,3 +142,43 @@ def test_cluster_model_assignment_and_roundtrip():
 def test_min_cluster_size_validated():
     with pytest.raises(ContractViolationError):
         density_cluster(np.zeros((10, 2)), 1, 5)
+
+
+def _golden_scatters():
+    """24 seeded scatters with clumps, rounding ties, duplicates and noise."""
+    rng = np.random.default_rng(2024)
+    for trial in range(24):
+        k = 1 + trial % 4
+        n = int(rng.integers(12, 110))
+        if trial % 6 == 5:
+            pts = rng.uniform(0.0, 10.0, size=(n, 2))
+        else:
+            centers = rng.uniform(0.0, 10.0, size=(k, 2))
+            pts = (centers[rng.integers(0, k, size=n)]
+                   + rng.normal(0.0, 0.4, size=(n, 2)))
+        if trial % 3 == 1:
+            pts = np.round(pts, 1)
+        if trial % 5 == 2:
+            pts = np.vstack([pts, pts[: n // 4]])
+        yield trial, pts
+
+
+def test_golden_clustering_digest():
+    """Fitted models and discovered parameters are pinned bit for bit."""
+    doc = []
+    for trial, pts in _golden_scatters():
+        for mcs in (2, 5, 10, 15):
+            for ms in (1, 5, 10):
+                doc.append({"trial": trial, "mcs": mcs, "ms": ms,
+                            "model": fit_cluster_model(pts, mcs, ms).to_dict()})
+        try:
+            found = list(autodiscover_cluster_params(pts, (5, 10, 15)))
+        except NoStructureError:
+            found = None
+        doc.append({"trial": trial, "discovered": found})
+    assert len(doc) == 312
+    assert sum(1 for e in doc if e.get("discovered")) == 16
+    digest = hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == (
+        "e1ede6433878d30a7d3538d4c75b1c1d89ed4c26ada0ffabc5e09f921de028ce")

@@ -232,18 +232,19 @@ def test_build_dataset_reuses_fitted_labels():
     assert ds.feature_names == feature_names_for(2)
 
 
-def test_build_dataset_assigns_when_labels_mismatch():
+def test_build_dataset_rejects_label_count_mismatch():
     store = _dataset_store()
     store.add("e1", _report("r3", t=9000.0, x=10.2, y=9.9, label="positive"))
-    ds = build_dataset(store, "e1", _two_cluster_model())  # 3 labels, 4 rows
-    assert ds.X.shape[0] == 4
-    assert ds.X[0][0] == 1.0 and ds.X[3][1] == 1.0   # nearest exemplar
+    with pytest.raises(ContractViolationError):
+        build_dataset(store, "e1", _two_cluster_model())  # 3 labels, 4 rows
 
 
 def test_build_dataset_drops_non_finite_rows():
     store = _dataset_store()
     store.add("e1", _report("bad", t=9000.0, x=float("nan"), label="positive"))
-    ds = build_dataset(store, "e1", _two_cluster_model())
+    model = _two_cluster_model()
+    model.labels = np.array([0, 0, 1, -1], dtype=np.int64)
+    ds = build_dataset(store, "e1", model)
     assert ds.X.shape[0] == 3
     empty = MemoryStore()
     empty.register_entity("e2")
@@ -340,6 +341,25 @@ def test_sync_server_receive_paths():
     junk = sign(priv1, b'{"kind":"gossip"}', "e1")
     with pytest.raises(ContractViolationError):
         server.receive(encode_envelope(junk, 0))
+
+
+def test_sync_server_keeps_each_entitys_uuids_apart():
+    """A uuid one entity sends does not suppress another's record."""
+    store = MemoryStore()
+    server = SyncServer(store, public_keys(7, ["e000", "e001"]))
+
+    def sync(entity_id, record):
+        batch = SyncBatch(batch_id=1, entity_id=entity_id, records=(record,),
+                          created_at=0.0)
+        env = sign(derive_keypair(7, entity_id)[0], batch.to_payload(),
+                   entity_id)
+        return json.loads(server.receive(encode_envelope(env, 1)))
+
+    assert sync("e000", _report("e001:r00000"))["new"] == 1
+    assert sync("e001", _report("e001:r00000", t=5.0)) == {
+        "ok": True, "batch_id": 1, "new": 1}
+    assert [r.t for r in store.events("e001")] == [5.0]
+    assert store.total_records() == 2
 
 
 def test_sync_server_rejects_a_payload_that_is_not_an_object():

@@ -7,6 +7,7 @@ import struct
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,9 @@ from hypothesis import strategies as st
 from valencelab import syncsec
 from valencelab.agent import LocalStore, Record
 from valencelab.errors import AuthError, ContractViolationError
+from valencelab.expanse import (MemoryStore, ModelRegistry, SyncServer,
+                                context_features, predict_request_payload)
+from valencelab.learn import ClusterModel, train
 from valencelab.simworld import Fault, FaultPlan
 from valencelab.syncsec import (SYNC_FLOOR_MIN, FaultyTransport,
                                 LoopbackTransport, SignedEnvelope,
@@ -371,6 +375,27 @@ def _signed_records(records) -> bytes:
                                 "e001"), 1)
 
 
+def _signed_predict(x, y, t) -> bytes:
+    payload = predict_request_payload("e001", x, y, t)
+    return encode_envelope(sign(derive_keypair(7, "e001")[0], payload,
+                                "e001"), 1)
+
+
+def _predicting_server(reg) -> SyncServer:
+    """A cloud server holding a one-cluster model for e001."""
+    store = MemoryStore()
+    store.register_entity("e001")
+    cluster = ClusterModel(min_cluster_size=2, min_samples=1,
+                           labels=np.zeros(0, dtype=np.int64),
+                           exemplars=np.zeros((1, 2)),
+                           exemplar_labels=np.zeros(1, dtype=np.int64),
+                           n_clusters=1)
+    X = np.array([context_features(0, 1, h * 3600.0) for h in range(6)])
+    models = ModelRegistry()
+    models.register("e001", train("dummy", X, np.arange(6) % 3), cluster)
+    return SyncServer(store, reg, models)
+
+
 @pytest.mark.parametrize("body", [
     b"\x00\x01\x02garbage\xff" * 8,                       # bad framing
     _section(b"garbage") + _section(b"{}") + _section(b""),  # bad JSON
@@ -383,13 +408,17 @@ def _signed_records(records) -> bytes:
     _signed_records(5),
     _signed_records([dict(_rec("c").to_dict(), t="x")]),
     _signed_records([dict(_rec("c").to_dict(), uuid=["c"])]),
+    _signed_predict(0.0, 0.0, float("inf")),
+    _signed_predict(0.0, 0.0, float("nan")),
+    _signed_predict(float("nan"), 0.0, 0.0),
 ], ids=["framing", "json", "utf8", "keys", "header_list", "nonce_not_hex",
         "nonce_int", "signer_list", "records_int", "record_t_str",
-        "record_uuid_list"])
+        "record_uuid_list", "predict_t_inf", "predict_t_nan",
+        "predict_x_nan"])
 def test_socket_server_answers_garbage_with_bad_request(body):
     reg = public_keys(7, ["e001"])
     started = time.monotonic()
-    with SocketServer(EchoServer(reg)) as srv:
+    with SocketServer(_predicting_server(reg)) as srv:
         transport = SocketTransport(srv.host, srv.port, timeout_s=2.0)
         reply = transport.send(body, "e001")
         assert json.loads(reply) == {"ok": False, "error": "bad_request"}
