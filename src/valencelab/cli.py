@@ -47,13 +47,12 @@ from .expanse import (EligibilityRules, MemoryStore, ModelRegistry,
                       SyncServer, build_dataset, eligibility_funnel,
                       funnel_counts, predict_request_payload)
 from .learn import (MODEL_KINDS, AutomlConfig, ClusterModel, automl_entity,
-                    autodiscover_cluster_params, fit_cluster_model,
-                    model_from_dict, model_to_dict)
+                    autodiscover_cluster_params, derive_seed,
+                    fit_cluster_model, model_from_dict, model_to_dict)
 from .learn.bayesopt import DESIGN_SIZE
 from .simworld import (Cohort, CohortSpec, EntityProfile, FaultPlan, SimClock,
-                       build_cohort, events_to_jsonl, load_cohort_spec,
-                       load_fault_plan, parse_kv_config, run_cohort,
-                       typed_fields)
+                       build_cohort, events_to_jsonl, load_fault_plan,
+                       parse_kv_config, run_cohort, typed_fields)
 from .syncsec import (FaultyTransport, LoopbackTransport, SocketServer,
                       SocketTransport, SyncClient, SyncSchedulerState,
                       derive_keypair, encode_envelope, max_frame_bytes,
@@ -101,18 +100,27 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown model kinds: {unknown}")
         if not self.models:
             raise ConfigurationError("at least one model kind is required")
+        if len(set(self.models)) != len(self.models):
+            # a repeated kind would be tuned and counted twice per entity
+            raise ConfigurationError(f"repeated model kinds: {self.models}")
         if self.metric not in METRICS:
             raise ConfigurationError(
                 f"metric must be one of {METRICS}, got {self.metric!r}")
-        for name in ("cv_max_splits", "min_samples", "sync_max_records"):
+        for name in ("min_samples", "sync_max_records"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
+        if self.cv_max_splits < 2:
+            raise ConfigurationError("cv_max_splits must be >= 2")
         # the tuner spends DESIGN_SIZE evaluations on its space-filling
         # design before modeling anything, so smaller budgets cannot run
         if self.budget < DESIGN_SIZE:
             raise ConfigurationError(f"budget must be >= {DESIGN_SIZE}")
         if self.step_s <= 0 or self.sync_base_interval_min <= 0:
             raise ConfigurationError("time intervals must be > 0")
+        try:
+            self.rules()
+        except ContractViolationError as exc:
+            raise ConfigurationError(str(exc)) from exc
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
@@ -127,40 +135,17 @@ class ExperimentConfig:
             max_imbalance_degree=self.max_imbalance_degree)
 
 
-def load_experiment_config(path) -> ExperimentConfig:
+def _input_file(path, what: str) -> Path:
+    """The path of an input file the user named, if it is there."""
     p = Path(path)
     if not p.is_file():
-        raise ConfigurationError(f"no experiment config at {p}")
-    return ExperimentConfig.from_mapping(parse_kv_config(p.read_text()))
+        raise ConfigurationError(f"no {what} at {p}")
+    return p
 
 
-def _default_cohort_spec() -> CohortSpec:
-    text = (resources.files("valencelab") / "data"
-            / "default_cohort.cfg").read_text()
-    return CohortSpec.from_mapping(parse_kv_config(text))
-
-
-def _cohort_spec_for(config: ExperimentConfig) -> CohortSpec:
-    if not config.cohort:
-        return _default_cohort_spec()
-    p = Path(config.cohort)
-    if not p.is_file():
-        raise ConfigurationError(f"no cohort config at {p}")
-    return load_cohort_spec(p)
-
-
-def _fault_plan_for(config: ExperimentConfig) -> FaultPlan:
-    if not config.fault_plan:
-        return FaultPlan()
-    p = Path(config.fault_plan)
-    if not p.is_file():
-        raise ConfigurationError(f"no fault plan at {p}")
-    return load_fault_plan(p)
-
-
-def _entity_seed(seed: int, entity_id: str) -> int:
-    digest = hashlib.sha256(f"{seed}:{entity_id}".encode()).digest()
-    return int.from_bytes(digest[:4], "big")
+def load_experiment_config(path) -> ExperimentConfig:
+    text = _input_file(path, "experiment config").read_text()
+    return ExperimentConfig.from_mapping(parse_kv_config(text))
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +153,20 @@ def _entity_seed(seed: int, entity_id: str) -> int:
 
 
 def simulate_stage(config: ExperimentConfig):
-    """Build the cohort and replay the whole horizon."""
-    spec = _cohort_spec_for(config)
+    """Build the cohort and its fault plan, and replay the whole horizon."""
+    cohort_file = (
+        _input_file(config.cohort, "cohort config") if config.cohort
+        else resources.files("valencelab") / "data" / "default_cohort.cfg")
+    spec = CohortSpec.from_mapping(
+        parse_kv_config(cohort_file.read_text(encoding="utf-8")))
     cohort = build_cohort(spec, config.seed)
-    plan = _fault_plan_for(config)
+    plan = (load_fault_plan(_input_file(config.fault_plan, "fault plan"))
+            if config.fault_plan else FaultPlan())
+    unknown = sorted({f.entity_id for f in plan}
+                     - {p.entity_id for p in cohort.profiles})
+    if unknown:
+        raise ConfigurationError(
+            f"fault plan names entities outside the cohort: {unknown}")
     return cohort, run_cohort(cohort), plan
 
 
@@ -362,7 +357,7 @@ def learn_stage(mstore: MemoryStore, funnel_rows, config: ExperimentConfig):
                 points, min_samples_grid=(config.min_samples,))
             cmodel = fit_cluster_model(points, mcs, ms)
             ds = build_dataset(mstore, eid, cmodel)
-            args = (ds.X, ds.y, automl_cfg, _entity_seed(config.seed, eid),
+            args = (ds.X, ds.y, automl_cfg, derive_seed(config.seed, eid),
                     ds.feature_names)
             tuned.append((eid, len(reports), cmodel, mcs, ms,
                           pool.submit(_tune_entity, *args) if pool
@@ -629,15 +624,12 @@ def _rebuild_store(out: Path) -> MemoryStore:
 class RunResult:
     config: ExperimentConfig
     cohort: Cohort
-    events: list
-    plan: FaultPlan
     drive: DriveResult
     funnel_rows: list
     funnel_counts: dict
     model_rows: list
     registry: ModelRegistry
     registry_doc: dict
-    stats_text: str
     summary_text: str
     digest: str
     out_dir: Path
@@ -673,10 +665,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     _write_report(out, summary_text, digest)
 
     return RunResult(
-        config=config, cohort=cohort, events=events, plan=plan, drive=drive,
-        funnel_rows=funnel_rows, funnel_counts=counts, model_rows=model_rows,
-        registry=registry, registry_doc=registry_doc, stats_text=stats_text,
-        summary_text=summary_text, digest=digest, out_dir=out)
+        config=config, cohort=cohort, drive=drive, funnel_rows=funnel_rows,
+        funnel_counts=counts, model_rows=model_rows, registry=registry,
+        registry_doc=registry_doc, summary_text=summary_text, digest=digest,
+        out_dir=out)
 
 
 # ---------------------------------------------------------------------------

@@ -86,25 +86,20 @@ class EntitySummary:
     entity_id: str
     class_counts: tuple
     n_reports: int
-    span_days: float
     has_demographics: bool
     gender: str
 
 
 def aggregate_entity(store: MemoryStore, entity_id: str) -> EntitySummary:
-    events = store.events(entity_id)
     counts = [0, 0, 0]
-    for rec in events:
+    for rec in store.events(entity_id):
         if rec.kind == "report":
             counts[LABEL_INDEX[rec.payload]] += 1
-    span = 0.0
-    if len(events) >= 2:
-        span = (events[-1].t - events[0].t) / 86400.0
     demo = store.demographics(entity_id)
     has_demo = demo["gender"] != "undisclosed" and demo["birthdate"] is not None
     return EntitySummary(entity_id=entity_id, class_counts=tuple(counts),
-                         n_reports=sum(counts), span_days=span,
-                         has_demographics=has_demo, gender=demo["gender"])
+                         n_reports=sum(counts), has_demographics=has_demo,
+                         gender=demo["gender"])
 
 
 def imbalance_degree(class_counts) -> float:
@@ -190,15 +185,9 @@ def funnel_counts(rows) -> dict:
 
 @dataclass(frozen=True)
 class Dataset:
-    entity_id: str
     X: np.ndarray
     y: np.ndarray
-    class_counts: tuple
     feature_names: tuple
-
-    def __post_init__(self):
-        if self.X.shape[0] != len(self.y) or sum(self.class_counts) != len(self.y):
-            raise ContractViolationError("dataset shape bookkeeping is off")
 
 
 def context_features(cluster_label: int, n_clusters: int, t: float):
@@ -252,10 +241,7 @@ def build_dataset(store: MemoryStore, entity_id: str, cluster_model) -> Dataset:
         y.append(LABEL_INDEX[rec.payload])
     if not rows:
         raise EmptyDatasetError(f"{entity_id} has no usable report context")
-    X = np.vstack(rows)
-    y_arr = np.asarray(y, dtype=np.int64)
-    counts = tuple(int((y_arr == k).sum()) for k in range(3))
-    return Dataset(entity_id=entity_id, X=X, y=y_arr, class_counts=counts,
+    return Dataset(X=np.vstack(rows), y=np.asarray(y, dtype=np.int64),
                    feature_names=feature_names_for(n_clusters))
 
 

@@ -5,6 +5,7 @@ from .automl import (
     AutomlConfig,
     TrainedModel,
     automl_entity,
+    derive_seed,
     feature_importance,
     model_from_dict,
     model_to_dict,
@@ -26,6 +27,7 @@ __all__ = [
     "AutomlConfig",
     "TrainedModel",
     "automl_entity",
+    "derive_seed",
     "feature_importance",
     "model_from_dict",
     "model_to_dict",

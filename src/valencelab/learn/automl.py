@@ -86,8 +86,8 @@ def _kind(kind: str) -> ModelKind:
 
 @dataclass
 class AutomlConfig:
-    budget: int = 25
-    cv_max_splits: int = 10
+    budget: int
+    cv_max_splits: int
     kinds: tuple = MODEL_KINDS
 
 
@@ -104,8 +104,9 @@ class TrainedModel:
     cv_confusion: object = None
 
 
-def _kind_seed(seed: int, kind: str) -> int:
-    digest = hashlib.sha256(f"{seed}:{kind}".encode()).digest()
+def derive_seed(seed: int, name: str) -> int:
+    """A 32-bit seed for `name` (an entity id, a model kind) under `seed`."""
+    digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
     return int.from_bytes(digest[:4], "big")
 
 
@@ -189,10 +190,9 @@ def _memo_cv_eval(make, X, y, n_classes, folds, seed):
     return evaluate
 
 
-def automl_entity(X, y, config: AutomlConfig | None = None, seed: int = 0,
+def automl_entity(X, y, config: AutomlConfig, seed: int = 0,
                   n_classes: int = 3, feature_names=None) -> dict:
     """Tune, fit, and time one model per kind on a single entity's data."""
-    config = config or AutomlConfig()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n_splits = choose_cv_splits(y, config.cv_max_splits)
@@ -207,7 +207,7 @@ def automl_entity(X, y, config: AutomlConfig | None = None, seed: int = 0,
             best_hp = bayes_optimize(
                 spec.space,
                 lambda batch: [score for score, _ in evaluate(batch)],
-                config.budget, seed=_kind_seed(seed, kind)).best_params
+                config.budget, seed=derive_seed(seed, kind)).best_params
         [(cv_score, cv_conf)] = evaluate([best_hp])
         est = spec.make(best_hp, seed).fit(X, y, n_classes)
         duration = time.perf_counter() - t0

@@ -24,6 +24,7 @@ DESIGN_SIZE = 5
 EI_XI = 0.01
 N_CANDIDATES = 512
 N_LOCAL = 64
+GP_NOISE = 1e-6     # first jitter on the GP kernel diagonal
 
 
 @dataclass(frozen=True)
@@ -77,9 +78,8 @@ class OptResult:
 class GaussianProcess:
     """Squared-exponential GP on the unit cube, fixed small noise."""
 
-    def __init__(self, length_scale: float = 0.3, noise: float = 1e-6):
+    def __init__(self, length_scale: float = 0.3):
         self.length_scale = length_scale
-        self.noise = noise
 
     def _kernel(self, A, B):
         d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
@@ -94,7 +94,7 @@ class GaussianProcess:
             self.y_std_ = 1.0
         self.y_ = (y - self.y_mean_) / self.y_std_
         K = self._kernel(self.X_, self.X_)
-        noise = self.noise
+        noise = GP_NOISE
         # Escalate jitter until the factorization goes through.
         for _ in range(6):
             try:

@@ -7,6 +7,8 @@ import numpy as np
 from ..errors import ContractViolationError
 from .cv import PerFoldFit
 
+TOL = 1e-7          # stop once one step lowers the loss by less than this
+
 
 def softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
@@ -43,12 +45,10 @@ def logreg_loss_and_grad(w_flat, X, y, n_classes: int, l2: float, Xb=None):
 class SoftmaxRegression(PerFoldFit):
     """Linear softmax classifier; deterministic given data and settings."""
 
-    def __init__(self, l2: float = 1e-3, lr: float = 0.5, n_iter: int = 300,
-                 tol: float = 1e-7):
+    def __init__(self, l2: float = 1e-3, lr: float = 0.5, n_iter: int = 300):
         self.l2 = float(l2)
         self.lr = float(lr)
         self.n_iter = int(n_iter)
-        self.tol = float(tol)
         self.W_ = None
         self.n_classes_ = 0
 
@@ -75,7 +75,7 @@ class SoftmaxRegression(PerFoldFit):
                     break
                 step *= 0.5
             w, loss, grad = w_new, new_loss, new_grad
-            if prev - loss < self.tol:
+            if prev - loss < TOL:
                 break
             prev = loss
         self.W_ = w.reshape(d + 1, n_classes)

@@ -377,11 +377,6 @@ def typed_fields(cls, mapping: dict, what: str) -> dict:
     return kwargs
 
 
-def load_cohort_spec(path) -> CohortSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return CohortSpec.from_mapping(parse_kv_config(fh.read()))
-
-
 @dataclass(frozen=True)
 class Cohort:
     spec: CohortSpec

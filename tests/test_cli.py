@@ -79,6 +79,12 @@ def test_config_validation():
         ExperimentConfig(budget=4)
     with pytest.raises(ConfigurationError):
         ExperimentConfig(step_s=0.0)
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig(models="gbt,gbt,dummy")
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig(cv_max_splits=1)
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig(min_reports=-1)
 
 
 def test_config_from_mapping_and_file(tmp_path):
@@ -389,6 +395,19 @@ def test_exit_code_2_for_bad_configuration(tmp_path, capsys):
                "--cohort", str(tmp_path / "nope.cfg")])
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_exit_code_2_for_fault_plan_outside_the_cohort(tmp_path, capsys):
+    cohort_path = tmp_path / "cohort_small.cfg"
+    cohort_path.write_text(SMALL_COHORT)
+    plan_path = tmp_path / "faults.txt"
+    plan_path.write_text("100.0 e999 crash\n200.0 e998 net_down\n")
+    rc = main(["pipeline", "--out", str(tmp_path / "o"),
+               "--cohort", str(cohort_path), "--fault-plan", str(plan_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "['e998', 'e999']" in err
 
 
 def test_exit_code_3_for_missing_artifacts(tmp_path, capsys):

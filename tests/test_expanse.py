@@ -34,7 +34,7 @@ def _sensor(uuid, t=0.0):
 
 def _summary(**kw):
     base = dict(entity_id="e", class_counts=(10, 10, 10), n_reports=30,
-                span_days=30.0, has_demographics=True, gender="female")
+                has_demographics=True, gender="female")
     base.update(kw)
     return EntitySummary(**base)
 
@@ -85,7 +85,7 @@ def test_ingest_counts_only_new():
     assert ingest(store, more) == 1
 
 
-def test_aggregate_entity_counts_and_span():
+def test_aggregate_entity_counts_and_demographics():
     store = MemoryStore()
     store.register_entity("e1", gender="female", birthdate="1990-04-02")
     store.add("e1", _sensor("s0", t=0.0))
@@ -95,7 +95,6 @@ def test_aggregate_entity_counts_and_span():
     summary = aggregate_entity(store, "e1")
     assert summary.class_counts == (1, 0, 2)
     assert summary.n_reports == 3
-    assert summary.span_days == pytest.approx(1.0)
     assert summary.has_demographics is True
     # either missing field disqualifies the demographics flag
     store.register_entity("e2", gender="male")
@@ -226,7 +225,6 @@ def test_build_dataset_reuses_fitted_labels():
     model.labels = np.array([0, -1, 1], dtype=np.int64)  # one noise row
     ds = build_dataset(store, "e1", model)
     assert ds.X.shape == (3, 14)
-    assert ds.class_counts == (1, 1, 1)
     assert list(ds.y) == [0, 1, 2]
     assert ds.X[1][2] == 1.0                         # noise bucket preserved
     assert ds.feature_names == feature_names_for(2)
