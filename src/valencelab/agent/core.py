@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import ContractViolationError
-from ..simworld import LABELS
+from ..simworld import EVENT_KINDS, LABELS
 
 # Sensing rhythm: FEED_ACTIVE_S on, then off for the rest of each period.
 FEED_ACTIVE_S = 2.0
@@ -69,14 +69,23 @@ class Record:
     @classmethod
     def from_dict(cls, d: dict) -> "Record":
         """The record of a JSON object from outside the program. A field of
-        the wrong type is a ContractViolationError; NaN is a number."""
+        the wrong type, a kind outside EVENT_KINDS, a report whose payload
+        is not a label and an integer past float range are each a
+        ContractViolationError; NaN is a number."""
         uuid, kind, t, x, y, payload = (
             d["uuid"], d["kind"], d["t"], d["x"], d["y"], d["payload"])
         # type(), not isinstance(): a JSON true is a bool, not a number
-        if not (type(uuid) is str and type(kind) is str
+        if not (type(uuid) is str and kind in EVENT_KINDS
                 and type(payload) is str and type(t) in (int, float)
                 and type(x) in (int, float) and type(y) in (int, float)):
             raise ContractViolationError("record field of the wrong type")
+        if kind == "report" and payload not in LABELS:
+            raise ContractViolationError("report payload is not a label")
+        try:
+            float(t), float(x), float(y)
+        except OverflowError as exc:
+            raise ContractViolationError("record number past float range") \
+                from exc
         return cls(uuid, kind, t, x, y, payload)
 
 

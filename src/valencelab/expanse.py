@@ -10,7 +10,6 @@ formula can be swapped without touching the funnel.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,8 @@ from .agent.core import Record
 from .errors import ContractViolationError, EmptyDatasetError, NotFoundError
 from .learn.automl import predict_proba
 from .simworld import LABELS, day_of_week, hour_band
-from .syncsec import SyncBatch, canonical_json, decode_envelope, verify_and_scope
+from .syncsec import (SyncBatch, canonical_json, decode_envelope, parse_json,
+                      verify_and_scope)
 
 LABEL_INDEX = {name: k for k, name in enumerate(LABELS)}
 
@@ -129,6 +129,9 @@ class EligibilityRules:
         if (self.min_reports < 0 or self.min_classes < 0
                 or self.min_per_class < 0 or self.max_imbalance_degree < 0):
             raise ContractViolationError("rule thresholds must be >= 0")
+        if self.min_classes > len(LABELS):
+            raise ContractViolationError(
+                f"min_classes must be <= {len(LABELS)}, the number of labels")
 
 
 def check_eligibility(summary: EntitySummary,
@@ -288,7 +291,7 @@ def handle_prediction(envelope, request: dict, store: MemoryStore,
         raise NotFoundError(f"unknown entity {signer!r}")
     try:
         x, y, t = (float(request[k]) for k in ("x", "y", "t"))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ContractViolationError("prediction context is not numeric") \
             from exc
     if not all(math.isfinite(v) for v in (x, y, t)):
@@ -310,7 +313,7 @@ class SyncServer:
 
     def receive(self, message: bytes) -> bytes:
         envelope, _ = decode_envelope(message)
-        request = json.loads(envelope.payload)
+        request = parse_json(envelope.payload)
         if not isinstance(request, dict):
             raise ContractViolationError("payload is not a JSON object")
         kind = request.get("kind")

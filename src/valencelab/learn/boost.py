@@ -16,8 +16,6 @@ one-fold case.
 
 from __future__ import annotations
 
-import mmap
-
 import numpy as np
 
 from ..errors import ContractViolationError
@@ -25,74 +23,11 @@ from .linear import softmax
 
 MAX_BINS = 256
 ROUTE_CELLS = 1 << 11   # (tree, row) pairs routed per block in predict
-NODE_ROOM = 1 << 22     # most nodes a fold's first node buffer is sized for
 
 
 def leaf_weight(G, H, lam):
     """Second-order optimal leaf value for summed gradient G, hessian H."""
     return -G / (H + lam)
-
-
-def _mapped(shape, dtype) -> np.ndarray:
-    """A zeroed array in its own anonymous memory mapping. Pages are
-    committed only when written, and all of them return to the system
-    when the last view of the array goes."""
-    count = int(np.prod(shape))
-    buf = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
-    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
-
-
-def _ranges(starts, counts) -> np.ndarray:
-    """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for each i,
-    concatenated."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
-
-
-class _NodeRegions:
-    """The nodes of several models in one mapped buffer: each model owns a
-    region, and its nodes go there in the order they are added.
-
-    Pages are committed only when written, so a region may be sized for
-    the most nodes its model can grow. When a region is full, every region
-    moves to a new buffer in which the full ones have doubled.
-    """
-
-    def __init__(self, room):
-        self.filled = np.zeros(len(room), dtype=np.int64)
-        self.base = np.zeros(len(room), dtype=np.int64)
-        self.links = np.empty((3, 0), dtype=np.int64)
-        self.values = np.empty(0, dtype=np.float64)
-        self._place(np.asarray(room, dtype=np.int64))
-
-    def _place(self, room):
-        base = np.cumsum(room) - room
-        links = _mapped((3, int(room.sum())), np.int64)
-        values = _mapped(int(room.sum()), np.float64)
-        old, new = _ranges(self.base, self.filled), _ranges(base, self.filled)
-        links[:, new] = self.links[:, old]
-        values[new] = self.values[old]
-        self.room, self.base, self.links, self.values = room, base, links, values
-
-    def add(self, links, values, counts):
-        """Append links[:, i] and values[i], in order, counts[j] of them to
-        model j for each j < len(counts)."""
-        n = counts.size
-        need = self.filled[:n] + counts
-        full = need > self.room[:n]
-        if full.any():
-            room = self.room.copy()
-            room[:n][full] = np.maximum(need[full], 2 * room[:n][full])
-            self._place(room)
-        at = _ranges(self.base[:n] + self.filled[:n], counts)
-        self.links[:, at] = links
-        self.values[at] = values
-        self.filled[:n] = need
-
-    def region(self, j):
-        """Model j's links and values, as views of the buffer."""
-        at = slice(self.base[j], self.base[j] + self.filled[j])
-        return self.links[:, at], self.values[at]
 
 
 class _Forest:
@@ -103,20 +38,23 @@ class _Forest:
     `left` holds the index of its left child. feature == -1 marks a leaf.
     """
 
-    def __init__(self, feature, split_bin, left, value, start,
+    def __init__(self, feature, split_bin, left, value, sizes,
                  n_classes: int):
+        """Trees of sizes[t] nodes each, in order; `left` holds each split
+        node's left child id local to its tree."""
+        self.start = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
         self.feature = feature
         self.split_bin = split_bin
-        self.left = left
+        self.left = np.where(feature >= 0,
+                             left + np.repeat(self.start[:-1], sizes), -1)
         self.value = value
-        self.start = start
         self.n_classes = n_classes
 
     @classmethod
     def from_trees(cls, trees: list, n_classes: int) -> "_Forest":
         flat = [t for rnd in trees for t in rnd]
-        start = np.cumsum([0] + [len(t["feature"]) for t in flat])
-        local = np.arange(start[-1]) - np.repeat(start[:-1], np.diff(start))
+        sizes = [len(t["feature"]) for t in flat]
+        local = np.concatenate([np.arange(n) for n in [0] + sizes])
 
         def column(name, dtype=np.int64):
             return np.array([v for t in flat for v in t[name]], dtype=dtype)
@@ -125,10 +63,8 @@ class _Forest:
         inner = feature >= 0
         if np.any(column("right")[inner] != local[inner] + 1):
             raise ContractViolationError("tree nodes are not in growth order")
-        left = column("left")
-        return cls(feature, column("split_bin"),
-                   np.where(inner, left - local + np.arange(left.size), -1),
-                   column("value", np.float64), start, n_classes)
+        return cls(feature, column("split_bin"), column("left"),
+                   column("value", np.float64), sizes, n_classes)
 
     def to_trees(self) -> list:
         trees = []
@@ -326,17 +262,9 @@ class _Lockstep:
         curves = [[loss] for loss in self._losses(probs)]
         gains = np.zeros((len(self.models), self.F), dtype=np.float64)
         sampled = np.ones(n_rows, dtype=bool)
-        # A tree holds at most min(2^(depth+1), 2m) - 1 nodes for m sampled
-        # rows. Each model's region starts at that bound, up to NODE_ROOM.
-        # The forests of a lockstep fit are alive at once, as views of one
-        # mapped buffer, which neither fragments the heap nor keeps its
-        # pages after the last of them goes.
-        nodes = _NodeRegions([
-            min(NODE_ROOM, model.n_rounds * K
-                * (min(2 ** (model.max_depth + 1), 2 * m) - 1))
-            for model, m in zip(self.models, m_sub)])
-        tree_sizes = np.zeros((self.rounds[0], len(self.models) * K),
-                              dtype=np.int64)
+        empty = (np.empty((3, 0), dtype=np.int64), np.empty(0),
+                 np.empty(0, dtype=np.int64))
+        nodes = [[empty] for _ in self.models]  # per model, per round
         for r in range(self.rounds[0]):
             n_models = int((self.rounds > r).sum())
             if n_models < self.n_models:
@@ -351,20 +279,21 @@ class _Lockstep:
                     sampled[off:off + n] = False
                     sampled[off + rng.choice(n, size=m, replace=False)] = True
             gh = np.stack([g.T.ravel(), h.T.ravel()])      # per entry
-            leaf_values, (round_links, round_values, bounds) = self._grow(
+            leaf_values, (links, values, bounds) = self._grow(
                 gh, np.tile(sampled[:N], K), gains)
             margins[:N] += leaf_values.reshape(K, N).T
             probs = softmax(margins[:N])
             for curve, loss in zip(curves, self._losses(probs)):
                 curve.append(loss)
-            # trees are fold-major, so model j's nodes run from its first
-            # tree's start, bounds[j * K], to the next model's
-            nodes.add(round_links, round_values, np.diff(bounds[::K]))
-            tree_sizes[r, :n_models * K] = np.diff(bounds)
+            # trees are fold-major: model j's are trees j*K .. (j+1)*K - 1
+            for j in range(n_models):
+                a, b = bounds[j * K], bounds[(j + 1) * K]
+                nodes[j].append((links[:, a:b], values[a:b],
+                                 np.diff(bounds[j * K:(j + 1) * K + 1])))
         for j, model in enumerate(self.models):
-            model.forest_ = self._forest(
-                *nodes.region(j),
-                tree_sizes[:self.rounds[j], j * K:(j + 1) * K].ravel())
+            links, values, sizes = (np.concatenate(part, axis=-1)
+                                    for part in zip(*nodes[j]))
+            model.forest_ = _Forest(*links, values, sizes, K)
             model.gain_sums_ = gains[j].copy()
             model.loss_curve_ = curves[j]
             model.n_classes_ = K
@@ -375,15 +304,6 @@ class _Lockstep:
         bounds = self.offsets[:self.n_models + 1]
         return [float(-logp[a:b].mean())
                 for a, b in zip(bounds[:-1], bounds[1:])]
-
-    def _forest(self, links, values, tree_sizes) -> _Forest:
-        """One fold's forest from its nodes, trees in order."""
-        start = np.concatenate([[0], np.cumsum(tree_sizes)])
-        feature, split_bin, left = links
-        # tree-local left child ids become indices into the fold's arrays
-        owner = np.repeat(start[:-1], tree_sizes)
-        left[:] = np.where(left >= 0, left + owner, -1)
-        return _Forest(feature, split_bin, left, values, start, self.K)
 
     def _grow(self, gh, sampled, gains):
         """Grow one round's trees, all of one depth at a time.

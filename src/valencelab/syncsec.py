@@ -45,6 +45,16 @@ def canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
+def parse_json(data: bytes):
+    """JSON from a client. Bytes that are not UTF-8, bad JSON, an integer
+    past the interpreter's digit limit and nesting too deep to parse are
+    all a ContractViolationError."""
+    try:
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        raise ContractViolationError(f"unreadable JSON: {exc!r}") from exc
+
+
 # ---------------------------------------------------------------------------
 # keys and envelopes
 
@@ -125,7 +135,7 @@ def decode_envelope(data: bytes) -> tuple[SignedEnvelope, dict]:
         off += n
     if off != len(data):
         raise ContractViolationError("trailing bytes after envelope")
-    header = json.loads(sections[0])
+    header = parse_json(sections[0])
     if not isinstance(header, dict):
         raise ContractViolationError("envelope header is not a JSON object")
     if header.get("version") != WIRE_VERSION:
@@ -169,6 +179,9 @@ class SyncBatch:
             records = tuple(Record.from_dict(r) for r in d["records"])
         except TypeError as exc:    # not a list of JSON objects
             raise ContractViolationError("malformed sync records") from exc
+        if not (type(d["batch_id"]) is int
+                and type(d["created_at"]) in (int, float)):
+            raise ContractViolationError("sync batch field of the wrong type")
         return cls(batch_id=d["batch_id"], entity_id=d["entity_id"],
                    records=records, created_at=d["created_at"])
 
@@ -354,11 +367,10 @@ class SocketTransport:
             return _recv_framed(sock)
 
 
-# What decoding a malformed request raises: bad framing or a broken
-# contract, bytes that are not UTF-8, bad JSON, a missing key. Both decode
-# errors subclass ValueError, which stays an "internal" error otherwise.
-_BAD_REQUEST_ERRORS = (ContractViolationError, UnicodeDecodeError,
-                      json.JSONDecodeError, KeyError)
+# What decoding a malformed request raises: bad framing, unreadable JSON
+# or another broken contract, a missing key. A handler's own ValueError
+# stays an "internal" error.
+_BAD_REQUEST_ERRORS = (ContractViolationError, KeyError)
 
 
 class _FrameHandler(socketserver.BaseRequestHandler):

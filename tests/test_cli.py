@@ -85,6 +85,9 @@ def test_config_validation():
         ExperimentConfig(cv_max_splits=1)
     with pytest.raises(ConfigurationError):
         ExperimentConfig(min_reports=-1)
+    assert ExperimentConfig(min_classes=3).min_classes == 3
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig(min_classes=4)     # more classes than labels
 
 
 def test_config_from_mapping_and_file(tmp_path):

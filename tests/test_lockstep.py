@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from valencelab.errors import ContractViolationError
-from valencelab.learn import boost
 from valencelab.learn.boost import GradientBoostedTrees
 from valencelab.learn.cv import stratified_folds
 from valencelab.learn.mlp import MLPClassifier
@@ -62,20 +61,6 @@ def test_gbt_lockstep_equals_one_fold_fits(settings):
         assert model.to_payload() == alone.to_payload()
         assert same_bits(model.loss_curve_, alone.loss_curve_)
         assert same_bits(model.predict_proba(X), alone.predict_proba(X))
-
-
-def test_gbt_node_buffers_grow_when_full(monkeypatch):
-    X, y, folds = ragged_folds()
-    settings = dict(n_rounds=8, max_depth=6, subsample=0.8, seed=4)
-    alone = [GradientBoostedTrees(**settings).fit(X[tr], y[tr], 3)
-             for tr, _ in folds]
-    monkeypatch.setattr(boost, "NODE_ROOM", 5)
-    lockstep = [GradientBoostedTrees(**settings) for _ in folds]
-    GradientBoostedTrees.fit_folds(lockstep, [X[tr] for tr, _ in folds],
-                                   [y[tr] for tr, _ in folds], 3)
-    for model, reference in zip(lockstep, alone):
-        assert model.to_payload() == reference.to_payload()
-        assert same_bits(model.predict_proba(X), reference.predict_proba(X))
 
 
 def test_gbt_lockstep_mixes_folds_of_different_bin_counts():
@@ -155,13 +140,6 @@ def test_gbt_lockstep_with_mixed_settings_equals_one_fold_fits():
         assert same_bits(model.predict_proba(X), alone.predict_proba(X))
 
 
-def test_gbt_node_regions_grow_when_full_in_a_mixed_lockstep(monkeypatch):
-    # regions fill while some models have already left the pass
-    monkeypatch.setattr(boost, "NODE_ROOM", 5)
-    _, _, _, lockstep = mixed_gbt_lockstep()
-    assert mixed_gbt_digest(lockstep) == MIXED_GBT_GOLDEN
-
-
 def test_mlp_lockstep_with_mixed_settings_equals_one_fold_fits():
     X, y, folds = ragged_folds()
     settings = [dict(n_hidden=4, lr=0.05, epochs=3),
@@ -184,6 +162,9 @@ def test_gbt_payload_round_trip_predicts_the_same():
     payload = json.loads(json.dumps(model.to_payload()))
     loaded = GradientBoostedTrees().load_payload(payload, 3)
     assert loaded.to_payload() == payload
+    for name in ("feature", "split_bin", "left", "start"):
+        assert np.array_equal(getattr(loaded.forest_, name),
+                              getattr(model.forest_, name))
     assert same_bits(loaded.predict_proba(X), model.predict_proba(X))
     one = loaded.predict_proba(X[:1])
     assert same_bits(one, model.predict_proba(X)[:1])

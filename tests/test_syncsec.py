@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 from valencelab import syncsec
 from valencelab.agent import LocalStore, Record
 from valencelab.errors import AuthError, ContractViolationError
-from valencelab.expanse import (MemoryStore, ModelRegistry, SyncServer,
-                                context_features, predict_request_payload)
+from valencelab.expanse import (EligibilityRules, MemoryStore, ModelRegistry,
+                                SyncServer, aggregate_entity,
+                                context_features, eligibility_funnel,
+                                predict_request_payload)
 from valencelab.learn import ClusterModel, train
-from valencelab.simworld import Fault, FaultPlan
+from valencelab.simworld import EVENT_KINDS, LABELS, Fault, FaultPlan
 from valencelab.syncsec import (SYNC_FLOOR_MIN, FaultyTransport,
                                 LoopbackTransport, SignedEnvelope,
                                 SocketServer, SocketTransport, SyncBatch,
@@ -367,18 +369,26 @@ def _header(**fields) -> bytes:
     return _section(canonical_json(header)) + _section(b"{}") + _section(b"")
 
 
-def _signed_records(records) -> bytes:
-    payload = canonical_json({"kind": "sync", "batch_id": 1,
-                              "entity_id": "e001", "created_at": 0.0,
-                              "records": records})
+def _signed(payload: bytes) -> bytes:
     return encode_envelope(sign(derive_keypair(7, "e001")[0], payload,
                                 "e001"), 1)
+
+
+def _signed_records(records, **fields) -> bytes:
+    return _signed(canonical_json(dict(
+        {"kind": "sync", "batch_id": 1, "entity_id": "e001",
+         "created_at": 0.0, "records": records}, **fields)))
 
 
 def _signed_predict(x, y, t) -> bytes:
-    payload = predict_request_payload("e001", x, y, t)
-    return encode_envelope(sign(derive_keypair(7, "e001")[0], payload,
-                                "e001"), 1)
+    return _signed(predict_request_payload("e001", x, y, t))
+
+
+# an integer past the interpreter's int-string limit, written out by hand
+# since json.dumps refuses it where that limit exists
+_LONG_INT_PREDICT = _signed(
+    b'{"entity_id":"e001","kind":"predict","t":' + b"9" * 5000
+    + b',"x":0.0,"y":0.0}')
 
 
 def _predicting_server(reg) -> SyncServer:
@@ -411,10 +421,19 @@ def _predicting_server(reg) -> SyncServer:
     _signed_predict(0.0, 0.0, float("inf")),
     _signed_predict(0.0, 0.0, float("nan")),
     _signed_predict(float("nan"), 0.0, 0.0),
+    _signed_predict(0.0, 0.0, 10 ** 400),
+    _LONG_INT_PREDICT,
+    _signed(b"[" * 100_000),
+    _signed_records([dict(_rec("c").to_dict(), payload="banana")]),
+    _signed_records([dict(_rec("c").to_dict(), kind="weird")]),
+    _signed_records([dict(_rec("c").to_dict(), t=10 ** 400)]),
+    _signed_records([_rec("c").to_dict()], batch_id=[1]),
 ], ids=["framing", "json", "utf8", "keys", "header_list", "nonce_not_hex",
         "nonce_int", "signer_list", "records_int", "record_t_str",
         "record_uuid_list", "predict_t_inf", "predict_t_nan",
-        "predict_x_nan"])
+        "predict_x_nan", "predict_t_past_float", "predict_t_5000_digits",
+        "deep_nesting", "report_not_a_label", "record_kind_unknown",
+        "record_t_past_float", "batch_id_list"])
 def test_socket_server_answers_garbage_with_bad_request(body):
     reg = public_keys(7, ["e001"])
     started = time.monotonic()
@@ -422,8 +441,99 @@ def test_socket_server_answers_garbage_with_bad_request(body):
         transport = SocketTransport(srv.host, srv.port, timeout_s=2.0)
         reply = transport.send(body, "e001")
         assert json.loads(reply) == {"ok": False, "error": "bad_request"}
+        assert srv.handler.store.total_records() == 0
         assert _client(srv.handler, transport).attempt(now=1.0) == "ok"
     assert time.monotonic() - started < 5.0
+
+
+# Raw JSON text for one field: any JSON value (non-finite floats and wrong
+# types included), a plausible value so that some requests pass, or text
+# made to break a parser: integers past float range and past the int-string
+# limit, nesting past the recursion limit, an overflowing exponent.
+_RAW_JSON = st.one_of(
+    st.recursive(st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.text(max_size=8),
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                 max_leaves=6).map(json.dumps),
+    st.floats().map(json.dumps),
+    st.sampled_from(EVENT_KINDS + LABELS + ("e001", 2)).map(json.dumps),
+    st.integers(300, 6000).map(lambda n: "9" * n),
+    st.integers(1, 100_000).map(lambda n: "[" * n + "]" * n),
+    st.sampled_from(["1e999", "-1e999"]),
+)
+_REQUESTS = {
+    "sync": {"kind": "sync", "batch_id": 1, "entity_id": "e001",
+             "created_at": 0.0, "records": [_rec("c").to_dict()]},
+    "predict": {"kind": "predict", "entity_id": "e001", "x": 0.0, "y": 0.0,
+                "t": 0.0},
+}
+_PATHS = {
+    "sync": [(f,) for f in _REQUESTS["sync"]]
+            + [("records", 0, f) for f in _REQUESTS["sync"]["records"][0]],
+    "predict": [(f,) for f in _REQUESTS["predict"]],
+    "header": [("version",), ("entity_id",), ("batch_id",), ("nonce",)],
+}
+
+
+def _with_raw(doc, raws: dict) -> bytes:
+    """doc's canonical JSON with the value at each path of raws replaced by
+    that raw JSON text. A path inside a replaced value is moot."""
+    doc = json.loads(json.dumps(doc))
+    items = sorted(raws.items(), key=lambda item: -len(item[0]))
+    for i, ((*parents, last), _) in enumerate(items):
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = f"@{i}@"
+    data = canonical_json(doc)
+    for i, (_, raw) in enumerate(items):
+        data = data.replace(f'"@{i}@"'.encode(), raw.encode())
+    return data
+
+
+@st.composite
+def _hostile_messages(draw):
+    """A signed sync batch or predict with hostile JSON at up to three of
+    its payload's or header's fields, or an unsigned random frame."""
+    if draw(st.integers(0, 4)) == 0:
+        sections = st.lists(st.binary(max_size=64), min_size=3, max_size=3)
+        return draw(st.binary(max_size=256)
+                    | sections.map(lambda ss: b"".join(map(_section, ss))))
+    kind = draw(st.sampled_from(sorted(_REQUESTS)))
+    paths = draw(st.lists(st.sampled_from(
+        [("payload",) + p for p in _PATHS[kind]]
+        + [("header",) + p for p in _PATHS["header"]]),
+        min_size=1, max_size=3, unique=True))
+    raws = {p: draw(_RAW_JSON) for p in paths}
+    payload = _with_raw(_REQUESTS[kind], {p[1:]: raw for p, raw in raws.items()
+                                          if p[0] == "payload"})
+    env = sign(derive_keypair(7, "e001")[0], payload, "e001")
+    header = _with_raw({"version": 1, "entity_id": "e001", "batch_id": 1,
+                        "nonce": env.nonce.hex()},
+                       {p[1:]: raw for p, raw in raws.items()
+                        if p[0] == "header"})
+    return b"".join(map(_section, (header, payload, env.signature)))
+
+
+_KEYS = public_keys(7, ["e001"])
+
+
+@settings(max_examples=200, deadline=2000)
+@given(_hostile_messages())
+def test_hostile_requests_get_a_reply_auth_or_bad_request(message):
+    """What the socket handler would answer with "internal" never happens:
+    receive replies, or raises what maps to "auth" or "bad_request"."""
+    server = _predicting_server(_KEYS)
+    try:
+        reply = json.loads(server.receive(message))
+    except (AuthError, *syncsec._BAD_REQUEST_ERRORS):
+        assert server.store.total_records() == 0
+        return
+    assert reply["ok"] is True
+    # whatever an ok sync stored, the pipeline can read
+    aggregate_entity(server.store, "e001")
+    eligibility_funnel(server.store, EligibilityRules())
 
 
 def test_socket_server_answers_truncated_envelope_with_bad_request():
