@@ -174,6 +174,17 @@ def simulate_stage(config: ExperimentConfig):
 # stage 2: drive the device agents and sync everything to the store
 
 
+# A drive forks one worker for each this many events, at most one per entity
+# and per CPU; below it the drive runs in process. Fork, result transfer and
+# merge cost about 0.1 s, which a drive of a few hundred milliseconds does not
+# earn back. Two callers also need their small drives to stay in process: the
+# serve benchmark's set-up records agent batches by patching
+# syncsec.make_batch in the calling process, so a forked drive would leave
+# its recording empty; and the benchmark's tests count agent.feed_tick calls
+# in a traced tiny learn set-up, which a worker's spans would not reach.
+DRIVE_EVENTS_PER_WORKER = 2000
+
+
 @dataclass
 class DriveResult:
     mstore: MemoryStore
@@ -181,31 +192,103 @@ class DriveResult:
     private_keys: dict
     transport: FaultyTransport
     agents: dict              # battery: agents[eid].energy_spent
-    recoveries: list          # (entity_id, crash_t, revive_t)
+    recoveries: list          # (entity_id, crash_t, revive_t), by revive_t
     sentiment_counts: dict    # text-message sentiment class tallies
 
 
 def drive_agents(cohort: Cohort, events, plan: FaultPlan,
                  config: ExperimentConfig) -> DriveResult:
-    """Windowed replay of one timeline: events and lifecycle faults in time
-    order, periodic checks (feed, revive, homeostasis) at every step_s
-    boundary, sync attempts on each client's own schedule."""
+    """Replay one timeline through every entity's agent and sync client.
+
+    Entities share no mutable state while they are driven, so once the
+    timeline holds DRIVE_EVENTS_PER_WORKER events per worker, groups of
+    entities go to forked workers and their results are merged here; the
+    store, the agents and the recoveries do not depend on the worker count.
+    """
     keys = {}
     private_keys = {}
-    mstore = _registered_store(cohort.profiles)
+    # derived here: private keys do not pickle, and a worker inherits them
     for prof in cohort.profiles:
-        sk, pk = derive_keypair(config.seed, prof.entity_id)
-        private_keys[prof.entity_id] = sk
-        keys[prof.entity_id] = pk
+        private_keys[prof.entity_id], keys[prof.entity_id] = derive_keypair(
+            config.seed, prof.entity_id)
+    mstore = _registered_store(cohort.profiles)
+    transport = FaultyTransport(LoopbackTransport(SyncServer(mstore, keys)),
+                                plan)
+    ids = [p.entity_id for p in cohort.profiles]
+    inputs = (events, plan.entries, private_keys, config,
+              cohort.spec.days * 86400.0)
+    workers = max(1, _workers(
+        min(len(ids), len(events) // DRIVE_EVENTS_PER_WORKER)))
+    if workers == 1:
+        agents, recoveries, sentiment_counts = _drive_group(
+            ids, transport, *inputs)
+    else:
+        agents, recoveries = {}, []
+        sentiment_counts = {"negative": 0, "neutral": 0, "positive": 0}
+        # the inputs reach the workers by fork; only entity ids are pickled
+        pool = _fork_pool(workers, _keep_drive_inputs, (plan, keys, *inputs))
+        try:
+            jobs = [pool.submit(_drive_worker, ids[i::workers])
+                    for i in range(workers)]
+            while jobs:     # a group's result is freed once it is merged
+                stored, group_agents, group_recoveries, outcomes, tallies = \
+                    jobs.pop(0).result()
+                for eid, records in stored.items():
+                    for rec in records:
+                        mstore.add(eid, rec)
+                agents.update(group_agents)
+                recoveries += group_recoveries
+                transport.outcomes += outcomes
+                for cls, n in tallies.items():
+                    sentiment_counts[cls] += n
+        finally:
+            pool.shutdown(cancel_futures=True)
+        agents = {eid: agents[eid] for eid in ids}
+    recoveries.sort(key=lambda r: (r[2], r[0], r[1]))
+    return DriveResult(
+        mstore=mstore, keys=keys, private_keys=private_keys,
+        transport=transport, agents=agents, recoveries=recoveries,
+        sentiment_counts=sentiment_counts)
 
-    server = SyncServer(mstore, keys)
-    transport = FaultyTransport(LoopbackTransport(server), plan)
-    agents = {p.entity_id: SensingAgent(p.entity_id) for p in cohort.profiles}
+
+_drive_inputs: tuple = ()
+
+
+def _keep_drive_inputs(*inputs) -> None:
+    """A drive worker's initializer: keeps the inputs it inherited."""
+    global _drive_inputs
+    _drive_inputs = inputs
+
+
+def _drive_worker(ids):
+    """Drive one group of entities against a store and transport of its own;
+    returns each entity's stored records, the agents, the recoveries, the
+    transport's outcomes and the sentiment tallies."""
+    plan, keys, events, faults, private_keys, config, horizon = _drive_inputs
+    group = set(ids)
+    store = MemoryStore()
+    transport = FaultyTransport(LoopbackTransport(SyncServer(store, keys)),
+                                plan)
+    agents, recoveries, tallies = _drive_group(
+        ids, transport, [e for e in events if e.entity_id in group],
+        [f for f in faults if f.entity_id in group], private_keys, config,
+        horizon)
+    stored = {eid: store.events(eid) for eid in store.entity_ids()}
+    return stored, agents, recoveries, transport.outcomes, tallies
+
+
+def _drive_group(ids, transport, events, faults, private_keys,
+                 config: ExperimentConfig, horizon: float):
+    """Windowed replay of the entities `ids`: events and lifecycle faults in
+    time order, periodic checks (feed, revive, homeostasis) at every step_s
+    boundary, sync attempts on each client's own schedule.
+
+    Returns (agents, recoveries, sentiment tallies)."""
+    agents = {eid: SensingAgent(eid) for eid in ids}
     base_min = config.sync_base_interval_min
     clients = {}
     next_sync = {}
-    for prof in cohort.profiles:
-        eid = prof.entity_id
+    for eid in ids:
         clients[eid] = SyncClient(
             store=agents[eid].store, private_key=private_keys[eid],
             entity_id=eid, transport=transport,
@@ -213,8 +296,7 @@ def drive_agents(cohort: Cohort, events, plan: FaultPlan,
             max_records=config.sync_max_records)
         next_sync[eid] = base_min * 60.0
 
-    horizon = cohort.spec.days * 86400.0
-    agent_faults = [f for f in plan.entries if f.kind in ("crash", "reboot")]
+    agent_faults = [f for f in faults if f.kind in ("crash", "reboot")]
     # merge is stable: a fault comes before an event at the same instant,
     # so a crash at t kills the event at t
     timeline = heapq.merge(agent_faults, events, key=lambda item: item.t)
@@ -287,10 +369,7 @@ def drive_agents(cohort: Cohort, events, plan: FaultPlan,
         else:
             raise PipelineError(f"sync for {eid} refused to quiesce")
 
-    return DriveResult(
-        mstore=mstore, keys=keys, private_keys=private_keys,
-        transport=transport, agents=agents, recoveries=recoveries,
-        sentiment_counts=sentiment_counts)
+    return agents, recoveries, sentiment_counts
 
 
 # ---------------------------------------------------------------------------
@@ -305,20 +384,23 @@ def funnel_stage(mstore: MemoryStore, config: ExperimentConfig):
 # stage 4: per-entity clustering + model tuning
 
 
-def _learn_workers(n_entities: int) -> int:
-    """Worker processes for tuning: one per entity, at most one per CPU."""
-    return min(n_entities, len(os.sched_getaffinity(0)))
+def _workers(n_tasks: int) -> int:
+    """Worker processes for independent tasks: at most one per task and
+    one per CPU."""
+    return min(n_tasks, len(os.sched_getaffinity(0)))
 
 
-def _fork_pool(workers: int):
+def _fork_pool(workers: int, initializer=None, initargs=()):
     """A process pool whose workers are forks of this process, so they
-    start with its modules and state; only calls and results are pickled."""
-    # imported on use: a process that never forks workers (drive, serve,
-    # a one-worker learn) does not load the multiprocessing modules
+    start with its modules and state, and with `initargs`, which are
+    inherited, not pickled; only calls and results are pickled."""
+    # imported on use: a process that never forks workers (a small drive,
+    # serve, a one-worker learn) does not load the multiprocessing modules
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     return ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"))
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=initializer, initargs=initargs)
 
 
 def _tune_entity(X, y, automl_cfg, seed, feature_names):
@@ -346,7 +428,7 @@ def learn_stage(mstore: MemoryStore, funnel_rows, config: ExperimentConfig):
     automl_cfg = AutomlConfig(budget=config.budget,
                               cv_max_splits=config.cv_max_splits,
                               kinds=tuple(config.models))
-    workers = _learn_workers(len(eligible))
+    workers = _workers(len(eligible))
     pool = _fork_pool(workers) if workers > 1 else None
     try:
         tuned = []

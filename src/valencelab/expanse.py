@@ -289,9 +289,13 @@ def handle_prediction(envelope, request: dict, store: MemoryStore,
     signer = verify_and_scope(envelope, keys, requested_entity=target)
     if not store.has_entity(signer):
         raise NotFoundError(f"unknown entity {signer!r}")
+    context = [request[k] for k in ("x", "y", "t")]
+    # type(), not isinstance(): a JSON true is a bool, not a number
+    if not all(type(v) in (int, float) for v in context):
+        raise ContractViolationError("prediction context is not numeric")
     try:
-        x, y, t = (float(request[k]) for k in ("x", "y", "t"))
-    except (TypeError, ValueError, OverflowError) as exc:
+        x, y, t = (float(v) for v in context)
+    except OverflowError as exc:
         raise ContractViolationError("prediction context is not numeric") \
             from exc
     if not all(math.isfinite(v) for v in (x, y, t)):

@@ -380,8 +380,21 @@ class ClusterModel:
             points = points[None, :]
         if self.exemplars.size == 0:
             return np.full(points.shape[0], -1, dtype=np.int64)
-        d = np.sqrt(((points[:, None, :] - self.exemplars[None, :, :]) ** 2)
-                    .sum(axis=2))
+        with np.errstate(over="ignore"):
+            d = np.sqrt(((points[:, None, :] - self.exemplars[None, :, :])
+                         ** 2).sum(axis=2))
+        # Past about 1e154 a square overflows to inf, and the differences
+        # round exemplars together. Such a row p is ranked by
+        # (|p - e|^2 - |p|^2) / s = |e| (|e| / s) - 2 (p / s).e, with s the
+        # largest norm of p and the exemplars: it orders the exemplars as
+        # the distances do, and stays finite.
+        far = np.isinf(d).any(axis=1)
+        if far.any():
+            p = points[far]
+            e_norm = np.hypot.reduce(self.exemplars, axis=1, initial=0.0)
+            s = np.maximum(np.hypot.reduce(p, axis=1, initial=0.0),
+                           e_norm.max())[:, None]
+            d[far] = e_norm * (e_norm / s) - 2.0 * (p / s) @ self.exemplars.T
         return self.exemplar_labels[d.argmin(axis=1)]
 
     def to_dict(self) -> dict:

@@ -1,13 +1,16 @@
 """End-to-end harness: config parsing, artifacts, staging, exit codes."""
 
+import hashlib
 import json
 import math
+import multiprocessing
 import select
 import shutil
 import socket
 import subprocess
 import sys
 import time
+from collections import Counter
 from concurrent import futures
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,11 +21,13 @@ from valencelab import cli
 from valencelab.cli import (FUNNEL_COLUMNS, ExperimentConfig, _read_rows,
                             _rebuild_store, drive_agents,
                             load_experiment_config, main, run_experiment)
-from valencelab.errors import ConfigurationError, ContractViolationError
+from valencelab.errors import (ConfigurationError, ContractViolationError,
+                               PipelineError)
 from valencelab.expanse import funnel_counts
 from valencelab.learn import automl
 from valencelab.simworld import (CohortSpec, Fault, FaultPlan, build_cohort,
-                                 run_cohort)
+                                 make_crash_plan, make_delivery_fault_plan,
+                                 make_net_flap_plan, run_cohort)
 from valencelab.syncsec import SocketServer
 
 SMALL_COHORT = """\
@@ -272,7 +277,7 @@ def _cpus(monkeypatch, n: int) -> None:
 def test_worker_count_is_bounded_by_cpus_and_entities(
         monkeypatch, n_cpus, n_entities, workers):
     _cpus(monkeypatch, n_cpus)
-    assert cli._learn_workers(n_entities) == workers
+    assert cli._workers(n_entities) == workers
 
 
 def test_learn_stage_output_does_not_depend_on_worker_count(
@@ -319,6 +324,89 @@ def test_tuning_error_reaches_the_caller(small_run, tmp_path, monkeypatch,
     assert main(["learn", "--out", str(out), "--cohort", str(cohort_path),
                  "--seed", "7", "--budget", "5"]) == 3
     assert "unknown hyperparameters ['bogus']" in capsys.readouterr().err
+
+
+# -- driving in worker processes ------------------------------------------------
+
+
+def _faulty_world():
+    """4 entities over 3 days with every kind of fault."""
+    spec = CohortSpec(n_entities=4, n_no_demographics=0, n_low_rate=0,
+                      n_single_class=0, n_skewed=0, n_interaction=2,
+                      n_band_only=2, days=3.0)
+    config = ExperimentConfig(seed=5, out="unused")
+    cohort = build_cohort(spec, config.seed)
+    ids = [p.entity_id for p in cohort.profiles]
+    horizon = spec.days * 86400.0
+    crashes = make_crash_plan(ids, 8, horizon, seed=5)
+    # a reboot before the revive tick ends two of the outages early
+    reboots = [Fault(f.t + 60.0, f.entity_id, "reboot")
+               for f in list(crashes)[:2]]
+    plan = FaultPlan(list(crashes) + reboots
+                     + list(make_delivery_fault_plan(ids, 6, 6, horizon, 5))
+                     + list(make_net_flap_plan(ids, 4, horizon, 5)))
+    return cohort, run_cohort(cohort), plan, config
+
+
+def _drive_outputs(drive) -> tuple:
+    return (
+        {eid: drive.mstore.events(eid) for eid in drive.mstore.entity_ids()},
+        [(eid, a.store.pending, a.store.ever_synced, a.energy_spent)
+         for eid, a in drive.agents.items()],
+        drive.recoveries, Counter(drive.transport.outcomes),
+        drive.sentiment_counts)
+
+
+def test_drive_does_not_depend_on_worker_count(monkeypatch):
+    cohort, events, plan, config = _faulty_world()
+    pools = []
+
+    class RecordingPool(futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kw):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kw)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "DRIVE_EVENTS_PER_WORKER", 1)
+    outputs = []
+    for n_cpus in (1, 2):
+        _cpus(monkeypatch, n_cpus)
+        outputs.append(_drive_outputs(
+            drive_agents(cohort, events, plan, config)))
+    # one CPU drives in process; two CPUs fork two groups of entities
+    assert pools == [2]
+    assert not multiprocessing.active_children()
+    stored, agents, recoveries, outcomes, sentiment = outputs[0]
+    assert len(stored) == 4 and all(stored.values())
+    assert len(recoveries) == 8
+    assert {"dropped", "duplicated"} <= {o for _, o in outcomes}
+    assert sum(sentiment.values()) > 0
+    assert outputs[0] == outputs[1]
+
+
+def test_drive_error_in_a_worker_reaches_the_caller(monkeypatch):
+    cohort, events, plan, config = _faulty_world()
+    monkeypatch.setattr(cli, "DRIVE_EVENTS_PER_WORKER", 1)
+    _cpus(monkeypatch, 2)
+
+    def broken_feed(agent, clock):
+        raise PipelineError(f"no feed for {agent.entity_id}")
+
+    # a forked worker inherits the patch; the parent never calls it
+    monkeypatch.setattr(cli, "feed_tick", broken_feed)
+    with pytest.raises(PipelineError, match="no feed for e00"):
+        drive_agents(cohort, events, plan, config)
+    assert not multiprocessing.active_children()
+
+
+def test_seed_7_pipeline_keeps_its_hash_and_store(default_run):
+    result, _ = default_run
+    # run_hash does not cover store.jsonl, so its bytes are pinned apart
+    assert result.digest == ("b26fffbe838e3a920f50b929c5209f5a"
+                             "150a93aa4778a794a7c401a164cc4bdc")
+    store = (result.out_dir / "store.jsonl").read_bytes()
+    assert hashlib.sha256(store).hexdigest() == (
+        "5912a53c5900d63b71aa032d3fd0891ce45877ba8ef1836cdab77f0c672727bb")
 
 
 # -- serving and exit codes ------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,21 @@ def test_cluster_model_assignment_and_roundtrip():
     restored = ClusterModel.from_dict(model.to_dict())
     probe = np.array([[0.0, 0.0], [5.0, 5.0], [2.5, 2.5]])
     assert np.array_equal(model.assign(probe), restored.assign(probe))
+
+
+def test_assign_measures_far_points_without_overflow():
+    model = ClusterModel(min_cluster_size=2, min_samples=1,
+                         labels=np.zeros(0, dtype=np.int64),
+                         exemplars=np.array([[0.0, 0.0], [1e10, 0.0]]),
+                         exemplar_labels=np.array([0, 1]), n_clusters=2)
+    # squaring 1e200 overflows, and 1e200 - 1e10 rounds to 1e200; the far
+    # rows are ranked without either, the near rows as before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        labels = model.assign(np.array([[1e200, 0.0], [1e11, 0.0],
+                                        [1.0, 0.0], [-1e200, 1e200],
+                                        [1e200, -1e200]]))
+    assert labels.tolist() == [1, 1, 0, 0, 1]
 
 
 def test_min_cluster_size_validated():

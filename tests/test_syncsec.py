@@ -428,12 +428,15 @@ def _predicting_server(reg) -> SyncServer:
     _signed_records([dict(_rec("c").to_dict(), kind="weird")]),
     _signed_records([dict(_rec("c").to_dict(), t=10 ** 400)]),
     _signed_records([_rec("c").to_dict()], batch_id=[1]),
+    _signed_predict("1.5", 0.0, 0.0),
+    _signed_predict(0.0, 0.0, True),
 ], ids=["framing", "json", "utf8", "keys", "header_list", "nonce_not_hex",
         "nonce_int", "signer_list", "records_int", "record_t_str",
         "record_uuid_list", "predict_t_inf", "predict_t_nan",
         "predict_x_nan", "predict_t_past_float", "predict_t_5000_digits",
         "deep_nesting", "report_not_a_label", "record_kind_unknown",
-        "record_t_past_float", "batch_id_list"])
+        "record_t_past_float", "batch_id_list", "predict_x_string",
+        "predict_t_bool"])
 def test_socket_server_answers_garbage_with_bad_request(body):
     reg = public_keys(7, ["e001"])
     started = time.monotonic()
