@@ -51,7 +51,7 @@ def update_empathy(state: EmpathyState, now: float) -> float:
     return state.score
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Record:
     """One stored observation, sensor or report or text."""
 

@@ -31,6 +31,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -175,10 +176,10 @@ def simulate_stage(config: ExperimentConfig):
 
 
 # A drive forks one worker for each this many events, at most one per entity
-# and per CPU; below it the drive runs in process. Fork, result transfer and
-# merge cost about 0.1 s, which a drive of a few hundred milliseconds does not
-# earn back. Two callers also need their small drives to stay in process: the
-# serve benchmark's set-up records agent batches by patching
+# and per CPU; below it the one group of entities is driven in process. Fork,
+# result transfer and merge cost about 0.1 s, which a drive of a few hundred
+# milliseconds does not earn back. Two callers also need their small drives
+# in process: the serve benchmark's set-up records agent batches by patching
 # syncsec.make_batch in the calling process, so a forked drive would leave
 # its recording empty; and the benchmark's tests count agent.feed_tick calls
 # in a traced tiny learn set-up, which a worker's spans would not reach.
@@ -200,10 +201,11 @@ def drive_agents(cohort: Cohort, events, plan: FaultPlan,
                  config: ExperimentConfig) -> DriveResult:
     """Replay one timeline through every entity's agent and sync client.
 
-    Entities share no mutable state while they are driven, so once the
-    timeline holds DRIVE_EVENTS_PER_WORKER events per worker, groups of
-    entities go to forked workers and their results are merged here; the
-    store, the agents and the recoveries do not depend on the worker count.
+    Entities share no mutable state while they are driven, so round-robin
+    groups of them are driven apart, each against a store and transport of
+    its own, and merged here in group order: one group in process below
+    DRIVE_EVENTS_PER_WORKER events per worker, else a forked worker each.
+    The store, the agents and the recoveries do not depend on the count.
     """
     keys = {}
     private_keys = {}
@@ -215,75 +217,44 @@ def drive_agents(cohort: Cohort, events, plan: FaultPlan,
     transport = FaultyTransport(LoopbackTransport(SyncServer(mstore, keys)),
                                 plan)
     ids = [p.entity_id for p in cohort.profiles]
-    inputs = (events, plan.entries, private_keys, config,
-              cohort.spec.days * 86400.0)
     workers = max(1, _workers(
         min(len(ids), len(events) // DRIVE_EVENTS_PER_WORKER)))
-    if workers == 1:
-        agents, recoveries, sentiment_counts = _drive_group(
-            ids, transport, *inputs)
-    else:
-        agents, recoveries = {}, []
-        sentiment_counts = {"negative": 0, "neutral": 0, "positive": 0}
-        # the inputs reach the workers by fork; only entity ids are pickled
-        pool = _fork_pool(workers, _keep_drive_inputs, (plan, keys, *inputs))
-        try:
-            jobs = [pool.submit(_drive_worker, ids[i::workers])
-                    for i in range(workers)]
-            while jobs:     # a group's result is freed once it is merged
-                stored, group_agents, group_recoveries, outcomes, tallies = \
-                    jobs.pop(0).result()
-                for eid, records in stored.items():
-                    for rec in records:
-                        mstore.add(eid, rec)
-                agents.update(group_agents)
-                recoveries += group_recoveries
-                transport.outcomes += outcomes
-                for cls, n in tallies.items():
-                    sentiment_counts[cls] += n
-        finally:
-            pool.shutdown(cancel_futures=True)
-        agents = {eid: agents[eid] for eid in ids}
+    agents, recoveries = {}, []
+    sentiment_counts = {"negative": 0, "neutral": 0, "positive": 0}
+    # the inputs reach a worker by fork; only entity ids are pickled
+    inherited = (plan, keys, events, private_keys, config,
+                 cohort.spec.days * 86400.0)
+    groups = [(ids[i::workers],) for i in range(workers)]
+    for stored, group_agents, group_recoveries, outcomes, tallies in \
+            _in_order(_drive_group, groups, workers, inherited):
+        for eid, records in stored.items():
+            for rec in records:
+                mstore.add(eid, rec)
+        agents.update(group_agents)
+        recoveries += group_recoveries
+        transport.outcomes += outcomes
+        for cls, n in tallies.items():
+            sentiment_counts[cls] += n
     recoveries.sort(key=lambda r: (r[2], r[0], r[1]))
     return DriveResult(
         mstore=mstore, keys=keys, private_keys=private_keys,
-        transport=transport, agents=agents, recoveries=recoveries,
-        sentiment_counts=sentiment_counts)
+        transport=transport, agents={eid: agents[eid] for eid in ids},
+        recoveries=recoveries, sentiment_counts=sentiment_counts)
 
 
-_drive_inputs: tuple = ()
+def _drive_group(plan: FaultPlan, keys, events, private_keys,
+                 config: ExperimentConfig, horizon: float, ids):
+    """Windowed replay of the entities `ids` against a store and transport
+    of their own: their events and lifecycle faults in time order, periodic
+    checks (feed, revive, homeostasis) at every step_s boundary, sync
+    attempts on each client's own schedule.
 
-
-def _keep_drive_inputs(*inputs) -> None:
-    """A drive worker's initializer: keeps the inputs it inherited."""
-    global _drive_inputs
-    _drive_inputs = inputs
-
-
-def _drive_worker(ids):
-    """Drive one group of entities against a store and transport of its own;
-    returns each entity's stored records, the agents, the recoveries, the
+    Returns each entity's stored records, the agents, the recoveries, the
     transport's outcomes and the sentiment tallies."""
-    plan, keys, events, faults, private_keys, config, horizon = _drive_inputs
     group = set(ids)
     store = MemoryStore()
     transport = FaultyTransport(LoopbackTransport(SyncServer(store, keys)),
                                 plan)
-    agents, recoveries, tallies = _drive_group(
-        ids, transport, [e for e in events if e.entity_id in group],
-        [f for f in faults if f.entity_id in group], private_keys, config,
-        horizon)
-    stored = {eid: store.events(eid) for eid in store.entity_ids()}
-    return stored, agents, recoveries, transport.outcomes, tallies
-
-
-def _drive_group(ids, transport, events, faults, private_keys,
-                 config: ExperimentConfig, horizon: float):
-    """Windowed replay of the entities `ids`: events and lifecycle faults in
-    time order, periodic checks (feed, revive, homeostasis) at every step_s
-    boundary, sync attempts on each client's own schedule.
-
-    Returns (agents, recoveries, sentiment tallies)."""
     agents = {eid: SensingAgent(eid) for eid in ids}
     base_min = config.sync_base_interval_min
     clients = {}
@@ -296,10 +267,13 @@ def _drive_group(ids, transport, events, faults, private_keys,
             max_records=config.sync_max_records)
         next_sync[eid] = base_min * 60.0
 
-    agent_faults = [f for f in faults if f.kind in ("crash", "reboot")]
+    agent_faults = [f for f in plan if f.entity_id in group
+                    and f.kind in ("crash", "reboot")]
     # merge is stable: a fault comes before an event at the same instant,
     # so a crash at t kills the event at t
-    timeline = heapq.merge(agent_faults, events, key=lambda item: item.t)
+    timeline = heapq.merge(agent_faults,
+                           [e for e in events if e.entity_id in group],
+                           key=lambda item: item.t)
     item = next(timeline, None)
     recoveries = []
     crash_pending: dict[str, list[float]] = {}
@@ -369,7 +343,8 @@ def _drive_group(ids, transport, events, faults, private_keys,
         else:
             raise PipelineError(f"sync for {eid} refused to quiesce")
 
-    return agents, recoveries, sentiment_counts
+    stored = {eid: store.events(eid) for eid in store.entity_ids()}
+    return stored, agents, recoveries, transport.outcomes, sentiment_counts
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +365,44 @@ def _workers(n_tasks: int) -> int:
     return min(n_tasks, len(os.sched_getaffinity(0)))
 
 
-def _fork_pool(workers: int, initializer=None, initargs=()):
-    """A process pool whose workers are forks of this process, so they
-    start with its modules and state, and with `initargs`, which are
-    inherited, not pickled; only calls and results are pickled."""
+def _in_order(fn, tasks, workers: int, inherited=()):
+    """Yield fn(*inherited, *task) for each task, in task order.
+
+    With one worker or none the calls run in process. Otherwise they run in
+    `workers` forks of this process, which start with its modules and state
+    and with `inherited`, which is not pickled; only tasks and results are.
+    No worker outlives the iteration: exhaust or close it."""
+    if workers <= 1:
+        for task in tasks:
+            yield fn(*inherited, *task)
+        return
     # imported on use: a process that never forks workers (a small drive,
     # serve, a one-worker learn) does not load the multiprocessing modules
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(
+    pool = ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=initializer, initargs=initargs)
+        initializer=_inherit, initargs=inherited)
+    try:
+        # map yields in task order and drops each result once yielded
+        yield from pool.map(partial(_call_inherited, fn), tasks)
+    finally:
+        # on an error, tasks not yet started are dropped; running ones
+        # finish before the error reaches the caller
+        pool.shutdown(cancel_futures=True)
+
+
+_inherited: tuple = ()
+
+
+def _inherit(*inherited) -> None:
+    """A worker's initializer: keeps what it inherited by fork."""
+    global _inherited
+    _inherited = inherited
+
+
+def _call_inherited(fn, task):
+    return fn(*_inherited, *task)
 
 
 def _tune_entity(X, y, automl_cfg, seed, feature_names):
@@ -413,10 +415,10 @@ def _tune_entity(X, y, automl_cfg, seed, feature_names):
 def learn_stage(mstore: MemoryStore, funnel_rows, config: ExperimentConfig):
     """Cluster, featurize, and tune every eligible entity.
 
-    Clustering and dataset assembly run here, in entity order; each
-    entity's tuning goes to a forked worker process as soon as its dataset
-    is built (in process when there is one worker). Tuning is seeded per
-    entity, so the outputs do not depend on the worker count.
+    Clustering and dataset assembly run here, in entity order; then the
+    entities are tuned in forked worker processes, or in process when there
+    is one worker. Tuning is seeded per entity, so the outputs do not depend
+    on the worker count.
 
     Returns (model_rows, registry, registry_doc); rows carry both metrics
     regardless of the report metric setting.
@@ -428,57 +430,48 @@ def learn_stage(mstore: MemoryStore, funnel_rows, config: ExperimentConfig):
     automl_cfg = AutomlConfig(budget=config.budget,
                               cv_max_splits=config.cv_max_splits,
                               kinds=tuple(config.models))
-    workers = _workers(len(eligible))
-    pool = _fork_pool(workers) if workers > 1 else None
-    try:
-        tuned = []
-        for eid in eligible:
-            reports = [r for r in mstore.events(eid) if r.kind == "report"]
-            points = np.array([[r.x, r.y] for r in reports])
-            mcs, ms = autodiscover_cluster_params(
-                points, min_samples_grid=(config.min_samples,))
-            cmodel = fit_cluster_model(points, mcs, ms)
-            ds = build_dataset(mstore, eid, cmodel)
-            args = (ds.X, ds.y, automl_cfg, derive_seed(config.seed, eid),
-                    ds.feature_names)
-            tuned.append((eid, len(reports), cmodel, mcs, ms,
-                          pool.submit(_tune_entity, *args) if pool
-                          else _tune_entity(*args)))
-        for eid, n_reports, cmodel, mcs, ms, job in tuned:
-            models = job.result() if pool else job
-            best_kind = max(config.models,
-                            key=lambda k: (models[k].cv_score,
-                                           MODEL_KINDS.index(k)))
-            registry.register(eid, models[best_kind], cmodel)
-            kind_scores = {}
-            for kind in config.models:
-                m = models[kind]
-                mcc = mcc_multiclass(
-                    ConfusionMatrix(np.asarray(m.cv_confusion)))
-                model_rows.append({
-                    "entity_id": eid, "kind": kind,
-                    "cv_f1": float(m.cv_score), "cv_mcc": float(mcc),
-                    "duration_s": float(m.duration_s),
-                    "cv_splits": int(m.cv_splits),
-                    "n_reports": n_reports,
-                    "n_clusters": int(cmodel.n_clusters),
-                    "min_cluster_size": int(mcs), "min_samples": int(ms),
-                })
-                kind_scores[kind] = {"cv_f1": float(m.cv_score),
-                                     "cv_mcc": float(mcc)}
-            registry_doc["entities"][eid] = {
-                "best_kind": best_kind,
-                "model": model_to_dict(models[best_kind]),
-                "cluster": cmodel.to_dict(),
-                "kinds": kind_scores,
-            }
-            log.info("tuned %s: best %s cv_f1=%.3f", eid, best_kind,
-                     models[best_kind].cv_score)
-    finally:
-        # on an error, entities not yet started are dropped; running ones
-        # finish before the error reaches the caller
-        if pool:
-            pool.shutdown(cancel_futures=True)
+    clustered, tasks = [], []
+    for eid in eligible:
+        reports = [r for r in mstore.events(eid) if r.kind == "report"]
+        points = np.array([[r.x, r.y] for r in reports])
+        mcs, ms = autodiscover_cluster_params(
+            points, min_samples_grid=(config.min_samples,))
+        cmodel = fit_cluster_model(points, mcs, ms)
+        ds = build_dataset(mstore, eid, cmodel)
+        clustered.append((eid, len(reports), cmodel, mcs, ms))
+        tasks.append((ds.X, ds.y, automl_cfg, derive_seed(config.seed, eid),
+                      ds.feature_names))
+    # the tuning results come first, so zip exhausts them
+    for models, (eid, n_reports, cmodel, mcs, ms) in zip(
+            _in_order(_tune_entity, tasks, _workers(len(eligible))),
+            clustered):
+        best_kind = max(config.models,
+                        key=lambda k: (models[k].cv_score,
+                                       MODEL_KINDS.index(k)))
+        registry.register(eid, models[best_kind], cmodel)
+        kind_scores = {}
+        for kind in config.models:
+            m = models[kind]
+            mcc = mcc_multiclass(ConfusionMatrix(np.asarray(m.cv_confusion)))
+            model_rows.append({
+                "entity_id": eid, "kind": kind,
+                "cv_f1": float(m.cv_score), "cv_mcc": float(mcc),
+                "duration_s": float(m.duration_s),
+                "cv_splits": int(m.cv_splits),
+                "n_reports": n_reports,
+                "n_clusters": int(cmodel.n_clusters),
+                "min_cluster_size": int(mcs), "min_samples": int(ms),
+            })
+            kind_scores[kind] = {"cv_f1": float(m.cv_score),
+                                 "cv_mcc": float(mcc)}
+        registry_doc["entities"][eid] = {
+            "best_kind": best_kind,
+            "model": model_to_dict(models[best_kind]),
+            "cluster": cmodel.to_dict(),
+            "kinds": kind_scores,
+        }
+        log.info("tuned %s: best %s cv_f1=%.3f", eid, best_kind,
+                 models[best_kind].cv_score)
     return model_rows, registry, registry_doc
 
 

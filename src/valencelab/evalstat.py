@@ -110,17 +110,9 @@ def mcc_multiclass(matrix: ConfusionMatrix) -> float:
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """Ranks starting at 1, ties receiving the mean of their rank span."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    s = np.sort(values, kind="mergesort")
+    return (np.searchsorted(s, values, "left")
+            + np.searchsorted(s, values, "right") + 1) / 2
 
 
 def _u_from_ranks(pooled: np.ndarray, n1: int) -> float:

@@ -16,6 +16,7 @@ entity index, stream id), so the full event stream is a pure function of
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from datetime import date, timedelta
 
@@ -243,12 +244,18 @@ class FaultPlan:
                 raise ConfigurationError(
                     f"fault plan line {ln}: expected 't entity kind'")
             try:
-                t = float(parts[0])
+                t = _finite(parts[0])
+                entries.append(Fault(t, parts[1], parts[2]))
             except ValueError as exc:
                 raise ConfigurationError(
                     f"fault plan line {ln}: bad time {parts[0]!r}") from exc
-            entries.append(Fault(t, parts[1], parts[2]))
-        return cls(entries)
+            except ContractViolationError as exc:
+                raise ConfigurationError(f"fault plan line {ln}: {exc}") \
+                    from exc
+        try:
+            return cls(entries)
+        except ContractViolationError as exc:
+            raise ConfigurationError(f"fault plan: {exc}") from exc
 
 
 def load_fault_plan(path) -> FaultPlan:
@@ -256,7 +263,7 @@ def load_fault_plan(path) -> FaultPlan:
         return FaultPlan.from_text(fh.read())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     uuid: str
     entity_id: str
@@ -346,6 +353,14 @@ def parse_kv_config(text: str) -> dict:
     return out
 
 
+def _finite(raw: str) -> float:
+    """A float from text; nan and inf are a ValueError, as a typo is."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _parse_bool(raw: str) -> bool:
     if raw.lower() not in ("true", "false"):
         raise ValueError(raw)
@@ -354,7 +369,7 @@ def _parse_bool(raw: str) -> bool:
 
 # each config field's text parser, by the field's annotation
 _FIELD_PARSERS = {
-    "int": int, "float": float, "bool": _parse_bool, "str": str,
+    "int": int, "float": _finite, "bool": _parse_bool, "str": str,
     "tuple": lambda raw: tuple(v.strip() for v in raw.split(",")
                                if v.strip()),
 }

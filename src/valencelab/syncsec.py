@@ -179,7 +179,8 @@ class SyncBatch:
             records = tuple(Record.from_dict(r) for r in d["records"])
         except TypeError as exc:    # not a list of JSON objects
             raise ContractViolationError("malformed sync records") from exc
-        if not (type(d["batch_id"]) is int
+        # a batch that names no entity would skip the scope check
+        if not (type(d["batch_id"]) is int and type(d["entity_id"]) is str
                 and type(d["created_at"]) in (int, float)):
             raise ContractViolationError("sync batch field of the wrong type")
         return cls(batch_id=d["batch_id"], entity_id=d["entity_id"],

@@ -23,7 +23,7 @@ from valencelab.cli import (FUNNEL_COLUMNS, ExperimentConfig, _read_rows,
                             load_experiment_config, main, run_experiment)
 from valencelab.errors import (ConfigurationError, ContractViolationError,
                                PipelineError)
-from valencelab.expanse import funnel_counts
+from valencelab.expanse import MemoryStore, funnel_counts
 from valencelab.learn import automl
 from valencelab.simworld import (CohortSpec, Fault, FaultPlan, build_cohort,
                                  make_crash_plan, make_delivery_fault_plan,
@@ -115,6 +115,39 @@ def test_config_from_mapping_and_file(tmp_path):
     assert load_experiment_config(path).seed == 3
     with pytest.raises(ConfigurationError):
         load_experiment_config(tmp_path / "missing.cfg")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("days", "inf"), ("sensor_rate", "inf"), ("report_rate", "nan"),
+    ("report_rate", "-inf")])
+def test_non_finite_cohort_numbers_fail_at_load(key, value):
+    # an infinite horizon or rate would simulate until killed
+    with pytest.raises(ConfigurationError,
+                       match=f"bad value for '{key}': '{value}'"):
+        CohortSpec.from_mapping({key: value})
+
+
+@pytest.mark.parametrize("line", [
+    "step_s = nan", "step_s = inf", "max_imbalance_degree = nan",
+    "sync_base_interval_min = inf"])
+def test_non_finite_experiment_numbers_fail_at_load(tmp_path, line):
+    path = tmp_path / "exp.cfg"
+    path.write_text(line + "\n")
+    key, value = (part.strip() for part in line.split("="))
+    with pytest.raises(ConfigurationError,
+                       match=f"bad value for '{key}': '{value}'"):
+        load_experiment_config(path)
+
+
+def test_exit_code_2_for_a_nan_step(tmp_path, capsys):
+    cohort_path = tmp_path / "cohort_small.cfg"
+    cohort_path.write_text(SMALL_COHORT)
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text("step_s = nan\n")
+    rc = main(["pipeline", "--out", str(tmp_path / "o"), "--config",
+               str(config_path), "--cohort", str(cohort_path)])
+    assert rc == 2
+    assert "bad value for 'step_s': 'nan'" in capsys.readouterr().err
 
 
 def test_rules_mirror_config():
@@ -399,6 +432,44 @@ def test_drive_error_in_a_worker_reaches_the_caller(monkeypatch):
     assert not multiprocessing.active_children()
 
 
+def test_drive_error_in_the_merge_leaves_no_worker(monkeypatch):
+    cohort, events, plan, config = _faulty_world()
+    monkeypatch.setattr(cli, "DRIVE_EVENTS_PER_WORKER", 1)
+    _cpus(monkeypatch, 2)
+
+    class FullStore(MemoryStore):
+        def add(self, entity_id, record):
+            raise PipelineError(f"no room for {entity_id}")
+
+    # only the parent's store refuses: the workers build stores of their own
+    monkeypatch.setattr(cli, "_registered_store",
+                        lambda profiles: FullStore())
+    with pytest.raises(PipelineError, match="no room for e00"):
+        drive_agents(cohort, events, plan, config)
+    assert not multiprocessing.active_children()
+
+
+def test_learn_stage_without_eligible_entities_starts_no_pool(
+        small_run, monkeypatch):
+    result, _ = small_run
+    pools = []
+
+    class RecordingPool(futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kw):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kw)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+    _cpus(monkeypatch, 2)
+    rows = [{**row, "eligible": False} for row in result.funnel_rows]
+    model_rows, registry, doc = cli.learn_stage(
+        result.drive.mstore, rows, result.config)
+    assert model_rows == [] and registry.entity_ids() == []
+    assert doc["entities"] == {}
+    assert pools == []
+    assert not multiprocessing.active_children()
+
+
 def test_seed_7_pipeline_keeps_its_hash_and_store(default_run):
     result, _ = default_run
     # run_hash does not cover store.jsonl, so its bytes are pinned apart
@@ -499,6 +570,26 @@ def test_exit_code_2_for_fault_plan_outside_the_cohort(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "['e998', 'e999']" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("10.0 e001 explode\n", "line 1: unknown fault kind 'explode'"),
+    ("# net faults\n10.0 e001 net_up\n",
+     "e001: net_up without prior net_down"),
+    ("10.0 e001 crash\nnan e002 crash\n", "line 2: bad time 'nan'"),
+    ("1e400 e001 crash\n", "line 1: bad time '1e400'")])
+def test_exit_code_2_for_a_bad_fault_plan_line(tmp_path, capsys, text,
+                                               message):
+    cohort_path = tmp_path / "cohort_small.cfg"
+    cohort_path.write_text(SMALL_COHORT)
+    plan_path = tmp_path / "faults.txt"
+    plan_path.write_text(text)
+    rc = main(["simulate", "--out", str(tmp_path / "o"),
+               "--cohort", str(cohort_path), "--fault-plan", str(plan_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error: fault plan" in err
+    assert message in err
 
 
 def test_exit_code_3_for_missing_artifacts(tmp_path, capsys):

@@ -365,9 +365,9 @@ def test_sync_server_rejects_a_payload_that_is_not_an_object():
     server = SyncServer(store, keys, registry)
     priv, _ = derive_keypair(7, "e1")
 
-    def sync_body(records):
+    def sync_body(records, entity_id="e1"):
         return canonical_json({"kind": "sync", "batch_id": 1,
-                               "entity_id": "e1", "created_at": 0.0,
+                               "entity_id": entity_id, "created_at": 0.0,
                                "records": records})
 
     records_5 = sync_body(5)
@@ -377,6 +377,7 @@ def test_sync_server_rejects_a_payload_that_is_not_an_object():
         sync_body([dict(record, t="x")]),
         sync_body([dict(record, uuid=["c"])]),
         sync_body([dict(record, x=True)]),
+        sync_body([record], entity_id=None),
         predict_request_payload("e1", "abc", 0.0, 0.0),
         predict_request_payload("e1", [1], 0.0, 0.0))]
     # the batch is parsed before its signature is checked
@@ -384,5 +385,6 @@ def test_sync_server_rejects_a_payload_that_is_not_an_object():
     for env in envelopes:
         with pytest.raises(ContractViolationError):
             server.receive(encode_envelope(env, 0))
-    # nothing was stored: the entity's log still sorts
+    # nothing was stored: the entity's log and the entity ids still sort
     assert len(store.events("e1")) == len(_dataset_store().events("e1"))
+    assert store.entity_ids() == _dataset_store().entity_ids()
