@@ -44,16 +44,18 @@ from .errors import (AuthError, ConfigurationError, ContractViolationError,
                      EmptyDatasetError, NoStructureError, NotFoundError,
                      PipelineError)
 from .evalstat import ConfusionMatrix, mcc_multiclass, u_test_verdict
-from .expanse import (EligibilityRules, MemoryStore, ModelRegistry,
-                      SyncServer, build_dataset, eligibility_funnel,
-                      funnel_counts, predict_request_payload)
+from .expanse import (AckLedger, EligibilityRules, MemoryStore,
+                      ModelRegistry, SyncServer, build_dataset,
+                      eligibility_funnel, funnel_counts,
+                      predict_request_payload)
 from .learn import (MODEL_KINDS, AutomlConfig, ClusterModel, automl_entity,
                     autodiscover_cluster_params, derive_seed,
                     fit_cluster_model, model_from_dict, model_to_dict)
 from .learn.bayesopt import DESIGN_SIZE
-from .simworld import (Cohort, CohortSpec, EntityProfile, FaultPlan, SimClock,
-                       build_cohort, events_to_jsonl, load_fault_plan,
-                       parse_kv_config, run_cohort, typed_fields)
+from .simworld import (SECONDS_PER_DAY, Cohort, CohortSpec, EntityProfile,
+                       FaultPlan, SimClock, build_cohort, events_to_jsonl,
+                       load_fault_plan, parse_kv_config, run_cohort,
+                       typed_fields)
 from .syncsec import (FaultyTransport, LoopbackTransport, SocketServer,
                       SocketTransport, SyncClient, SyncSchedulerState,
                       derive_keypair, encode_envelope, max_frame_bytes,
@@ -152,6 +154,10 @@ def load_experiment_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # stage 1: simulate
 
+# the most step_s windows a drive may loop over; a tiny finite step would
+# otherwise have the drive loop for ever (ten years at 900 s is 350,400)
+MAX_DRIVE_WINDOWS = 1_000_000
+
 
 def simulate_stage(config: ExperimentConfig):
     """Build the cohort and its fault plan, and replay the whole horizon."""
@@ -160,6 +166,12 @@ def simulate_stage(config: ExperimentConfig):
         else resources.files("valencelab") / "data" / "default_cohort.cfg")
     spec = CohortSpec.from_mapping(
         parse_kv_config(cohort_file.read_text(encoding="utf-8")))
+    # the drive loops over ceil(windows), which exceeds the bound iff this does
+    windows = spec.days * SECONDS_PER_DAY / config.step_s
+    if windows > MAX_DRIVE_WINDOWS:
+        raise ConfigurationError(
+            f"{spec.days:g} days at step_s = {config.step_s:g} make "
+            f"{windows:.3g} drive windows, above {MAX_DRIVE_WINDOWS}")
     cohort = build_cohort(spec, config.seed)
     plan = (load_fault_plan(_input_file(config.fault_plan, "fault plan"))
             if config.fault_plan else FaultPlan())
@@ -763,12 +775,16 @@ def _models_doc(out: Path) -> dict:
 
 
 def _server_from_artifacts(out: Path):
-    """(SyncServer, seed) rebuilt from cohort.jsonl + models.json."""
+    """(SyncServer, seed) rebuilt from cohort.jsonl + models.json. The
+    server acks syncs into a uuid ledger: serving never reads a record
+    back, so it keeps none."""
     doc = _models_doc(out)
-    profiles = _load_cohort_file(out)
+    ids = [p.entity_id for p in _load_cohort_file(out)]
     seed = int(doc["seed"])
-    keys = public_keys(seed, [p.entity_id for p in profiles])
-    return (SyncServer(_registered_store(profiles), keys,
+    ledger = AckLedger()
+    for eid in ids:
+        ledger.register_entity(eid)
+    return (SyncServer(ledger, public_keys(seed, ids),
                        _registry_from_doc(doc)), seed)
 
 

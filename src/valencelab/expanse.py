@@ -28,26 +28,49 @@ DOW_NAMES = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
 BAND_NAMES = ("morning", "afternoon", "night")
 
 
-class MemoryStore:
-    """Per-entity append-only event log with a per-entity uuid index."""
+class AckLedger:
+    """The uuids acknowledged per entity, and nothing else: what a sync
+    ack's `new` count needs. `serve` keeps this, since it never reads a
+    record back."""
 
     def __init__(self):
+        self._uuids: dict[str, set[str]] = {}
+
+    def register_entity(self, entity_id: str) -> None:
+        self._uuids.setdefault(entity_id, set())
+
+    def has_entity(self, entity_id: str) -> bool:
+        return entity_id in self._uuids
+
+    def add(self, entity_id: str, record: Record) -> bool:
+        seen = self._uuids.setdefault(entity_id, set())
+        if record.uuid in seen:
+            return False
+        seen.add(record.uuid)
+        return True
+
+    def total_records(self) -> int:
+        return sum(len(seen) for seen in self._uuids.values())
+
+
+class MemoryStore(AckLedger):
+    """Per-entity append-only event log over the uuid ledger."""
+
+    def __init__(self):
+        super().__init__()
         self._events: dict[str, list[Record]] = {}
         self._dirty: set[str] = set()
-        self._uuids: dict[str, set[str]] = {}
         self._demographics: dict[str, dict] = {}
 
     def register_entity(self, entity_id: str, gender: str = "undisclosed",
                         birthdate: str | None = None) -> None:
+        super().register_entity(entity_id)
         self._events.setdefault(entity_id, [])
         self._demographics[entity_id] = {
             "gender": gender, "birthdate": birthdate}
 
     def entity_ids(self) -> list[str]:
         return sorted(self._events)
-
-    def has_entity(self, entity_id: str) -> bool:
-        return entity_id in self._events
 
     def demographics(self, entity_id: str) -> dict:
         if entity_id not in self._events:
@@ -56,10 +79,8 @@ class MemoryStore:
             entity_id, {"gender": "undisclosed", "birthdate": None})
 
     def add(self, entity_id: str, record: Record) -> bool:
-        seen = self._uuids.setdefault(entity_id, set())
-        if record.uuid in seen:
+        if not super().add(entity_id, record):
             return False
-        seen.add(record.uuid)
         self._events.setdefault(entity_id, []).append(record)
         self._dirty.add(entity_id)
         return True
@@ -72,11 +93,8 @@ class MemoryStore:
             self._dirty.discard(entity_id)
         return self._events[entity_id]
 
-    def total_records(self) -> int:
-        return sum(len(seen) for seen in self._uuids.values())
 
-
-def ingest(store: MemoryStore, batch: SyncBatch) -> int:
+def ingest(store: AckLedger, batch: SyncBatch) -> int:
     """Insert only unseen uuids; the count returned is what was new."""
     return sum(1 for rec in batch.records if store.add(batch.entity_id, rec))
 
@@ -275,7 +293,7 @@ def predict_request_payload(entity_id: str, x: float, y: float,
                            "x": x, "y": y, "t": t})
 
 
-def handle_prediction(envelope, request: dict, store: MemoryStore,
+def handle_prediction(envelope, request: dict, store: AckLedger,
                       models: ModelRegistry, keys) -> tuple[str, list]:
     """Scoped prediction for one (location, moment) context.
 
@@ -310,7 +328,8 @@ def handle_prediction(envelope, request: dict, store: MemoryStore,
 class SyncServer:
     """Wire-level entry point: sync batches and prediction requests."""
 
-    def __init__(self, store: MemoryStore, keys, models: ModelRegistry | None = None):
+    def __init__(self, store: AckLedger, keys,
+                 models: ModelRegistry | None = None):
         self.store = store
         self.keys = keys
         self.models = models or ModelRegistry()

@@ -139,10 +139,15 @@ class GradientBoostedTrees:
             self.bin_values_.append(uniq)
 
     def _bin(self, X: np.ndarray) -> np.ndarray:
+        """Each value's bin: the last bin value at or below it, else bin 0.
+        searchsorted returns at most uniq.size (NaN included), so after the
+        shift only the lower clamp can bind, and one clamp serves all
+        features."""
         Xb = np.empty(X.shape, dtype=np.int64)
         for f, uniq in enumerate(self.bin_values_):
-            codes = np.searchsorted(uniq, X[:, f], side="right") - 1
-            Xb[:, f] = np.clip(codes, 0, uniq.size - 1)
+            Xb[:, f] = uniq.searchsorted(X[:, f], side="right")
+        Xb -= 1
+        np.maximum(Xb, 0, out=Xb)
         return Xb
 
     # -- boosting ----------------------------------------------------------

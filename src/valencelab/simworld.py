@@ -35,6 +35,11 @@ ACTIVITY_PROBS = (0.6, 0.3, 0.1)
 SECONDS_PER_DAY = 86400.0
 PLACE_BOX = 10.0
 
+# the largest horizon and per-day event rate a cohort config may ask for:
+# finite but absurd values would simulate until the process is killed
+MAX_DAYS = 3650.0
+MAX_RATE_PER_DAY = 1440.0
+
 # substreams hanging off (seed, entity_index, stream)
 _PROFILE_STREAM = 0
 _STREAM_IDS = {"sensor": 1, "report": 2, "text": 3}
@@ -323,12 +328,13 @@ class CohortSpec:
             raise ConfigurationError(
                 f"archetype counts sum to {group_sum}, "
                 f"expected n_entities={self.n_entities}")
-        if self.days <= 0:
-            raise ConfigurationError("days must be > 0")
+        if not 0 < self.days <= MAX_DAYS:
+            raise ConfigurationError(f"days must be in (0, {MAX_DAYS:g}]")
         for name in ("report_rate", "low_report_rate", "text_rate",
                      "sensor_rate"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) <= MAX_RATE_PER_DAY:
+                raise ConfigurationError(
+                    f"{name} must be in [0, {MAX_RATE_PER_DAY:g}]")
         if not (0.34 <= self.peak_prob <= 1.0 and 0.34 <= self.skew_prob <= 1.0):
             raise ConfigurationError("peak/skew probabilities must majorize 1/3")
         if self.place_spread <= 0 or self.min_place_separation <= 0:

@@ -12,6 +12,7 @@ import sys
 import time
 from collections import Counter
 from concurrent import futures
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,16 +20,18 @@ import pytest
 
 from valencelab import cli
 from valencelab.cli import (FUNNEL_COLUMNS, ExperimentConfig, _read_rows,
-                            _rebuild_store, drive_agents,
-                            load_experiment_config, main, run_experiment)
+                            _rebuild_store, _server_from_artifacts,
+                            drive_agents, load_experiment_config, main,
+                            run_experiment, simulate_stage)
 from valencelab.errors import (ConfigurationError, ContractViolationError,
                                PipelineError)
-from valencelab.expanse import MemoryStore, funnel_counts
+from valencelab.expanse import MemoryStore, SyncServer, funnel_counts
 from valencelab.learn import automl
 from valencelab.simworld import (CohortSpec, Fault, FaultPlan, build_cohort,
                                  make_crash_plan, make_delivery_fault_plan,
                                  make_net_flap_plan, run_cohort)
-from valencelab.syncsec import SocketServer
+from valencelab.syncsec import (SocketServer, SyncBatch, derive_keypair,
+                                encode_envelope, sign)
 
 SMALL_COHORT = """\
 n_entities = 6
@@ -148,6 +151,42 @@ def test_exit_code_2_for_a_nan_step(tmp_path, capsys):
                str(config_path), "--cohort", str(cohort_path)])
     assert rc == 2
     assert "bad value for 'step_s': 'nan'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("days", "1e300"), ("days", "3651"), ("sensor_rate", "1e12"),
+    ("report_rate", "1441"), ("low_report_rate", "1e12"),
+    ("text_rate", "1e300")])
+def test_absurd_finite_cohort_numbers_fail_at_load(key, value):
+    # a finite but absurd horizon or rate would simulate until killed
+    with pytest.raises(ConfigurationError, match=f"{key} must be in"):
+        CohortSpec.from_mapping({key: value})
+
+
+def test_too_many_drive_windows_fail_before_simulating(tmp_path,
+                                                      monkeypatch):
+    cohort_path = tmp_path / "cohort_small.cfg"
+    cohort_path.write_text(SMALL_COHORT)
+    monkeypatch.setattr(cli, "run_cohort", None)    # no event is drawn
+    config = ExperimentConfig.from_mapping(
+        {"step_s": "1e-300", "cohort": str(cohort_path)})
+    with pytest.raises(ConfigurationError, match="drive windows, above"):
+        simulate_stage(config)
+    # a step too small to divide by stays a configuration error
+    with pytest.raises(ConfigurationError, match="drive windows, above"):
+        simulate_stage(replace(config, step_s=1e-320))
+
+
+def test_exit_code_2_for_a_tiny_step(tmp_path, capsys):
+    cohort_path = tmp_path / "cohort_small.cfg"
+    cohort_path.write_text(SMALL_COHORT)
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text("step_s = 1e-300\n")
+    rc = main(["simulate", "--out", str(tmp_path / "o"), "--config",
+               str(config_path), "--cohort", str(cohort_path)])
+    assert rc == 2
+    assert "drive windows, above" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_rules_mirror_config():
@@ -512,6 +551,35 @@ def test_predict_remote_over_socket(small_run, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert doc["class"] in ("negative", "neutral", "positive")
+
+
+def _signed_sync(entity_id: str, records) -> bytes:
+    batch = SyncBatch(batch_id=3, entity_id=entity_id, records=records,
+                      created_at=0.0)
+    env = sign(derive_keypair(7, entity_id)[0], batch.to_payload(), entity_id)
+    return encode_envelope(env, batch.batch_id)
+
+
+def test_served_ledger_acks_as_the_store_does(small_run):
+    result, _ = small_run
+    eid = _some_modeled_entity(result)
+    records = tuple(result.drive.mstore.events(eid)[:5])
+    # one uuid twice in a batch counts once
+    message = _signed_sync(eid, records + records[:2])
+    handler, _ = _server_from_artifacts(result.out_dir)
+    reference = SyncServer(MemoryStore(), handler.keys)
+    reference.store.register_entity(eid)
+    ack = json.loads(handler.receive(message))
+    assert ack == json.loads(reference.receive(message))
+    assert ack == {"ok": True, "batch_id": 3, "new": 5}
+    assert json.loads(handler.receive(message))["new"] == 0
+    assert handler.store.total_records() == 5
+    ledger = handler.store
+    assert not isinstance(ledger, MemoryStore)
+    assert not hasattr(ledger, "events")
+    # its one attribute holds uuid strings, and no record
+    assert list(vars(ledger)) == ["_uuids"]
+    assert all(type(u) is str for seen in ledger._uuids.values() for u in seen)
 
 
 def test_serve_command_starts_and_stops(small_run, capsys):
