@@ -30,10 +30,12 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from importlib import resources
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from .agent import (HOMEOSTASIS_INTERVAL_S, Record, SensingAgent,
                     homeostasis_check, ingest_report, on_system_event)
 from .errors import (AuthError, ConfigurationError, ContractViolationError,
                      EmptyDatasetError, NoStructureError, NotFoundError,
-                     PipelineError)
+                     PipelineError, UnsupportedModelError)
 from .evalstat import ConfusionMatrix, mcc_multiclass, u_test_verdict
 from .expanse import (AckLedger, EligibilityRules, MemoryStore,
                       ModelRegistry, SyncServer, build_dataset,
@@ -56,9 +58,9 @@ from .simworld import (SECONDS_PER_DAY, Cohort, CohortSpec, EntityProfile,
                        FaultPlan, SimClock, build_cohort, events_to_jsonl,
                        load_fault_plan, parse_kv_config, run_cohort,
                        typed_fields)
-from .syncsec import (FaultyTransport, LoopbackTransport, SocketServer,
-                      SocketTransport, SyncClient, SyncSchedulerState,
-                      derive_keypair, encode_envelope, max_frame_bytes,
+from .syncsec import (SYNC_BASE_INTERVAL_MIN, FaultyTransport,
+                      LoopbackTransport, SocketServer, SocketTransport,
+                      SyncClient, derive_keypair, encode_envelope,
                       public_keys, sign)
 
 log = logging.getLogger("valencelab.cli")
@@ -72,10 +74,16 @@ METRICS = (*REPORT_METRICS, "both")
 # experiment configuration
 
 
+MIN_SAMPLES = 5         # the clustering density parameter of every entity
+
+
 @dataclass
 class ExperimentConfig:
-    """Everything one run needs; file values lose to explicit CLI flags."""
+    """Everything one run needs; file values lose to explicit CLI flags.
+    The drive window, the sync schedule and batch size, the CV split cap
+    and MIN_SAMPLES are constants, which no file or flag sets."""
 
+    step_s: ClassVar[float] = 900.0     # drive window and revive cadence
     seed: int = 7
     out: str = "out"
     cohort: str = ""            # path to a cohort config; "" = packaged default
@@ -83,11 +91,6 @@ class ExperimentConfig:
     models: tuple = MODEL_KINDS
     metric: str = "both"
     budget: int = 8             # tuning evaluations per (entity, kind)
-    cv_max_splits: int = 3
-    min_samples: int = 5        # clustering density parameter
-    sync_max_records: int = 200
-    sync_base_interval_min: float = 15.0
-    step_s: float = 900.0       # harness window; also the revive cadence
     min_reports: int = 20
     min_classes: int = 2
     min_per_class: int = 2
@@ -109,17 +112,10 @@ class ExperimentConfig:
         if self.metric not in METRICS:
             raise ConfigurationError(
                 f"metric must be one of {METRICS}, got {self.metric!r}")
-        for name in ("min_samples", "sync_max_records"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
-        if self.cv_max_splits < 2:
-            raise ConfigurationError("cv_max_splits must be >= 2")
         # the tuner spends DESIGN_SIZE evaluations on its space-filling
         # design before modeling anything, so smaller budgets cannot run
         if self.budget < DESIGN_SIZE:
             raise ConfigurationError(f"budget must be >= {DESIGN_SIZE}")
-        if self.step_s <= 0 or self.sync_base_interval_min <= 0:
-            raise ConfigurationError("time intervals must be > 0")
         try:
             self.rules()
         except ContractViolationError as exc:
@@ -154,10 +150,6 @@ def load_experiment_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # stage 1: simulate
 
-# the most step_s windows a drive may loop over; a tiny finite step would
-# otherwise have the drive loop for ever (ten years at 900 s is 350,400)
-MAX_DRIVE_WINDOWS = 1_000_000
-
 
 def simulate_stage(config: ExperimentConfig):
     """Build the cohort and its fault plan, and replay the whole horizon."""
@@ -166,12 +158,6 @@ def simulate_stage(config: ExperimentConfig):
         else resources.files("valencelab") / "data" / "default_cohort.cfg")
     spec = CohortSpec.from_mapping(
         parse_kv_config(cohort_file.read_text(encoding="utf-8")))
-    # the drive loops over ceil(windows), which exceeds the bound iff this does
-    windows = spec.days * SECONDS_PER_DAY / config.step_s
-    if windows > MAX_DRIVE_WINDOWS:
-        raise ConfigurationError(
-            f"{spec.days:g} days at step_s = {config.step_s:g} make "
-            f"{windows:.3g} drive windows, above {MAX_DRIVE_WINDOWS}")
     cohort = build_cohort(spec, config.seed)
     plan = (load_fault_plan(_input_file(config.fault_plan, "fault plan"))
             if config.fault_plan else FaultPlan())
@@ -211,7 +197,9 @@ class DriveResult:
 
 def drive_agents(cohort: Cohort, events, plan: FaultPlan,
                  config: ExperimentConfig) -> DriveResult:
-    """Replay one timeline through every entity's agent and sync client.
+    """Replay one timeline through every entity's agent and sync client, in
+    windows of ExperimentConfig.step_s; of the config, only the seed (for
+    the entities' keys) is read.
 
     Entities share no mutable state while they are driven, so round-robin
     groups of them are driven apart, each against a store and transport of
@@ -234,8 +222,8 @@ def drive_agents(cohort: Cohort, events, plan: FaultPlan,
     agents, recoveries = {}, []
     sentiment_counts = {"negative": 0, "neutral": 0, "positive": 0}
     # the inputs reach a worker by fork; only entity ids are pickled
-    inherited = (plan, keys, events, private_keys, config,
-                 cohort.spec.days * 86400.0)
+    inherited = (plan, keys, events, private_keys,
+                 cohort.spec.days * SECONDS_PER_DAY)
     groups = [(ids[i::workers],) for i in range(workers)]
     for stored, group_agents, group_recoveries, outcomes, tallies in \
             _in_order(_drive_group, groups, workers, inherited):
@@ -255,11 +243,11 @@ def drive_agents(cohort: Cohort, events, plan: FaultPlan,
 
 
 def _drive_group(plan: FaultPlan, keys, events, private_keys,
-                 config: ExperimentConfig, horizon: float, ids):
+                 horizon: float, ids):
     """Windowed replay of the entities `ids` against a store and transport
     of their own: their events and lifecycle faults in time order, periodic
-    checks (feed, revive, homeostasis) at every step_s boundary, sync
-    attempts on each client's own schedule.
+    checks (feed, revive, homeostasis) at every ExperimentConfig.step_s
+    boundary, sync attempts on each client's own schedule.
 
     Returns each entity's stored records, the agents, the recoveries, the
     transport's outcomes and the sentiment tallies."""
@@ -268,16 +256,10 @@ def _drive_group(plan: FaultPlan, keys, events, private_keys,
     transport = FaultyTransport(LoopbackTransport(SyncServer(store, keys)),
                                 plan)
     agents = {eid: SensingAgent(eid) for eid in ids}
-    base_min = config.sync_base_interval_min
-    clients = {}
-    next_sync = {}
-    for eid in ids:
-        clients[eid] = SyncClient(
-            store=agents[eid].store, private_key=private_keys[eid],
-            entity_id=eid, transport=transport,
-            scheduler=SyncSchedulerState(base_min, base_min),
-            max_records=config.sync_max_records)
-        next_sync[eid] = base_min * 60.0
+    clients = {eid: SyncClient(store=agents[eid].store,
+                               private_key=private_keys[eid], entity_id=eid,
+                               transport=transport) for eid in ids}
+    next_sync = dict.fromkeys(ids, SYNC_BASE_INTERVAL_MIN * 60.0)
 
     agent_faults = [f for f in plan if f.entity_id in group
                     and f.kind in ("crash", "reboot")]
@@ -292,9 +274,9 @@ def _drive_group(plan: FaultPlan, keys, events, private_keys,
     sentiment_counts = {"negative": 0, "neutral": 0, "positive": 0}
     order = sorted(agents)
 
-    n_windows = math.ceil(horizon / config.step_s)
-    for w in range(n_windows):
-        t_end = min((w + 1) * config.step_s, horizon)
+    step_s = ExperimentConfig.step_s
+    for w in range(math.ceil(horizon / step_s)):
+        t_end = min((w + 1) * step_s, horizon)
 
         while item is not None and item.t < t_end:
             agent = agents[item.entity_id]
@@ -343,8 +325,7 @@ def _drive_group(plan: FaultPlan, keys, events, private_keys,
                 if agents[eid].status.state == "running":
                     transport.advance_to(t_s, eid)
                     client.attempt(t_s)
-                next_sync[eid] = t_s + \
-                    client.scheduler.current_interval_min * 60.0
+                next_sync[eid] = t_s + client.interval_min * 60.0
 
     # quiesce: every committed record must land exactly once
     for eid in order:
@@ -439,15 +420,13 @@ def learn_stage(mstore: MemoryStore, funnel_rows, config: ExperimentConfig):
     registry = ModelRegistry()
     model_rows = []
     registry_doc = {"seed": config.seed, "entities": {}}
-    automl_cfg = AutomlConfig(budget=config.budget,
-                              cv_max_splits=config.cv_max_splits,
-                              kinds=tuple(config.models))
+    automl_cfg = AutomlConfig(budget=config.budget, kinds=tuple(config.models))
     clustered, tasks = [], []
     for eid in eligible:
         reports = [r for r in mstore.events(eid) if r.kind == "report"]
         points = np.array([[r.x, r.y] for r in reports])
         mcs, ms = autodiscover_cluster_params(
-            points, min_samples_grid=(config.min_samples,))
+            points, min_samples_grid=(MIN_SAMPLES,))
         cmodel = fit_cluster_model(points, mcs, ms)
         ds = build_dataset(mstore, eid, cmodel)
         clustered.append((eid, len(reports), cmodel, mcs, ms))
@@ -624,8 +603,21 @@ def _artifact(path: Path, producer: str) -> Path:
     return path
 
 
+@contextmanager
+def _parsing(path: Path):
+    """Raises what goes wrong parsing the artifact at `path` inside as a
+    PipelineError that names it: bad JSON or text, a missing key or column,
+    a value of the wrong type, an unknown model kind."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, csv.Error,
+            UnsupportedModelError) as exc:
+        raise PipelineError(f"malformed artifact {path}: {exc!r}") from exc
+
+
 def _read_rows(path: Path, columns: dict) -> list:
-    with open(_artifact(path, "earlier stages"), newline="") as fh:
+    with open(_artifact(path, "earlier stages"), newline="") as fh, \
+            _parsing(path):
         return [{k: parse(r[k]) for k, parse in columns.items()}
                 for r in csv.DictReader(fh)]
 
@@ -685,21 +677,21 @@ def _write_report(out: Path, summary_text: str, digest: str) -> None:
 
 
 def _load_cohort_file(out: Path) -> list:
-    text = _artifact(out / "cohort.jsonl", "simulate first").read_text()
-    return [EntityProfile.from_dict(json.loads(line))
-            for line in text.splitlines() if line.strip()]
+    path = _artifact(out / "cohort.jsonl", "simulate first")
+    with _parsing(path):
+        return [EntityProfile.from_dict(json.loads(line))
+                for line in path.read_text().splitlines() if line.strip()]
 
 
 def _rebuild_store(out: Path) -> MemoryStore:
-    profiles = _load_cohort_file(out)
-    text = _artifact(out / "store.jsonl", "pipeline first").read_text()
-    mstore = _registered_store(profiles)
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        doc = json.loads(line)
-        eid = doc.pop("entity_id")
-        mstore.add(eid, Record.from_dict(doc))
+    mstore = _registered_store(_load_cohort_file(out))
+    path = _artifact(out / "store.jsonl", "pipeline first")
+    with _parsing(path):
+        for line in path.read_text().splitlines():
+            if line.strip():
+                doc = json.loads(line)
+                eid = doc.pop("entity_id")
+                mstore.add(eid, Record.from_dict(doc))
     return mstore
 
 
@@ -770,22 +762,26 @@ def _registry_from_doc(doc: dict) -> ModelRegistry:
     return registry
 
 
-def _models_doc(out: Path) -> dict:
-    return json.loads(_artifact(out / "models.json", "learn").read_text())
+def _models_doc(out: Path) -> tuple[dict, int]:
+    """models.json, and the seed that the entities' keys derive from."""
+    path = _artifact(out / "models.json", "learn")
+    with _parsing(path):
+        doc = json.loads(path.read_text())
+        return doc, int(doc["seed"])
 
 
 def _server_from_artifacts(out: Path):
     """(SyncServer, seed) rebuilt from cohort.jsonl + models.json. The
     server acks syncs into a uuid ledger: serving never reads a record
     back, so it keeps none."""
-    doc = _models_doc(out)
+    doc, seed = _models_doc(out)
+    with _parsing(out / "models.json"):
+        registry = _registry_from_doc(doc)
     ids = [p.entity_id for p in _load_cohort_file(out)]
-    seed = int(doc["seed"])
     ledger = AckLedger()
     for eid in ids:
         ledger.register_entity(eid)
-    return (SyncServer(ledger, public_keys(seed, ids),
-                       _registry_from_doc(doc)), seed)
+    return SyncServer(ledger, public_keys(seed, ids), registry), seed
 
 
 def _predict_once(transport, seed: int, entity: str, as_entity: str,
@@ -861,8 +857,11 @@ def cmd_report(config: ExperimentConfig, args) -> int:
 
 def cmd_serve(config: ExperimentConfig, args) -> int:
     handler, _ = _server_from_artifacts(Path(config.out))
-    server = SocketServer(handler, host=args.host, port=args.port,
-                          max_frame=max_frame_bytes(config.sync_max_records))
+    try:
+        server = SocketServer(handler, host=args.host, port=args.port)
+    except OSError as exc:      # the address is in use or not ours
+        raise PipelineError(
+            f"cannot serve on {args.host}:{args.port}: {exc}") from exc
     server.start()
     print(f"serving on {server.host}:{server.port}", flush=True)
     try:
@@ -883,12 +882,17 @@ def cmd_predict(config: ExperimentConfig, args) -> int:
         if args.port is None:
             raise ConfigurationError("--port is required with --host")
         transport = SocketTransport(args.host, args.port)
-        seed = int(_models_doc(Path(config.out))["seed"])
+        _, seed = _models_doc(Path(config.out))
     else:
         handler, seed = _server_from_artifacts(Path(config.out))
         transport = LoopbackTransport(handler)
-    doc = _predict_once(transport, seed, args.entity,
-                        args.as_entity or args.entity, args.x, args.y, args.t)
+    try:
+        doc = _predict_once(transport, seed, args.entity,
+                            args.as_entity or args.entity,
+                            args.x, args.y, args.t)
+    except OSError as exc:      # only the socket transport does IO
+        raise PipelineError(
+            f"cannot reach {args.host}:{args.port}: {exc}") from exc
     print(json.dumps(doc, sort_keys=True))
     return 0
 

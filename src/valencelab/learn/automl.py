@@ -84,10 +84,13 @@ def _kind(kind: str) -> ModelKind:
         raise UnsupportedModelError(f"unknown model kind {kind!r}") from None
 
 
+# the most CV folds an entity is split into; fewer when a class is scarcer
+CV_MAX_SPLITS = 3
+
+
 @dataclass
 class AutomlConfig:
     budget: int
-    cv_max_splits: int
     kinds: tuple = MODEL_KINDS
 
 
@@ -195,7 +198,7 @@ def automl_entity(X, y, config: AutomlConfig, seed: int = 0,
     """Tune, fit, and time one model per kind on a single entity's data."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    n_splits = choose_cv_splits(y, config.cv_max_splits)
+    n_splits = choose_cv_splits(y, CV_MAX_SPLITS)
     folds = stratified_folds(y, n_splits, seed)
     out = {}
     for kind in config.kinds:

@@ -1,7 +1,7 @@
 """Agent-to-cloud sync protocol and signed, entity-scoped envelopes.
 
 Client half: FIFO batch draining without premature marking, per-batch acks,
-and an adaptive retry interval that halves on missing connectivity. Wire
+and a retry interval that halves on missing connectivity. Wire
 format: three length-prefixed sections (canonical JSON header, canonical
 JSON body, raw signature); the signature covers body bytes plus nonce, so
 any payload tamper invalidates it. Ed25519 keys derive deterministically
@@ -25,7 +25,7 @@ import struct
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
@@ -37,7 +37,8 @@ from .simworld import FaultPlan
 log = logging.getLogger(__name__)
 
 WIRE_VERSION = 1
-DEFAULT_MAX_RECORDS = 100
+MAX_BATCH_RECORDS = 200         # records one sync batch carries at most
+SYNC_BASE_INTERVAL_MIN = 15.0   # sync interval after a success
 SYNC_FLOOR_MIN = 1.0            # retry interval never halves below this
 
 
@@ -187,13 +188,13 @@ class SyncBatch:
                    records=records, created_at=d["created_at"])
 
 
-def make_batch(store: LocalStore, max_records: int = DEFAULT_MAX_RECORDS,
-               now: float = 0.0) -> SyncBatch | None:
-    """Drain up to max_records oldest pending records; nothing is marked
-    until the matching ack arrives."""
+def make_batch(store: LocalStore, now: float = 0.0) -> SyncBatch | None:
+    """Drain up to MAX_BATCH_RECORDS oldest pending records; nothing is
+    marked until the matching ack arrives."""
     if not store.pending:
         return None
-    oldest = sorted(store.pending, key=lambda r: (r.t, r.uuid))[:max_records]
+    oldest = sorted(store.pending,
+                    key=lambda r: (r.t, r.uuid))[:MAX_BATCH_RECORDS]
     bid = store.next_batch_id()
     store.open_batches[bid] = tuple(r.uuid for r in oldest)
     return SyncBatch(batch_id=bid, entity_id=store.entity_id,
@@ -220,23 +221,15 @@ def handle_ack(store: LocalStore, batch_id: int, now: float = 0.0) -> int:
     return moved
 
 
-@dataclass
-class SyncSchedulerState:
-    base_interval_min: float = 15.0
-    current_interval_min: float = 15.0
-
-
-def next_sync_interval(state: SyncSchedulerState, outcome: str) -> float:
-    """ok resets to the base interval; no_connectivity halves down to the
-    floor so the next try comes sooner."""
+def next_sync_interval(current_min: float, outcome: str) -> float:
+    """The interval after `outcome`: ok resets to the base interval;
+    no_connectivity halves down to the floor so the next try comes
+    sooner."""
     if outcome == "ok":
-        state.current_interval_min = state.base_interval_min
-    elif outcome == "no_connectivity":
-        state.current_interval_min = max(
-            state.current_interval_min / 2.0, SYNC_FLOOR_MIN)
-    else:
-        raise ContractViolationError(f"unknown sync outcome {outcome!r}")
-    return state.current_interval_min
+        return SYNC_BASE_INTERVAL_MIN
+    if outcome == "no_connectivity":
+        return max(current_min / 2.0, SYNC_FLOOR_MIN)
+    raise ContractViolationError(f"unknown sync outcome {outcome!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -300,21 +293,17 @@ class FaultyTransport:
 
 
 _FRAME = struct.Struct(">I")
-# A record's canonical JSON (uuid, kind, t, x, y, a short payload) runs to a
-# few hundred bytes; these bounds leave an order of magnitude to spare.
-MAX_RECORD_BYTES = 4096
-FRAME_OVERHEAD_BYTES = 4096     # envelope header, signature, batch fields
+# The largest frame worth reading: one full sync batch. A record's canonical
+# JSON (uuid, kind, t, x, y, a short payload) runs to a few hundred bytes, so
+# 4 KiB a record and 4 KiB for the envelope header, signature and batch
+# fields leave an order of magnitude to spare.
+MAX_FRAME_BYTES = 4096 + MAX_BATCH_RECORDS * 4096
 
 
 # The socket server serves one connection at a time; a client that has not
 # sent its whole frame this long after it was accepted is hung up on, so an
 # idle or stalled client holds every other client back at most this long.
 READ_DEADLINE_S = 2.0
-
-
-def max_frame_bytes(max_records: int = DEFAULT_MAX_RECORDS) -> int:
-    """Largest framed message worth reading: one full sync batch."""
-    return FRAME_OVERHEAD_BYTES + max_records * MAX_RECORD_BYTES
 
 
 def _send_framed(sock: socket.socket, data: bytes) -> None:
@@ -339,16 +328,16 @@ def _recv_exact(sock: socket.socket, n: int,
     return bytes(buf)
 
 
-def _recv_framed(sock: socket.socket, max_bytes: int = max_frame_bytes(),
+def _recv_framed(sock: socket.socket,
                  deadline: float | None = None) -> bytes | None:
     """One length-prefixed message, or None when the peer closes first or
-    announces more than max_bytes."""
+    announces more than MAX_FRAME_BYTES."""
     head = _recv_exact(sock, _FRAME.size, deadline)
     if head is None:
         return None
     (n,) = _FRAME.unpack(head)
-    if n > max_bytes:
-        log.warning("refused a %d-byte frame; the limit is %d", n, max_bytes)
+    if n > MAX_FRAME_BYTES:
+        log.warning("refused a %d-byte frame", n)
         return None
     return _recv_exact(sock, n, deadline)
 
@@ -382,8 +371,7 @@ class _FrameHandler(socketserver.BaseRequestHandler):
         # None: the client hung up, or announced an oversized frame, which
         # closes the connection unread
         try:
-            msg = _recv_framed(conn, server.max_frame,
-                               time.monotonic() + READ_DEADLINE_S)
+            msg = _recv_framed(conn, time.monotonic() + READ_DEADLINE_S)
         except OSError as exc:      # the deadline passed, or a reset
             log.info("dropped a client: %r", exc)
             return
@@ -411,7 +399,7 @@ class SocketServer(socketserver.TCPServer):
     """Localhost server feeding framed messages to handler.receive, one
     connection at a time on a background thread.
 
-    A frame announcing more than max_frame bytes is refused: its connection
+    A frame announcing more than MAX_FRAME_BYTES is refused: its connection
     closes before any of its body is read. A client whose frame has not
     arrived READ_DEADLINE_S after its connection was accepted, or whose
     connection fails, is treated as one that hung up. A failed accept()
@@ -423,10 +411,8 @@ class SocketServer(socketserver.TCPServer):
     allow_reuse_address = True
     request_queue_size = 16
 
-    def __init__(self, handler, host: str = "127.0.0.1", port: int = 0,
-                 max_frame: int = max_frame_bytes()):
+    def __init__(self, handler, host: str = "127.0.0.1", port: int = 0):
         self.handler = handler
-        self.max_frame = max_frame
         self._started = False
         super().__init__((host, port), _FrameHandler)
         self.host, self.port = self.server_address
@@ -456,27 +442,27 @@ class SocketServer(socketserver.TCPServer):
 
 @dataclass
 class SyncClient:
-    """One entity's sync driver: drain, sign, send, ack, reschedule."""
+    """One entity's sync driver: drain, sign, send, ack, reschedule. Each
+    attempt sends one batch; `interval_min` is the wait before the next."""
 
     store: LocalStore
     private_key: object
     entity_id: str
     transport: object
-    scheduler: SyncSchedulerState = field(default_factory=SyncSchedulerState)
-    max_records: int = DEFAULT_MAX_RECORDS
+    interval_min: float = SYNC_BASE_INTERVAL_MIN
 
     def attempt(self, now: float) -> str:
         """Run one sync attempt; returns idle|ok|no_connectivity."""
-        batch = make_batch(self.store, self.max_records, now)
+        batch = make_batch(self.store, now)
         if batch is None:
             return "idle"
         envelope = sign(self.private_key, batch.to_payload(), self.entity_id)
         reply = self.transport.send(
             encode_envelope(envelope, batch.batch_id), self.entity_id)
         ack = None if reply is None else json.loads(reply)
-        if ack is None or not ack.get("ok"):
-            next_sync_interval(self.scheduler, "no_connectivity")
-            return "no_connectivity"
-        handle_ack(self.store, ack["batch_id"], now)
-        next_sync_interval(self.scheduler, "ok")
-        return "ok"
+        outcome = ("no_connectivity" if ack is None or not ack.get("ok")
+                   else "ok")
+        if outcome == "ok":
+            handle_ack(self.store, ack["batch_id"], now)
+        self.interval_min = next_sync_interval(self.interval_min, outcome)
+        return outcome

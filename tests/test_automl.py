@@ -27,14 +27,14 @@ def learnable_entity(seed=0, n=150):
 
 def test_gbt_beats_dummy_by_wide_margin():
     X, y = learnable_entity(0)
-    config = AutomlConfig(budget=5, cv_max_splits=3)
+    config = AutomlConfig(budget=5)
     models = automl_entity(X, y, config=config, seed=0)
     assert models["gbt"].cv_score > models["dummy"].cv_score + 0.15
 
 
 def test_same_seed_same_incumbents():
     X, y = learnable_entity(1)
-    config = AutomlConfig(budget=6, cv_max_splits=3, kinds=("logreg", "gbt"))
+    config = AutomlConfig(budget=6, kinds=("logreg", "gbt"))
     a = automl_entity(X, y, config=config, seed=7)
     b = automl_entity(X, y, config=config, seed=7)
     for kind in ("logreg", "gbt"):
@@ -44,7 +44,7 @@ def test_same_seed_same_incumbents():
 
 def test_durations_recorded_positive():
     X, y = learnable_entity(2)
-    config = AutomlConfig(budget=5, cv_max_splits=2)
+    config = AutomlConfig(budget=5)
     models = automl_entity(X, y, config=config, seed=1)
     for kind, model in models.items():
         assert model.duration_s > 0, kind
@@ -88,7 +88,7 @@ def test_each_hyperparameter_set_is_fit_once_per_fold(monkeypatch, kind,
     monkeypatch.setattr(estimator, "fit_folds",
                         classmethod(counting_fit_folds))
     X, y = learnable_entity(3)
-    config = AutomlConfig(budget=6, cv_max_splits=3, kinds=(kind,))
+    config = AutomlConfig(budget=6, kinds=(kind,))
     model = automl_entity(X, y, config=config, seed=4)[kind]
     k = model.cv_splits
     # tuner evaluations plus the incumbent's score share CV passes; the
@@ -114,7 +114,7 @@ def test_gbt_fits_the_design_in_one_call(monkeypatch, budget):
     monkeypatch.setattr(GradientBoostedTrees, "fit_folds",
                         classmethod(counting_fit_folds))
     X, y = learnable_entity(3)
-    config = AutomlConfig(budget=budget, cv_max_splits=3, kinds=("gbt",))
+    config = AutomlConfig(budget=budget, kinds=("gbt",))
     k = automl_entity(X, y, config=config, seed=4)["gbt"].cv_splits
     # one call for the design, one per GP step, and the refit on all rows
     assert calls == [DESIGN_SIZE * k] + [k] * (budget - DESIGN_SIZE) + [1]

@@ -12,7 +12,7 @@ import sys
 import time
 from collections import Counter
 from concurrent import futures
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,7 +22,7 @@ from valencelab import cli
 from valencelab.cli import (FUNNEL_COLUMNS, ExperimentConfig, _read_rows,
                             _rebuild_store, _server_from_artifacts,
                             drive_agents, load_experiment_config, main,
-                            run_experiment, simulate_stage)
+                            run_experiment)
 from valencelab.errors import (ConfigurationError, ContractViolationError,
                                PipelineError)
 from valencelab.expanse import MemoryStore, SyncServer, funnel_counts
@@ -86,24 +86,30 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         ExperimentConfig(budget=4)
     with pytest.raises(ConfigurationError):
-        ExperimentConfig(step_s=0.0)
-    with pytest.raises(ConfigurationError):
         ExperimentConfig(models="gbt,gbt,dummy")
     with pytest.raises(ConfigurationError):
-        ExperimentConfig(cv_max_splits=1)
-    with pytest.raises(ConfigurationError):
         ExperimentConfig(min_reports=-1)
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig(max_imbalance_degree=-0.5)
     assert ExperimentConfig(min_classes=3).min_classes == 3
     with pytest.raises(ConfigurationError):
         ExperimentConfig(min_classes=4)     # more classes than labels
+    # the drive window is fixed: readable, but no field to set
+    names = {f.name for f in fields(ExperimentConfig)}
+    assert names.isdisjoint({"step_s", "sync_base_interval_min",
+                             "sync_max_records", "cv_max_splits",
+                             "min_samples"})
+    assert ExperimentConfig().step_s == ExperimentConfig.step_s == 900.0
+    with pytest.raises(TypeError):
+        ExperimentConfig(step_s=450.0)
 
 
 def test_config_from_mapping_and_file(tmp_path):
     got = ExperimentConfig.from_mapping({
-        "seed": "11", "budget": "6", "step_s": "450.0",
+        "seed": "11", "budget": "6", "max_imbalance_degree": "12.5",
         "require_demographics": "false", "models": "dummy,logreg",
         "out": "elsewhere"})
-    assert (got.seed, got.budget, got.step_s) == (11, 6, 450.0)
+    assert (got.seed, got.budget, got.max_imbalance_degree) == (11, 6, 12.5)
     assert got.require_demographics is False
     assert got.models == ("dummy", "logreg")
     assert got.out == "elsewhere"
@@ -131,8 +137,8 @@ def test_non_finite_cohort_numbers_fail_at_load(key, value):
 
 
 @pytest.mark.parametrize("line", [
-    "step_s = nan", "step_s = inf", "max_imbalance_degree = nan",
-    "sync_base_interval_min = inf"])
+    "max_imbalance_degree = inf", "max_imbalance_degree = Infinity",
+    "max_imbalance_degree = nan", "max_imbalance_degree = -inf"])
 def test_non_finite_experiment_numbers_fail_at_load(tmp_path, line):
     path = tmp_path / "exp.cfg"
     path.write_text(line + "\n")
@@ -142,15 +148,42 @@ def test_non_finite_experiment_numbers_fail_at_load(tmp_path, line):
         load_experiment_config(path)
 
 
-def test_exit_code_2_for_a_nan_step(tmp_path, capsys):
+def test_exit_code_2_for_a_nan_setting(tmp_path, capsys):
     cohort_path = tmp_path / "cohort_small.cfg"
     cohort_path.write_text(SMALL_COHORT)
     config_path = tmp_path / "exp.cfg"
-    config_path.write_text("step_s = nan\n")
+    config_path.write_text("max_imbalance_degree = nan\n")
     rc = main(["pipeline", "--out", str(tmp_path / "o"), "--config",
                str(config_path), "--cohort", str(cohort_path)])
     assert rc == 2
-    assert "bad value for 'step_s': 'nan'" in capsys.readouterr().err
+    assert ("bad value for 'max_imbalance_degree': 'nan'"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("line", [
+    "step_s = 900", "sync_base_interval_min = 15", "sync_max_records = 200",
+    "cv_max_splits = 3", "min_samples = 5"])
+def test_exit_code_2_for_a_fixed_value_in_a_config_file(tmp_path, capsys,
+                                                        line):
+    # these values are constants of the program, not settings
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(line + "\n")
+    rc = main(["simulate", "--out", str(tmp_path / "o"),
+               "--config", str(config_path)])
+    assert rc == 2
+    key = line.split(" = ")[0]
+    assert f"unknown experiment key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "exp.cfg"
+    path.write_text(example)
+    config = load_experiment_config(path)
+    assert (config.seed, config.budget) == (7, 8)
+    assert config.models == ("dummy", "logreg", "gbt", "mlp")
 
 
 @pytest.mark.parametrize("key, value", [
@@ -161,32 +194,6 @@ def test_absurd_finite_cohort_numbers_fail_at_load(key, value):
     # a finite but absurd horizon or rate would simulate until killed
     with pytest.raises(ConfigurationError, match=f"{key} must be in"):
         CohortSpec.from_mapping({key: value})
-
-
-def test_too_many_drive_windows_fail_before_simulating(tmp_path,
-                                                      monkeypatch):
-    cohort_path = tmp_path / "cohort_small.cfg"
-    cohort_path.write_text(SMALL_COHORT)
-    monkeypatch.setattr(cli, "run_cohort", None)    # no event is drawn
-    config = ExperimentConfig.from_mapping(
-        {"step_s": "1e-300", "cohort": str(cohort_path)})
-    with pytest.raises(ConfigurationError, match="drive windows, above"):
-        simulate_stage(config)
-    # a step too small to divide by stays a configuration error
-    with pytest.raises(ConfigurationError, match="drive windows, above"):
-        simulate_stage(replace(config, step_s=1e-320))
-
-
-def test_exit_code_2_for_a_tiny_step(tmp_path, capsys):
-    cohort_path = tmp_path / "cohort_small.cfg"
-    cohort_path.write_text(SMALL_COHORT)
-    config_path = tmp_path / "exp.cfg"
-    config_path.write_text("step_s = 1e-300\n")
-    rc = main(["simulate", "--out", str(tmp_path / "o"), "--config",
-               str(config_path), "--cohort", str(cohort_path)])
-    assert rc == 2
-    assert "drive windows, above" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
 
 
 def test_rules_mirror_config():
@@ -664,6 +671,66 @@ def test_exit_code_3_for_missing_artifacts(tmp_path, capsys):
     rc = main(["report", "--out", str(tmp_path / "empty")])
     assert rc == 3
     assert "pipeline error" in capsys.readouterr().err
+
+
+def _without_column(name: str):
+    def drop(text: str) -> str:
+        rows = [line.split(",") for line in text.splitlines()]
+        i = rows[0].index(name)
+        return "".join(",".join(r[:i] + r[i + 1:]) + "\n" for r in rows)
+    return drop
+
+
+@pytest.mark.parametrize("command, artifact, corrupt", [
+    ("evaluate", "models.csv", _without_column("cv_mcc")),
+    ("learn", "cohort.jsonl", lambda text: "{garbled\n" + text),
+    ("report", "funnel.csv", _without_column("gender")),
+    ("predict", "models.json", lambda text: text[:len(text) // 2]),
+    ("predict", "models.json",
+     lambda text: text.replace('"kind": "', '"kind": "no-such-', 1)),
+], ids=["evaluate", "learn", "report", "predict", "predict-unknown-kind"])
+def test_exit_code_3_for_a_malformed_artifact(small_run, tmp_path, capsys,
+                                              command, artifact, corrupt):
+    result, _ = small_run
+    out = tmp_path / "out"
+    shutil.copytree(result.out_dir, out)
+    path = out / artifact
+    path.write_text(corrupt(path.read_text()))
+    rc = main([command, "--out", str(out)] + (
+        ["--entity", _some_modeled_entity(result),
+         "--x", "0.0", "--y", "0.0", "--t", "0"]
+        if command == "predict" else []))
+    assert rc == 3
+    assert f"malformed artifact {path}" in capsys.readouterr().err
+
+
+def _closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_exit_code_3_for_a_predict_nobody_answers(small_run, capsys):
+    result, _ = small_run
+    port = _closed_port()
+    rc = main(["predict", "--out", str(result.out_dir),
+               "--entity", _some_modeled_entity(result),
+               "--host", "127.0.0.1", "--port", str(port),
+               "--x", "0.0", "--y", "0.0", "--t", "0"])
+    assert rc == 3
+    assert f"cannot reach 127.0.0.1:{port}" in capsys.readouterr().err
+
+
+def test_exit_code_3_for_serving_on_a_port_in_use(small_run, capsys):
+    result, _ = small_run
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        rc = main(["serve", "--out", str(result.out_dir),
+                   "--port", str(port), "--max-seconds", "0"])
+    assert rc == 3
+    assert f"cannot serve on 127.0.0.1:{port}" in capsys.readouterr().err
 
 
 def test_exit_code_4_for_cross_entity_prediction(small_run, capsys):

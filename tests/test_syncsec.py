@@ -21,15 +21,15 @@ from valencelab.expanse import (EligibilityRules, MemoryStore, ModelRegistry,
                                 predict_request_payload)
 from valencelab.learn import ClusterModel, train
 from valencelab.simworld import EVENT_KINDS, LABELS, Fault, FaultPlan
-from valencelab.syncsec import (SYNC_FLOOR_MIN, FaultyTransport,
-                                LoopbackTransport, SignedEnvelope,
-                                SocketServer, SocketTransport, SyncBatch,
-                                SyncClient, SyncSchedulerState,
+from valencelab.syncsec import (MAX_BATCH_RECORDS, MAX_FRAME_BYTES,
+                                SYNC_BASE_INTERVAL_MIN, SYNC_FLOOR_MIN,
+                                FaultyTransport, LoopbackTransport,
+                                SignedEnvelope, SocketServer,
+                                SocketTransport, SyncBatch, SyncClient,
                                 canonical_json, decode_envelope,
                                 derive_keypair, encode_envelope, handle_ack,
-                                make_batch, max_frame_bytes,
-                                next_sync_interval, public_keys, sign,
-                                verify_and_scope)
+                                make_batch, next_sync_interval, public_keys,
+                                sign, verify_and_scope)
 
 
 def _rec(uuid, t=0.0):
@@ -154,9 +154,10 @@ def test_batch_payload_round_trip():
 # -- batching and acks -----------------------------------------------------------
 
 
-def test_make_batch_oldest_first_without_marking():
+def test_make_batch_oldest_first_without_marking(monkeypatch):
+    monkeypatch.setattr(syncsec, "MAX_BATCH_RECORDS", 3)
     store = _loaded_store(5)
-    batch = make_batch(store, max_records=3, now=10.0)
+    batch = make_batch(store, now=10.0)
     assert [r.uuid for r in batch.records] == ["r0", "r1", "r2"]
     # draining is speculative: pending is untouched until the ack lands
     assert len(store.pending) == 5
@@ -164,9 +165,10 @@ def test_make_batch_oldest_first_without_marking():
     assert make_batch(LocalStore("e")) is None
 
 
-def test_handle_ack_moves_exactly_the_batch():
+def test_handle_ack_moves_exactly_the_batch(monkeypatch):
+    monkeypatch.setattr(syncsec, "MAX_BATCH_RECORDS", 3)
     store = _loaded_store(5)
-    batch = make_batch(store, max_records=3, now=10.0)
+    batch = make_batch(store, now=10.0)
     assert handle_ack(store, batch.batch_id, now=11.0) == 3
     assert sorted(r.uuid for r in store.pending) == ["r3", "r4"]
     assert store.ever_synced == {"r0", "r1", "r2"}
@@ -209,24 +211,24 @@ def test_overlapping_retry_batches_cannot_double_mark():
 
 
 def test_sync_interval_schedule():
-    state = SyncSchedulerState()
-    assert next_sync_interval(state, "no_connectivity") == 7.5
-    assert next_sync_interval(state, "no_connectivity") == 3.75
+    got = next_sync_interval(SYNC_BASE_INTERVAL_MIN, "no_connectivity")
+    assert got == 7.5
+    assert next_sync_interval(got, "no_connectivity") == 3.75
     for _ in range(10):
-        got = next_sync_interval(state, "no_connectivity")
+        got = next_sync_interval(got, "no_connectivity")
     assert got == 1.0                        # clamped at the floor
-    assert next_sync_interval(state, "ok") == 15.0
+    assert next_sync_interval(got, "ok") == 15.0
     with pytest.raises(ContractViolationError):
-        next_sync_interval(state, "partial")
+        next_sync_interval(got, "partial")
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.sampled_from(["ok", "no_connectivity"]), max_size=30))
 def test_sync_interval_stays_bounded(outcomes):
-    state = SyncSchedulerState()
+    got = SYNC_BASE_INTERVAL_MIN
     for outcome in outcomes:
-        got = next_sync_interval(state, outcome)
-        assert SYNC_FLOOR_MIN <= got <= state.base_interval_min
+        got = next_sync_interval(got, outcome)
+        assert SYNC_FLOOR_MIN <= got <= SYNC_BASE_INTERVAL_MIN
 
 
 # -- transports ------------------------------------------------------------------
@@ -246,7 +248,7 @@ def test_loopback_sync_round_trip():
     assert client.attempt(now=6.0) == "idle"
     assert [r.uuid for r in server.batches[0].records] == ["r0", "r1", "r2"]
     assert client.store.ever_synced == {"r0", "r1", "r2"}
-    assert client.scheduler.current_interval_min == 15.0
+    assert client.interval_min == 15.0
 
 
 def test_faulty_transport_outage_window():
@@ -257,10 +259,10 @@ def test_faulty_transport_outage_window():
     client = _client(server, transport)
     transport.advance_to(20.0, "e001")
     assert client.attempt(now=20.0) == "no_connectivity"
-    assert client.scheduler.current_interval_min == 7.5
+    assert client.interval_min == 7.5
     transport.advance_to(60.0, "e001")
     assert client.attempt(now=60.0) == "ok"
-    assert client.scheduler.current_interval_min == 15.0
+    assert client.interval_min == 15.0
     assert [o for _, o in transport.outcomes] == ["dropped", "delivered"]
 
 
@@ -347,7 +349,7 @@ def test_socket_server_reports_auth_and_internal_errors():
 def test_socket_server_refuses_oversized_frame_and_keeps_serving():
     reg = public_keys(7, ["e001"])
     started = time.monotonic()
-    with SocketServer(EchoServer(reg), max_frame=1024) as srv:
+    with SocketServer(EchoServer(reg)) as srv:
         with socket.create_connection((srv.host, srv.port),
                                       timeout=2.0) as sock:
             sock.sendall(struct.pack(">I", 2 ** 32 - 1))
@@ -607,16 +609,17 @@ def test_socket_server_that_never_started_stops_promptly():
 
 def test_frame_cap_holds_a_full_batch_of_pipeline_records():
     store = LocalStore("e001")
-    for i in range(200):
+    for i in range(MAX_BATCH_RECORDS + 1):
         store.add_pending(Record(uuid=f"{i:032x}", kind="text",
                                  t=1.0e6 + i, x=-122.123456789,
                                  y=37.123456789, payload="x" * 200))
     priv, _ = derive_keypair(7, "e001")
-    batch = make_batch(store, 200, now=1.0e6)
+    batch = make_batch(store, now=1.0e6)
+    assert len(batch.records) == MAX_BATCH_RECORDS
     message = encode_envelope(sign(priv, batch.to_payload(), "e001"),
                               batch.batch_id)
-    assert len(message) <= max_frame_bytes(200)
-    assert max_frame_bytes(200) < 2 ** 20
+    assert len(message) <= MAX_FRAME_BYTES
+    assert MAX_FRAME_BYTES < 2 ** 20
 
 
 def test_client_treats_error_reply_as_no_connectivity():
