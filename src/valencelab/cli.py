@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import heapq
 import io
 import json
@@ -42,6 +41,7 @@ import numpy as np
 from .agent import (HOMEOSTASIS_INTERVAL_S, Record, SensingAgent,
                     analyze_sentiment, dedupe_store, feed_tick,
                     homeostasis_check, ingest_report, on_system_event)
+from .digest import sha256
 from .errors import (AuthError, ConfigurationError, ContractViolationError,
                      EmptyDatasetError, NoStructureError, NotFoundError,
                      PipelineError, UnsupportedModelError)
@@ -532,7 +532,7 @@ def run_hash(funnel_rows, model_rows, stats_text: str) -> str:
               for row in model_rows]
     doc = json.dumps({"funnel": funnel, "models": masked,
                       "stats": stats_text}, sort_keys=True)
-    return hashlib.sha256(doc.encode()).hexdigest()
+    return sha256(doc.encode()).hex()
 
 
 def report_stage(funnel_rows, counts, model_rows, config: ExperimentConfig,

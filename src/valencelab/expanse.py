@@ -270,13 +270,22 @@ def build_dataset(store: MemoryStore, entity_id: str, cluster_model) -> Dataset:
 # prediction service
 
 class ModelRegistry:
-    """Per-entity trained artifacts: (estimator bundle, cluster model)."""
+    """Per-entity trained artifacts: (estimator bundle, cluster model), and
+    an answer table per entity.
+
+    A feature row depends only on (cluster label, hour band, day of week),
+    so each entity has at most (n_clusters + 1) * 21 distinct answers. The
+    table keeps each one from its first prediction on (the prediction
+    cache of Clipper, Crankshaw et al., NSDI 2017); `register` drops it.
+    """
 
     def __init__(self):
         self._models: dict[str, tuple] = {}
+        self._answers: dict[str, dict[tuple, tuple]] = {}
 
     def register(self, entity_id: str, model, cluster_model) -> None:
         self._models[entity_id] = (model, cluster_model)
+        self._answers[entity_id] = {}
 
     def get(self, entity_id: str):
         if entity_id not in self._models:
@@ -285,6 +294,27 @@ class ModelRegistry:
 
     def entity_ids(self) -> list[str]:
         return sorted(self._models)
+
+    def answer(self, entity_id: str, x: float, y: float,
+               t: float) -> tuple[str, list]:
+        """(class label, per-class probabilities) for one entity at
+        location (x, y) and moment t, predicted on the first use of its
+        context cell."""
+        model, cluster_model = self.get(entity_id)
+        cluster = int(cluster_model.assign(np.array([[x, y]]))[0])
+        # every noise label feeds the same row
+        key = (max(cluster, -1), hour_band(t), day_of_week(t))
+        answers = self._answers[entity_id]
+        if key not in answers:
+            row = context_features(cluster, cluster_model.n_clusters, t)
+            probs = predict_proba(model, row)
+            answers[key] = (LABELS[int(np.argmax(probs))],
+                            tuple(float(p) for p in probs))
+        label, probs = answers[key]
+        return label, list(probs)
+
+    def n_answers(self, entity_id: str) -> int:
+        return len(self._answers[entity_id])
 
 
 def predict_request_payload(entity_id: str, x: float, y: float,
@@ -299,7 +329,8 @@ def handle_prediction(envelope, request: dict, store: AckLedger,
 
     `request` is the envelope's payload, already parsed. The envelope must
     verify and may only name its own signer; the reply is (class label,
-    per-class probabilities).
+    per-class probabilities), read from the answer table once the request
+    has passed every check.
     """
     if request.get("kind") != "predict":
         raise ContractViolationError("payload is not a prediction request")
@@ -318,11 +349,7 @@ def handle_prediction(envelope, request: dict, store: AckLedger,
             from exc
     if not all(math.isfinite(v) for v in (x, y, t)):
         raise ContractViolationError("prediction context is not finite")
-    model, cluster_model = models.get(signer)
-    label = int(cluster_model.assign(np.array([[x, y]]))[0])
-    row = context_features(label, cluster_model.n_clusters, t)
-    probs = predict_proba(model, row)
-    return LABELS[int(np.argmax(probs))], [float(p) for p in probs]
+    return models.answer(signer, x, y, t)
 
 
 class SyncServer:

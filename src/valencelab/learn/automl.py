@@ -7,13 +7,13 @@ entity dataset. Wall-clock duration is recorded per kind.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..digest import sha256
 from ..errors import ContractViolationError, UnsupportedModelError
 from ..evalstat import confusion, f1_weighted
 from .baseline import StratifiedBaseline
@@ -109,7 +109,7 @@ class TrainedModel:
 
 def derive_seed(seed: int, name: str) -> int:
     """A 32-bit seed for `name` (an entity id, a model kind) under `seed`."""
-    digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
+    digest = sha256(f"{seed}:{name}".encode())
     return int.from_bytes(digest[:4], "big")
 
 

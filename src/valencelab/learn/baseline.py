@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
+from ..digest import sha256
 from ..errors import ContractViolationError
 from .cv import PerFoldFit
 
@@ -33,8 +32,7 @@ class StratifiedBaseline(PerFoldFit):
         return self
 
     def _rng_for(self, X: np.ndarray):
-        digest = hashlib.sha256(
-            np.ascontiguousarray(X, dtype=np.float64).tobytes()).digest()
+        digest = sha256(np.ascontiguousarray(X, dtype=np.float64).tobytes())
         return np.random.default_rng(
             [self.seed, len(X), int.from_bytes(digest[:8], "big")])
 

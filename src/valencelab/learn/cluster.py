@@ -386,14 +386,14 @@ class ClusterModel:
         # Past about 1e154 a square overflows to inf, and the differences
         # round exemplars together. Such a row p is ranked by
         # (|p - e|^2 - |p|^2) / s = |e| (|e| / s) - 2 (p / s).e, with s the
-        # largest norm of p and the exemplars: it orders the exemplars as
-        # the distances do, and stays finite.
+        # largest of p's coordinates' magnitudes and the exemplars' norms:
+        # it orders the exemplars as the distances do, and stays finite
+        # (p's own norm overflows past about 1.3e308).
         far = np.isinf(d).any(axis=1)
         if far.any():
             p = points[far]
             e_norm = np.hypot.reduce(self.exemplars, axis=1, initial=0.0)
-            s = np.maximum(np.hypot.reduce(p, axis=1, initial=0.0),
-                           e_norm.max())[:, None]
+            s = np.maximum(np.abs(p).max(axis=1), e_norm.max())[:, None]
             d[far] = e_norm * (e_norm / s) - 2.0 * (p / s) @ self.exemplars.T
         return self.exemplar_labels[d.argmin(axis=1)]
 

@@ -16,7 +16,6 @@ either.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import socket
@@ -31,6 +30,7 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
 
 from .agent.core import LocalStore, Record
+from .digest import sha256
 from .errors import AuthError, ContractViolationError
 from .simworld import FaultPlan
 
@@ -61,7 +61,7 @@ def parse_json(data: bytes):
 
 def derive_keypair(install_seed: int, entity_id: str):
     """Deterministic per-entity Ed25519 keypair: (private key, public bytes)."""
-    seed = hashlib.sha256(f"{install_seed}:{entity_id}".encode()).digest()
+    seed = sha256(f"{install_seed}:{entity_id}".encode())
     priv = ed25519.Ed25519PrivateKey.from_private_bytes(seed)
     pub = priv.public_key().public_bytes_raw()
     return priv, pub
@@ -83,7 +83,7 @@ class SignedEnvelope:
 def sign(secret_key, payload: bytes, signer: str) -> SignedEnvelope:
     """Sign payload||nonce; the nonce is a payload digest so equal payloads
     stay byte-reproducible across runs."""
-    nonce = hashlib.sha256(b"vl-nonce" + payload).digest()[:16]
+    nonce = sha256(b"vl-nonce" + payload)[:16]
     signature = secret_key.sign(payload + nonce)
     return SignedEnvelope(payload=bytes(payload), signer=signer,
                           signature=signature, nonce=nonce)

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from valencelab import cli
+from valencelab import cli, syncsec
 from valencelab.cli import (FUNNEL_COLUMNS, ExperimentConfig, _read_rows,
                             _rebuild_store, _server_from_artifacts,
                             drive_agents, load_experiment_config, main,
@@ -408,6 +408,19 @@ def test_tuning_error_reaches_the_caller(small_run, tmp_path, monkeypatch,
 # -- driving in worker processes ------------------------------------------------
 
 
+def _fault_plans(cohort) -> dict:
+    """One plan per kind of fault for a small world, seeded by 5."""
+    ids = [p.entity_id for p in cohort.profiles]
+    horizon = cohort.spec.days * 86400.0
+    crashes = make_crash_plan(ids, 8, horizon, seed=5)
+    # a reboot before the revive tick ends two of the outages early
+    reboots = [Fault(f.t + 60.0, f.entity_id, "reboot")
+               for f in list(crashes)[:2]]
+    return {"crash": FaultPlan(list(crashes) + reboots),
+            "delivery": make_delivery_fault_plan(ids, 6, 6, horizon, 5),
+            "net_flap": make_net_flap_plan(ids, 4, horizon, 5)}
+
+
 def _faulty_world():
     """4 entities over 3 days with every kind of fault."""
     spec = CohortSpec(n_entities=4, n_no_demographics=0, n_low_rate=0,
@@ -415,15 +428,8 @@ def _faulty_world():
                       n_band_only=2, days=3.0)
     config = ExperimentConfig(seed=5, out="unused")
     cohort = build_cohort(spec, config.seed)
-    ids = [p.entity_id for p in cohort.profiles]
-    horizon = spec.days * 86400.0
-    crashes = make_crash_plan(ids, 8, horizon, seed=5)
-    # a reboot before the revive tick ends two of the outages early
-    reboots = [Fault(f.t + 60.0, f.entity_id, "reboot")
-               for f in list(crashes)[:2]]
-    plan = FaultPlan(list(crashes) + reboots
-                     + list(make_delivery_fault_plan(ids, 6, 6, horizon, 5))
-                     + list(make_net_flap_plan(ids, 4, horizon, 5)))
+    plan = FaultPlan([f for plan in _fault_plans(cohort).values()
+                      for f in plan])
     return cohort, run_cohort(cohort), plan, config
 
 
@@ -461,6 +467,27 @@ def test_drive_does_not_depend_on_worker_count(monkeypatch):
     assert {"dropped", "duplicated"} <= {o for _, o in outcomes}
     assert sum(sentiment.values()) > 0
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("fault", ["crash", "delivery", "net_flap"])
+def test_stored_records_do_not_depend_on_the_sync_cadence(monkeypatch,
+                                                           fault):
+    """Debounce, dedupe and crash loss decide what an agent commits before
+    any sync, and the quiesce at the horizon drains every committed
+    record, so syncing every 15 or every 60 minutes stores the same."""
+    cohort, events, _, config = _faulty_world()
+    plan = _fault_plans(cohort)[fault]
+    stored, sends = [], []
+    for minutes in (15.0, 60.0):
+        monkeypatch.setattr(syncsec, "SYNC_BASE_INTERVAL_MIN", minutes)
+        monkeypatch.setattr(cli, "SYNC_BASE_INTERVAL_MIN", minutes)
+        drive = drive_agents(cohort, events, plan, config)
+        stored.append({eid: [r.to_dict() for r in drive.mstore.events(eid)]
+                       for eid in drive.mstore.entity_ids()})
+        sends.append(len(drive.transport.outcomes))
+    assert sends[1] < sends[0]          # the slower cadence took effect
+    assert sum(map(len, stored[0].values())) > 0
+    assert stored[0] == stored[1]
 
 
 def test_drive_error_in_a_worker_reaches_the_caller(monkeypatch):

@@ -146,13 +146,15 @@ def test_assign_measures_far_points_without_overflow():
                          exemplars=np.array([[0.0, 0.0], [1e10, 0.0]]),
                          exemplar_labels=np.array([0, 1]), n_clusters=2)
     # squaring 1e200 overflows, and 1e200 - 1e10 rounds to 1e200; the far
-    # rows are ranked without either, the near rows as before
+    # rows are ranked without either, the near rows as before. The norm of
+    # (1.5e308, 1.5e308) overflows too.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         labels = model.assign(np.array([[1e200, 0.0], [1e11, 0.0],
                                         [1.0, 0.0], [-1e200, 1e200],
-                                        [1e200, -1e200]]))
-    assert labels.tolist() == [1, 1, 0, 0, 1]
+                                        [1e200, -1e200], [1.5e308, 1.5e308],
+                                        [-1.5e308, 1.5e308]]))
+    assert labels.tolist() == [1, 1, 0, 0, 1, 1, 0]
 
 
 def test_min_cluster_size_validated():

@@ -1,5 +1,6 @@
 """Cloud side: ingestion, aggregation, funnel, features, scoped predictions."""
 
+import functools
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valencelab import expanse
 from valencelab.agent import Record
 from valencelab.errors import (AuthError, ContractViolationError,
                                EmptyDatasetError, NotFoundError)
@@ -19,6 +21,7 @@ from valencelab.expanse import (EligibilityRules, EntitySummary, MemoryStore,
                                 imbalance_degree, ingest,
                                 predict_request_payload)
 from valencelab.learn import ClusterModel, train
+from valencelab.simworld import day_of_week, hour_band
 from valencelab.syncsec import (SignedEnvelope, SyncBatch, canonical_json,
                                 derive_keypair, encode_envelope, public_keys,
                                 sign)
@@ -309,6 +312,126 @@ def test_prediction_rejects_bad_requests():
     not_predict = sign(priv, b'{"kind":"sync"}', "e1")
     with pytest.raises(ContractViolationError):
         _predict(not_predict, store, registry, keys)
+
+
+# -- answer table ----------------------------------------------------------------
+
+
+def _no_cluster_model() -> ClusterModel:
+    """Every location is noise."""
+    return ClusterModel(min_cluster_size=2, min_samples=2,
+                        labels=np.zeros(0, dtype=np.int64),
+                        exemplars=np.zeros((0, 2)),
+                        exemplar_labels=np.zeros(0, dtype=np.int64),
+                        n_clusters=0)
+
+
+_CLUSTERS = {"e1": _two_cluster_model(), "e2": _no_cluster_model()}
+
+
+@functools.cache
+def _answer_models(kind: str) -> dict:
+    """Two models per entity, trained on every context cell with shifted
+    labels, so that an answer kept from the first shows under the second."""
+    models = {}
+    for i, (eid, cluster) in enumerate(_CLUSTERS.items()):
+        X = np.array([context_features(c, cluster.n_clusters,
+                                       d * 86400.0 + h * 3600.0)
+                      for c in range(-1, cluster.n_clusters)
+                      for d in range(7) for h in (8.0, 16.0, 23.0)])
+        y = np.random.default_rng(i).integers(0, 3, size=len(X))
+        y[:3] = (0, 1, 2)
+        models[eid] = [train(kind, X, (y + shift) % 3, seed=i)
+                       for shift in (0, 1)]
+    return models
+
+
+@functools.cache
+def _long_lived_server(kind: str) -> SyncServer:
+    """One server per kind that every example of a property asks."""
+    store = MemoryStore()
+    registry = ModelRegistry()
+    for eid, cluster in _CLUSTERS.items():
+        store.register_entity(eid)
+        registry.register(eid, _answer_models(kind)[eid][0], cluster)
+    return SyncServer(store, public_keys(7, list(_CLUSTERS)), registry)
+
+
+def _fresh_server(server: SyncServer) -> SyncServer:
+    """The same models in a registry whose answer table is empty."""
+    registry = ModelRegistry()
+    for eid in server.models.entity_ids():
+        registry.register(eid, *server.models.get(eid))
+    return SyncServer(server.store, server.keys, registry)
+
+
+def _ask(server, entity_id, x, y, t) -> bytes:
+    env = sign(derive_keypair(7, entity_id)[0],
+               predict_request_payload(entity_id, x, y, t), entity_id)
+    return server.receive(encode_envelope(env))
+
+
+_COORDS = st.floats(allow_nan=False, allow_infinity=False)
+_TIMES = st.one_of(_COORDS, st.floats(-30 * 86400.0, 0.0),
+                   st.floats(9e299, 1.1e300), st.floats(-1.1e300, -9e299))
+
+
+@pytest.mark.parametrize("kind", ["logreg", "gbt", "mlp"])
+@settings(max_examples=80, deadline=None)
+@given(entity=st.sampled_from(sorted(_CLUSTERS)), x=_COORDS, y=_COORDS,
+       t=_TIMES, weeks=st.integers(-2, 2), retrain=st.integers(0, 7))
+def test_answer_table_replies_as_a_fresh_registry(kind, entity, x, y, t,
+                                                  weeks, retrain):
+    server = _long_lived_server(kind)
+    registry = server.models
+    if retrain == 0:
+        model, cluster = registry.get(entity)
+        held = {eid: registry.n_answers(eid) for eid in _CLUSTERS}
+        other = next(m for m in _answer_models(kind)[entity]
+                     if m is not model)
+        registry.register(entity, other, cluster)
+        held[entity] = 0
+        assert {eid: registry.n_answers(eid) for eid in _CLUSTERS} == held
+    reply = _ask(server, entity, x, y, t)
+    assert reply == _ask(_fresh_server(server), entity, x, y, t)
+    # a moment whole weeks away is in the same cell unless rounding moved
+    # it across a band or day edge
+    t2 = t + weeks * 7 * 86400.0
+    held = registry.n_answers(entity)
+    reply2 = _ask(server, entity, x, y, t2)
+    assert reply2 == _ask(_fresh_server(server), entity, x, y, t2)
+    if (hour_band(t2), day_of_week(t2)) == (hour_band(t), day_of_week(t)):
+        assert registry.n_answers(entity) == held
+        assert reply2 == reply
+    for eid, cluster in _CLUSTERS.items():
+        assert registry.n_answers(eid) <= (cluster.n_clusters + 1) * 21
+
+
+def test_answer_table_predicts_once_per_cell_and_verifies_every_request(
+        monkeypatch):
+    """Each predict is verified, but a cell is predicted once. Both go
+    through the module's globals, where a tracer wraps them."""
+    calls = {"verify_and_scope": 0, "predict_proba": 0}
+
+    def counting(name):
+        fn = getattr(expanse, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(expanse, name, counting(name))
+    server = _fresh_server(_long_lived_server("logreg"))
+    # one Monday-night cell per cluster, then a Tuesday-morning one
+    moments = [0.0, 3600.0, 7 * 86400.0, 86400.0 + 8 * 3600.0]
+    replies = [_ask(server, "e1", x, x, t)
+               for x in (0.0, 10.0) for t in moments]
+    assert calls == {"verify_and_scope": 8, "predict_proba": 4}
+    assert server.models.n_answers("e1") == 4
+    assert replies[0] == replies[1] == replies[2]
+    assert replies[4] == replies[5] == replies[6]
 
 
 def test_sync_server_receive_paths():

@@ -10,7 +10,8 @@ import pytest
 from valencelab.errors import ContractViolationError
 from valencelab.learn.boost import GradientBoostedTrees
 from valencelab.learn.cv import stratified_folds
-from valencelab.learn.mlp import MLPClassifier
+from valencelab.learn.mlp import (MLPClassifier, _fit_lockstep,
+                                  mlp_loss_and_grad, mlp_pack)
 
 
 def golden_data(seed=11, n=70):
@@ -90,6 +91,29 @@ def test_mlp_lockstep_equals_one_fold_fits(hidden):
                               seed=6).fit(X[train], y[train], 3)
         assert model.to_payload() == alone.to_payload()
         assert same_bits(model.predict_proba(X), alone.predict_proba(X))
+
+
+@pytest.mark.parametrize("n_in, hidden", [(2, 3), (14, 16), (15, 64)])
+def test_mlp_lockstep_tick_steps_along_the_checked_gradient(n_in, hidden):
+    """Criterion 6 checks mlp_loss_and_grad, and training runs its own
+    backprop. One tick of every fold (one row each, one epoch) must be
+    w0 - lr * grad(w0) bit for bit, so training follows the checked
+    gradient."""
+    rng = np.random.default_rng([n_in, hidden])
+    lr = 0.05
+    models = [MLPClassifier(n_hidden=hidden, lr=lr, epochs=1, seed=seed)
+              for seed in (3, 4, 5, 6)]
+    Xs = [rng.normal(size=(1, n_in)) for _ in models]
+    ys = [rng.integers(0, 3, size=1) for _ in models]
+    _fit_lockstep(models, Xs, ys, 3)
+    for model, X, y in zip(models, Xs, ys):
+        # the initial weights, drawn as the fit draws them
+        init = np.random.default_rng(model.seed)
+        W1 = init.normal(0.0, np.sqrt(2.0 / n_in), size=(n_in, hidden))
+        W2 = init.normal(0.0, np.sqrt(2.0 / hidden), size=(hidden, 3))
+        w0 = mlp_pack(W1, np.zeros(hidden), W2, np.zeros(3))
+        _, grad = mlp_loss_and_grad(w0, X, y, n_in, hidden, 3)
+        assert same_bits(mlp_pack(*model.params_), w0 - lr * grad)
 
 
 # One tuner batch: settings differ in every dimension, rounds are ragged,

@@ -497,20 +497,46 @@ def _with_raw(doc, raws: dict) -> bytes:
     return data
 
 
+def _plausible(value):
+    """Raw JSON text of another value of value's own type: most requests
+    with one such field still verify, parse and get an ok reply."""
+    if isinstance(value, int):
+        values = st.integers(-2 ** 31, 2 ** 31)
+    elif isinstance(value, float):
+        values = st.floats(allow_nan=False, allow_infinity=False)
+    else:
+        values = st.sampled_from(EVENT_KINDS + LABELS + (
+            "e001", "e002", "sync", "predict")) | st.text(max_size=8)
+    return values.map(json.dumps)
+
+
+def _field(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 @st.composite
 def _hostile_messages(draw):
     """A signed sync batch or predict with hostile JSON at up to three of
-    its payload's or header's fields, or an unsigned random frame."""
-    if draw(st.integers(0, 4)) == 0:
+    its payload's or header's fields, or with one payload field changed to
+    another value of its type, or an unsigned random frame."""
+    branch = draw(st.integers(0, 4))
+    if branch == 0:
         sections = st.lists(st.binary(max_size=64), min_size=3, max_size=3)
         return draw(st.binary(max_size=256)
                     | sections.map(lambda ss: b"".join(map(_section, ss))))
     kind = draw(st.sampled_from(sorted(_REQUESTS)))
-    paths = draw(st.lists(st.sampled_from(
-        [("payload",) + p for p in _PATHS[kind]]
-        + [("header",) + p for p in _PATHS["header"]]),
-        min_size=1, max_size=3, unique=True))
-    raws = {p: draw(_RAW_JSON) for p in paths}
+    if branch <= 2:
+        path = draw(st.sampled_from(_PATHS[kind]))
+        raws = {("payload",) + path: draw(
+            _plausible(_field(_REQUESTS[kind], path)))}
+    else:
+        paths = draw(st.lists(st.sampled_from(
+            [("payload",) + p for p in _PATHS[kind]]
+            + [("header",) + p for p in _PATHS["header"]]),
+            min_size=1, max_size=3, unique=True))
+        raws = {p: draw(_RAW_JSON) for p in paths}
     payload = _with_raw(_REQUESTS[kind], {p[1:]: raw for p, raw in raws.items()
                                           if p[0] == "payload"})
     env = sign(derive_keypair(7, "e001")[0], payload, "e001")
@@ -524,7 +550,7 @@ def _hostile_messages(draw):
 _KEYS = public_keys(7, ["e001"])
 
 
-@settings(max_examples=200, deadline=2000)
+@settings(max_examples=400, deadline=2000)
 @given(_hostile_messages())
 def test_hostile_requests_get_a_reply_auth_or_bad_request(message):
     """What the socket handler would answer with "internal" never happens:
