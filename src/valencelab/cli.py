@@ -855,7 +855,19 @@ def cmd_report(config: ExperimentConfig, args) -> int:
     return 0
 
 
+def _check_port(port: int, lowest: int) -> None:
+    # getaddrinfo would take 70000 as 70000 mod 65536, and bind refuses it
+    # only with an OverflowError
+    if not lowest <= port <= 65535:
+        raise ConfigurationError(
+            f"--port must be in {lowest}..65535, not {port}")
+
+
 def cmd_serve(config: ExperimentConfig, args) -> int:
+    _check_port(args.port, 0)
+    if args.max_seconds is not None and not 0 <= args.max_seconds < math.inf:
+        raise ConfigurationError(
+            f"--max-seconds must be finite and >= 0, not {args.max_seconds}")
     handler, _ = _server_from_artifacts(Path(config.out))
     try:
         server = SocketServer(handler, host=args.host, port=args.port)
@@ -881,6 +893,7 @@ def cmd_predict(config: ExperimentConfig, args) -> int:
     if args.host is not None:
         if args.port is None:
             raise ConfigurationError("--port is required with --host")
+        _check_port(args.port, 1)
         transport = SocketTransport(args.host, args.port)
         _, seed = _models_doc(Path(config.out))
     else:

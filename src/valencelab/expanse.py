@@ -28,26 +28,90 @@ DOW_NAMES = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
 BAND_NAMES = ("morning", "afternoon", "night")
 
 
+KEY_BYTES = 40          # a key up to this long goes into the sorted array
+MERGE_EVERY = 1024      # new keys that wait in a set before a merge
+_NO_KEYS = np.empty(0, dtype=f"S{KEY_BYTES}")
+
+
+def _key(uuid: str) -> bytes:
+    """A uuid's UTF-8 bytes ended by 0xFF, a byte UTF-8 never holds.
+
+    A fixed-width bytes array drops trailing NULs; with the end mark no key
+    has any, so "a" and "a\\x00" stay two keys. "surrogatepass" encodes the
+    lone surrogate a JSON "\\ud800" decodes to."""
+    return uuid.encode("utf-8", "surrogatepass") + b"\xff"
+
+
+class UuidSet:
+    """An exact set of uuids, kept as one sorted `S{KEY_BYTES}` array.
+
+    The newest keys wait in a set; every MERGE_EVERY of them are merged into
+    the array (the memtable and sorted run of the log-structured merge tree,
+    O'Neil et al., Acta Informatica 1996). A key too long for the array gets
+    a set of its own, so one huge uuid never widens the array. Until the
+    first merge no lookup searches the empty array, so a set that never
+    merges calls no numpy.
+    """
+
+    __slots__ = ("_sorted", "_recent", "_long")
+
+    def __init__(self):
+        self._sorted = _NO_KEYS
+        self._recent: set[bytes] = set()
+        self._long: set[bytes] = set()
+
+    def __len__(self) -> int:
+        return len(self._sorted) + len(self._recent) + len(self._long)
+
+    def __contains__(self, uuid: str) -> bool:
+        return self._has(_key(uuid))
+
+    def _has(self, key: bytes) -> bool:
+        if len(key) > KEY_BYTES:
+            return key in self._long
+        if key in self._recent:
+            return True
+        if not len(self._sorted):
+            return False
+        i = self._sorted.searchsorted(key)
+        return bool(i < len(self._sorted) and self._sorted[i] == key)
+
+    def add(self, uuid: str) -> bool:
+        """Add one uuid; False when it was in already."""
+        key = _key(uuid)
+        if self._has(key):
+            return False
+        if len(key) > KEY_BYTES:
+            self._long.add(key)
+            return True
+        self._recent.add(key)
+        if len(self._recent) >= MERGE_EVERY:
+            recent = np.array(list(self._recent), self._sorted.dtype)
+            merged = np.concatenate((self._sorted, recent))
+            merged.sort()
+            self._sorted, self._recent = merged, set()
+        return True
+
+
 class AckLedger:
     """The uuids acknowledged per entity, and nothing else: what a sync
     ack's `new` count needs. `serve` keeps this, since it never reads a
     record back."""
 
     def __init__(self):
-        self._uuids: dict[str, set[str]] = {}
+        self._uuids: dict[str, UuidSet] = {}
 
     def register_entity(self, entity_id: str) -> None:
-        self._uuids.setdefault(entity_id, set())
+        self._uuids.setdefault(entity_id, UuidSet())
 
     def has_entity(self, entity_id: str) -> bool:
         return entity_id in self._uuids
 
     def add(self, entity_id: str, record: Record) -> bool:
-        seen = self._uuids.setdefault(entity_id, set())
-        if record.uuid in seen:
-            return False
-        seen.add(record.uuid)
-        return True
+        seen = self._uuids.get(entity_id)
+        if seen is None:
+            seen = self._uuids[entity_id] = UuidSet()
+        return seen.add(record.uuid)
 
     def total_records(self) -> int:
         return sum(len(seen) for seen in self._uuids.values())

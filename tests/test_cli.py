@@ -1,5 +1,6 @@
 """End-to-end harness: config parsing, artifacts, staging, exit codes."""
 
+import gc
 import hashlib
 import json
 import math
@@ -12,13 +13,14 @@ import sys
 import time
 from collections import Counter
 from concurrent import futures
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from valencelab import cli, syncsec
+from valencelab import cli, expanse, syncsec
+from valencelab.agent import Record
 from valencelab.cli import (FUNNEL_COLUMNS, ExperimentConfig, _read_rows,
                             _rebuild_store, _server_from_artifacts,
                             drive_agents, load_experiment_config, main,
@@ -608,12 +610,32 @@ def test_served_ledger_acks_as_the_store_does(small_run):
     assert ack == {"ok": True, "batch_id": 3, "new": 5}
     assert json.loads(handler.receive(message))["new"] == 0
     assert handler.store.total_records() == 5
+    # past two merges of the entity's ledger; each batch also repeats one
+    # uuid of every batch before it, and the first five records
+    n_batches, size = 2 * expanse.MERGE_EVERY // 100 + 5, 100
+    for i in range(n_batches):
+        fresh = tuple(replace(records[0], uuid=f"{eid}:more-{i}-{j}")
+                      for j in range(size))
+        again = tuple(replace(records[0], uuid=f"{eid}:more-{k}-{k % size}")
+                      for k in range(i))
+        message = _signed_sync(eid, fresh + again + records)
+        ack = json.loads(handler.receive(message))
+        assert ack == json.loads(reference.receive(message))
+        assert ack["new"] == size
+    assert handler.store.total_records() == 5 + n_batches * size
+    assert handler.store.total_records() == reference.store.total_records()
     ledger = handler.store
     assert not isinstance(ledger, MemoryStore)
     assert not hasattr(ledger, "events")
-    # its one attribute holds uuid strings, and no record
-    assert list(vars(ledger)) == ["_uuids"]
-    assert all(type(u) is str for seen in ledger._uuids.values() for u in seen)
+    # nothing the ledger holds is a record, or holds one
+    todo, seen = [ledger], set()
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, Record)
+        todo.extend(gc.get_referents(obj))
 
 
 def test_serve_command_starts_and_stops(small_run, capsys):
@@ -659,6 +681,33 @@ def test_exit_code_2_for_bad_configuration(tmp_path, capsys):
                "--cohort", str(tmp_path / "nope.cfg")])
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--port", "70000"], ["--port", "-5"], ["--max-seconds", "-1"],
+    ["--max-seconds", "nan"], ["--max-seconds", "inf"]],
+    ids=["port_70000", "port_-5", "seconds_-1", "seconds_nan",
+         "seconds_inf"])
+def test_exit_code_2_for_an_out_of_range_serve_flag(small_run, capsys,
+                                                    flags):
+    """Refused before any socket opens, naming the flag."""
+    result, _ = small_run
+    rc = main(["serve", "--out", str(result.out_dir), *flags])
+    assert rc == 2
+    assert f"configuration error: {flags[0]} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("port", ["70000", "0", "-1"])
+def test_exit_code_2_for_an_out_of_range_predict_port(small_run, capsys,
+                                                      port):
+    # 70000 would otherwise reach port 4464
+    result, _ = small_run
+    rc = main(["predict", "--out", str(result.out_dir),
+               "--entity", _some_modeled_entity(result),
+               "--host", "127.0.0.1", "--port", port,
+               "--x", "0.0", "--y", "0.0", "--t", "0"])
+    assert rc == 2
+    assert "configuration error: --port " in capsys.readouterr().err
 
 
 def test_exit_code_2_for_fault_plan_outside_the_cohort(tmp_path, capsys):

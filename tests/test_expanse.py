@@ -13,12 +13,12 @@ from valencelab import expanse
 from valencelab.agent import Record
 from valencelab.errors import (AuthError, ContractViolationError,
                                EmptyDatasetError, NotFoundError)
-from valencelab.expanse import (EligibilityRules, EntitySummary, MemoryStore,
-                                ModelRegistry, SyncServer, aggregate_entity,
-                                build_dataset, check_eligibility,
-                                context_features, eligibility_funnel,
-                                feature_names_for, handle_prediction,
-                                imbalance_degree, ingest,
+from valencelab.expanse import (AckLedger, EligibilityRules, EntitySummary,
+                                MemoryStore, ModelRegistry, SyncServer,
+                                aggregate_entity, build_dataset,
+                                check_eligibility, context_features,
+                                eligibility_funnel, feature_names_for,
+                                handle_prediction, imbalance_degree, ingest,
                                 predict_request_payload)
 from valencelab.learn import ClusterModel, train
 from valencelab.simworld import day_of_week, hour_band
@@ -86,6 +86,59 @@ def test_ingest_counts_only_new():
     more = SyncBatch(batch_id=2, entity_id="e1",
                      records=(_report("b"), _report("c")), created_at=1.0)
     assert ingest(store, more) == 1
+
+
+# Characters a fixed-width bytes key could confuse: NUL, which numpy drops
+# at the end of a key; lone surrogates, which a JSON escape decodes to and a
+# strict encode refuses; U+00FF, whose code point is the key's end byte; and
+# other non-ASCII text of 2, 3 and 4 bytes.
+_UUID_CHARS = st.sampled_from(
+    ["a", "b", "\x00", "\ud800", "\udfff", "\xff", "\xe9", "\u732b",
+     "\U0001f600"])
+_UUIDS = st.one_of(
+    st.lists(_UUID_CHARS, max_size=4).map("".join),     # "" included
+    # keys a few bytes either side of KEY_BYTES
+    st.tuples(st.integers(expanse.KEY_BYTES - 9, expanse.KEY_BYTES + 1),
+              st.lists(_UUID_CHARS, max_size=2).map("".join)).map(
+        lambda nt: "a" * nt[0] + nt[1]),
+    # far past it
+    st.tuples(_UUID_CHARS, st.integers(100, 5000)).map(
+        lambda cn: cn[0] * cn[1]),
+    st.text(st.characters(exclude_categories=()), max_size=50))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["e1", "e2"]), _UUIDS,
+                          st.booleans(),
+                          st.sampled_from([0, 0, 0, 1, 300, 1000])),
+                max_size=30))
+def test_ack_ledger_is_a_set_of_uuids(ops):
+    """Adds and lookups, with filler adds between them, match a plain set.
+    Then 2 * MERGE_EVERY more fillers per entity make two merges or more,
+    and every uuid drawn is looked up and added again."""
+    ledger, reference = AckLedger(), {"e1": set(), "e2": set()}
+    filler = iter(range(10 ** 9))
+
+    def add(eid, uuid):
+        assert ledger.add(eid, _sensor(uuid)) is (uuid not in reference[eid])
+        reference[eid].add(uuid)
+        assert ledger.total_records() == sum(map(len, reference.values()))
+
+    def look(eid, uuid):
+        assert (uuid in ledger._uuids[eid]) is (uuid in reference[eid])
+
+    for eid in reference:
+        ledger.register_entity(eid)
+    for eid, uuid, adding, gap in ops:
+        for _ in range(gap):
+            add(eid, f"fill-{next(filler)}")
+        (add if adding else look)(eid, uuid)
+    for eid in reference:
+        for _ in range(2 * expanse.MERGE_EVERY):
+            add(eid, f"fill-{next(filler)}")
+    for eid, uuid, _, _ in ops:
+        look(eid, uuid)
+        add(eid, uuid)
 
 
 def test_aggregate_entity_counts_and_demographics():

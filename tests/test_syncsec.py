@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from valencelab import syncsec
 from valencelab.agent import LocalStore, Record
 from valencelab.errors import AuthError, ContractViolationError
-from valencelab.expanse import (EligibilityRules, MemoryStore, ModelRegistry,
-                                SyncServer, aggregate_entity,
+from valencelab.expanse import (AckLedger, EligibilityRules, MemoryStore,
+                                ModelRegistry, SyncServer, aggregate_entity,
                                 context_features, eligibility_funnel,
                                 predict_request_payload)
 from valencelab.learn import ClusterModel, train
@@ -449,6 +449,19 @@ def test_socket_server_answers_garbage_with_bad_request(body):
         assert srv.handler.store.total_records() == 0
         assert _client(srv.handler, transport).attempt(now=1.0) == "ok"
     assert time.monotonic() - started < 5.0
+
+
+@pytest.mark.parametrize("store", [AckLedger, MemoryStore])
+def test_socket_server_acks_a_lone_surrogate_uuid_once(store):
+    """A JSON "\\ud800" decodes to a lone surrogate; the served ledger and
+    the store ack it as any other uuid, not with "internal"."""
+    message = _signed_records([dict(_rec("c").to_dict(), uuid="\ud800")])
+    assert b'"uuid":"\\ud800"' in message
+    with SocketServer(SyncServer(store(), public_keys(7, ["e001"]))) as srv:
+        transport = SocketTransport(srv.host, srv.port, timeout_s=2.0)
+        for new in (1, 0):
+            reply = json.loads(transport.send(message, "e001"))
+            assert reply == {"ok": True, "batch_id": 1, "new": new}
 
 
 # Raw JSON text for one field: any JSON value (non-finite floats and wrong
