@@ -92,8 +92,9 @@ class Record:
 class LocalStore:
     """Pending/synced record store with batch bookkeeping.
 
-    `pending` records have not been acknowledged by the cloud side; `synced`
-    maps uuid to ack time, oldest ack first, and is pruned after
+    `pending` records have not been acknowledged by the cloud side;
+    `in_flight` holds the pending uuids that were sent and not yet acked;
+    `synced` maps uuid to ack time, oldest ack first, and is pruned after
     PERSISTENCE_LIMIT_S. Batch draining and acking live in the sync layer;
     this class only owns state.
     """
@@ -105,7 +106,7 @@ class LocalStore:
         # id-only ledger of everything ever acked; it survives pruning, so
         # delivery accounting stays possible
         self.ever_synced: set[str] = set()
-        self.open_batches: dict[int, tuple[str, ...]] = {}
+        self.in_flight: set[str] = set()
         self._next_batch_id = 1
         self._last_dedupe: dict[str, tuple] = {}
 
@@ -113,9 +114,6 @@ class LocalStore:
         bid = self._next_batch_id
         self._next_batch_id += 1
         return bid
-
-    def in_flight(self, uuid: str) -> bool:
-        return any(uuid in uuids for uuids in self.open_batches.values())
 
     def add_pending(self, record: Record) -> None:
         self.pending.append(record)
@@ -130,13 +128,11 @@ class LocalStore:
     def mark_synced(self, uuid: str, ack_time: float) -> bool:
         if self.synced and ack_time < next(reversed(self.synced.values())):
             raise ContractViolationError("acks must arrive in time order")
-        for i, rec in enumerate(self.pending):
-            if rec.uuid == uuid:
-                del self.pending[i]
-                self.synced[uuid] = ack_time
-                self.ever_synced.add(uuid)
-                return True
-        return False
+        if not self.remove_pending(uuid):
+            return False
+        self.synced[uuid] = ack_time
+        self.ever_synced.add(uuid)
+        return True
 
     def prune_synced(self, now: float) -> int:
         """Forget acks older than PERSISTENCE_LIMIT_S. Acks are kept in time
@@ -238,7 +234,7 @@ def ingest_report(agent: SensingAgent, click: str, timestamp: float,
         prev_uuid, prev_t = prev
         # an in-flight record was already transmitted; the correction has to
         # stand on its own
-        if not agent.store.in_flight(prev_uuid):
+        if prev_uuid not in agent.store.in_flight:
             if timestamp >= prev_t:
                 agent.store.remove_pending(prev_uuid)
             else:

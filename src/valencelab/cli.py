@@ -257,7 +257,7 @@ def _drive_group(plan: FaultPlan, keys, events, private_keys,
                                 plan)
     agents = {eid: SensingAgent(eid) for eid in ids}
     clients = {eid: SyncClient(store=agents[eid].store,
-                               private_key=private_keys[eid], entity_id=eid,
+                               private_key=private_keys[eid],
                                transport=transport) for eid in ids}
     next_sync = dict.fromkeys(ids, SYNC_BASE_INTERVAL_MIN * 60.0)
 
@@ -607,11 +607,12 @@ def _artifact(path: Path, producer: str) -> Path:
 def _parsing(path: Path):
     """Raises what goes wrong parsing the artifact at `path` inside as a
     PipelineError that names it: bad JSON or text, a missing key or column,
-    a value of the wrong type, an unknown model kind."""
+    a value or a JSON container of the wrong type, a broken contract such
+    as an unknown gender or hyperparameter, an unknown model kind."""
     try:
         yield
-    except (ValueError, KeyError, TypeError, csv.Error,
-            UnsupportedModelError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, csv.Error,
+            ContractViolationError, UnsupportedModelError) as exc:
         raise PipelineError(f"malformed artifact {path}: {exc!r}") from exc
 
 

@@ -1,7 +1,8 @@
 """Agent-to-cloud sync protocol and signed, entity-scoped envelopes.
 
-Client half: FIFO batch draining without premature marking, per-batch acks,
-and a retry interval that halves on missing connectivity. Wire
+Client half: FIFO batch draining into a set of in-flight uuids without
+premature marking, an ack that names the batch just sent, and a retry
+interval that halves on missing connectivity. Wire
 format: three length-prefixed sections (canonical JSON header, canonical
 JSON body, raw signature); the signature covers body bytes plus nonce, so
 any payload tamper invalidates it. Ed25519 keys derive deterministically
@@ -31,7 +32,7 @@ from cryptography.hazmat.primitives.asymmetric import ed25519
 
 from .agent.core import LocalStore, Record
 from .digest import sha256
-from .errors import AuthError, ContractViolationError
+from .errors import AuthError, ContractViolationError, NotFoundError
 from .simworld import FaultPlan
 
 log = logging.getLogger(__name__)
@@ -189,36 +190,23 @@ class SyncBatch:
 
 
 def make_batch(store: LocalStore, now: float = 0.0) -> SyncBatch | None:
-    """Drain up to MAX_BATCH_RECORDS oldest pending records; nothing is
-    marked until the matching ack arrives."""
+    """Drain up to MAX_BATCH_RECORDS oldest pending records into flight;
+    nothing is marked until the batch's ack arrives."""
     if not store.pending:
         return None
     oldest = sorted(store.pending,
                     key=lambda r: (r.t, r.uuid))[:MAX_BATCH_RECORDS]
-    bid = store.next_batch_id()
-    store.open_batches[bid] = tuple(r.uuid for r in oldest)
-    return SyncBatch(batch_id=bid, entity_id=store.entity_id,
+    store.in_flight.update(r.uuid for r in oldest)
+    return SyncBatch(batch_id=store.next_batch_id(), entity_id=store.entity_id,
                      records=tuple(oldest), created_at=now)
 
 
-def handle_ack(store: LocalStore, batch_id: int, now: float = 0.0) -> int:
-    """Move exactly that batch's records pending -> synced; idempotent."""
-    uuids = store.open_batches.pop(batch_id, None)
-    if uuids is None:
-        # every issued id is either still open or already acked
-        if not 0 < batch_id < store._next_batch_id:
-            log.warning("ack for unknown batch %s on %s",
-                        batch_id, store.entity_id)
-        return 0
-    moved = sum(1 for u in uuids if store.mark_synced(u, now))
-    # retries reissue still-pending records under new ids; batches whose
-    # records have all landed by other means can never mark anything again
-    pending_now = {r.uuid for r in store.pending}
-    stale = [bid for bid, us in store.open_batches.items()
-             if not any(u in pending_now for u in us)]
-    for bid in stale:
-        del store.open_batches[bid]
-    return moved
+def handle_ack(store: LocalStore, batch: SyncBatch, now: float = 0.0) -> int:
+    """Move exactly the batch's records pending -> synced and out of
+    flight; idempotent."""
+    uuids = [r.uuid for r in batch.records]
+    store.in_flight.difference_update(uuids)
+    return sum(1 for u in uuids if store.mark_synced(u, now))
 
 
 def next_sync_interval(current_min: float, outcome: str) -> float:
@@ -357,10 +345,10 @@ class SocketTransport:
             return _recv_framed(sock)
 
 
-# What decoding a malformed request raises: bad framing, unreadable JSON
-# or another broken contract, a missing key. A handler's own ValueError
-# stays an "internal" error.
-_BAD_REQUEST_ERRORS = (ContractViolationError, KeyError)
+# What a request the server cannot answer raises: bad framing, unreadable
+# JSON or another broken contract, a missing key, an entity with no data or
+# no trained model. A handler's own ValueError stays an "internal" error.
+_BAD_REQUEST_ERRORS = (ContractViolationError, KeyError, NotFoundError)
 
 
 class _FrameHandler(socketserver.BaseRequestHandler):
@@ -403,9 +391,10 @@ class SocketServer(socketserver.TCPServer):
     closes before any of its body is read. A client whose frame has not
     arrived READ_DEADLINE_S after its connection was accepted, or whose
     connection fails, is treated as one that hung up. A failed accept()
-    costs only that try. A malformed request is answered with error
-    "bad_request", a failed signature or scope check with "auth", and any
-    other handler failure with "internal".
+    costs only that try. A malformed request, or a predict for an entity
+    without data or a trained model, is answered with error "bad_request",
+    a failed signature or scope check with "auth", and any other handler
+    failure with "internal".
     """
 
     allow_reuse_address = True
@@ -447,7 +436,6 @@ class SyncClient:
 
     store: LocalStore
     private_key: object
-    entity_id: str
     transport: object
     interval_min: float = SYNC_BASE_INTERVAL_MIN
 
@@ -456,13 +444,16 @@ class SyncClient:
         batch = make_batch(self.store, now)
         if batch is None:
             return "idle"
-        envelope = sign(self.private_key, batch.to_payload(), self.entity_id)
+        envelope = sign(self.private_key, batch.to_payload(), batch.entity_id)
         reply = self.transport.send(
-            encode_envelope(envelope, batch.batch_id), self.entity_id)
-        ack = None if reply is None else json.loads(reply)
-        outcome = ("no_connectivity" if ack is None or not ack.get("ok")
-                   else "ok")
+            encode_envelope(envelope, batch.batch_id), batch.entity_id)
+        ack = {} if reply is None else json.loads(reply)
+        # every transport answers the message it was sent, so an ack that
+        # names another batch acks nothing
+        outcome = ("ok" if ack.get("ok")
+                   and ack.get("batch_id") == batch.batch_id
+                   else "no_connectivity")
         if outcome == "ok":
-            handle_ack(self.store, ack["batch_id"], now)
+            handle_ack(self.store, batch, now)
         self.interval_min = next_sync_interval(self.interval_min, outcome)
         return outcome

@@ -129,8 +129,10 @@ def test_in_flight_record_is_not_superseded():
     assert state == "stored"
     uuids = {r.uuid for r in agent.store.pending}
     assert {first.uuid, second.uuid} <= uuids
-    handle_ack(agent.store, batch.batch_id, now=12.0)
+    assert agent.store.in_flight == {first.uuid}
+    handle_ack(agent.store, batch, now=12.0)
     assert first.uuid in agent.store.synced
+    assert not agent.store.in_flight
 
 
 @settings(max_examples=60, deadline=None)

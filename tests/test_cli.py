@@ -757,6 +757,20 @@ def _without_column(name: str):
     return drop
 
 
+def _first_line_with(**fields):
+    def edit(text: str) -> str:
+        first, rest = text.split("\n", 1)
+        return json.dumps(dict(json.loads(first), **fields)) + "\n" + rest
+    return edit
+
+
+def _with_hyperparameter(text: str) -> str:
+    doc = json.loads(text)
+    entry = doc["entities"][sorted(doc["entities"])[0]]
+    entry["model"]["hyperparams"]["no_such"] = 1
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("command, artifact, corrupt", [
     ("evaluate", "models.csv", _without_column("cv_mcc")),
     ("learn", "cohort.jsonl", lambda text: "{garbled\n" + text),
@@ -764,7 +778,15 @@ def _without_column(name: str):
     ("predict", "models.json", lambda text: text[:len(text) // 2]),
     ("predict", "models.json",
      lambda text: text.replace('"kind": "', '"kind": "no-such-', 1)),
-], ids=["evaluate", "learn", "report", "predict", "predict-unknown-kind"])
+    ("learn", "store.jsonl", lambda text: "5\n" + text),
+    ("predict", "models.json",
+     lambda text: json.dumps(dict(json.loads(text), entities=[]))),
+    ("learn", "store.jsonl", _first_line_with(t="x")),
+    ("predict", "models.json", _with_hyperparameter),
+    ("learn", "cohort.jsonl", _first_line_with(gender="robot")),
+], ids=["evaluate", "learn", "report", "predict", "predict-unknown-kind",
+        "store-line-not-an-object", "entities-a-list", "record-t-a-string",
+        "unknown-hyperparameter", "unknown-gender"])
 def test_exit_code_3_for_a_malformed_artifact(small_run, tmp_path, capsys,
                                               command, artifact, corrupt):
     result, _ = small_run

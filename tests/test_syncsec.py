@@ -6,6 +6,7 @@ import socket
 import struct
 import threading
 import time
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valencelab import syncsec
-from valencelab.agent import LocalStore, Record
+from valencelab.agent import (LocalStore, Record, SensingAgent, dedupe_store,
+                              ingest_report)
 from valencelab.errors import AuthError, ContractViolationError
 from valencelab.expanse import (AckLedger, EligibilityRules, MemoryStore,
                                 ModelRegistry, SyncServer, aggregate_entity,
@@ -161,7 +163,7 @@ def test_make_batch_oldest_first_without_marking(monkeypatch):
     assert [r.uuid for r in batch.records] == ["r0", "r1", "r2"]
     # draining is speculative: pending is untouched until the ack lands
     assert len(store.pending) == 5
-    assert store.open_batches[batch.batch_id] == ("r0", "r1", "r2")
+    assert store.in_flight == {"r0", "r1", "r2"}
     assert make_batch(LocalStore("e")) is None
 
 
@@ -169,44 +171,22 @@ def test_handle_ack_moves_exactly_the_batch(monkeypatch):
     monkeypatch.setattr(syncsec, "MAX_BATCH_RECORDS", 3)
     store = _loaded_store(5)
     batch = make_batch(store, now=10.0)
-    assert handle_ack(store, batch.batch_id, now=11.0) == 3
+    assert handle_ack(store, batch, now=11.0) == 3
     assert sorted(r.uuid for r in store.pending) == ["r3", "r4"]
     assert store.ever_synced == {"r0", "r1", "r2"}
-    assert handle_ack(store, batch.batch_id, now=12.0) == 0  # idempotent
-
-
-def test_handle_ack_unknown_batch_warns(caplog):
-    store = _loaded_store(1)
-    with caplog.at_level("WARNING"):
-        assert handle_ack(store, 999, now=0.0) == 0
-    assert "unknown batch" in caplog.text
-
-
-def test_handle_ack_warns_only_for_ids_never_issued(caplog):
-    store = _loaded_store(2)
-    first = make_batch(store, now=1.0)
-    second = make_batch(store, now=2.0)
-    with caplog.at_level("WARNING"):
-        assert handle_ack(store, second.batch_id, now=3.0) == 2
-        # acked, and closed as stale: both known, so no warning
-        assert handle_ack(store, second.batch_id, now=4.0) == 0
-        assert handle_ack(store, first.batch_id, now=4.0) == 0
-    assert "unknown batch" not in caplog.text
-    for never_issued in (0, second.batch_id + 1):
-        caplog.clear()
-        with caplog.at_level("WARNING"):
-            assert handle_ack(store, never_issued, now=5.0) == 0
-        assert "unknown batch" in caplog.text
+    assert not store.in_flight
+    assert handle_ack(store, batch, now=12.0) == 0  # idempotent
 
 
 def test_overlapping_retry_batches_cannot_double_mark():
     store = _loaded_store(2)
     first = make_batch(store, now=1.0)
     second = make_batch(store, now=2.0)     # retry reissues the same records
-    assert handle_ack(store, second.batch_id, now=3.0) == 2
-    # the first batch is now stale and closed; acking it moves nothing
-    assert first.batch_id not in store.open_batches
-    assert handle_ack(store, first.batch_id, now=4.0) == 0
+    assert store.in_flight == {"r0", "r1"}
+    assert handle_ack(store, second, now=3.0) == 2
+    assert not store.in_flight
+    # the first batch's records have landed; acking it moves nothing
+    assert handle_ack(store, first, now=4.0) == 0
     assert len(store.synced) == 2
 
 
@@ -237,8 +217,111 @@ def test_sync_interval_stays_bounded(outcomes):
 def _client(server, transport=None) -> SyncClient:
     priv, _ = derive_keypair(7, "e001")
     store = _loaded_store(3)
-    return SyncClient(store=store, private_key=priv, entity_id="e001",
+    return SyncClient(store=store, private_key=priv,
                       transport=transport or LoopbackTransport(server))
+
+
+class StaleAckServer(EchoServer):
+    """Acks ok, but always names batch `answered`."""
+
+    def __init__(self, registry, answered):
+        super().__init__(registry)
+        self.answered = answered
+
+    def receive(self, message: bytes) -> bytes:
+        super().receive(message)
+        return canonical_json({"ok": True, "batch_id": self.answered})
+
+
+@pytest.mark.parametrize("answered", [1, 99], ids=["older", "unknown"])
+def test_an_ack_naming_another_batch_acks_nothing(answered):
+    """A reply answers the batch just sent. An ok that names another batch,
+    an older one or one never made, counts as no connectivity: the
+    records stay pending and in flight until their own ack lands."""
+    reg = public_keys(7, ["e001"])
+    plan = FaultPlan([Fault(0.0, "e001", "drop_delivery")])
+    transport = FaultyTransport(
+        LoopbackTransport(StaleAckServer(reg, answered)), plan)
+    transport.advance_to(1.0, "e001")
+    client = _client(None, transport)
+    assert client.attempt(now=1.0) == "no_connectivity"     # batch 1 lost
+    assert client.attempt(now=2.0) == "no_connectivity"     # batch 2
+    assert client.interval_min == 3.75
+    assert [r.uuid for r in client.store.pending] == ["r0", "r1", "r2"]
+    assert client.store.in_flight == {"r0", "r1", "r2"}
+    assert not client.store.ever_synced
+    client.transport = LoopbackTransport(EchoServer(reg))
+    assert client.attempt(now=3.0) == "ok"
+    assert client.store.ever_synced == {"r0", "r1", "r2"}
+    assert not client.store.pending and not client.store.in_flight
+
+
+class _Recording:
+    """Keeps every uuid a sync message carries, whatever happens to it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.sent: set[str] = set()
+
+    def send(self, message: bytes, entity_id: str) -> bytes | None:
+        env, _ = decode_envelope(message)
+        self.sent.update(r["uuid"] for r in json.loads(env.payload)["records"])
+        return self.inner.send(message, entity_id)
+
+
+# what each fate of a sync attempt puts on the fault plan at its time
+_FATES = {"delivered": (), "dropped": ("drop_delivery",),
+          "duplicated": ("dup_delivery",), "down": ("net_down", "net_up")}
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("report"), st.integers(0, 40), st.sampled_from(LABELS)),
+    st.tuples(st.just("sensor"), st.integers(0, 40), st.integers(0, 2)),
+    # a sync comes at least a second after the step before it, so the
+    # network a "down" sync took down is up again before the next one
+    st.tuples(st.just("sync"), st.integers(1, 40), st.sampled_from(
+        sorted(_FATES)))), max_size=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_STEPS)
+def test_one_agent_syncs_every_record_through_faults(steps):
+    """In-order reports (re-clicks inside one debounce window among them),
+    sensor records and sync attempts over a faulty transport. After every
+    step, what is in flight is pending; once quiesced, nothing is pending
+    or in flight, and the server holds exactly the agent's synced uuids,
+    every uuid ever sent among them."""
+    times = list(accumulate(float(dt) for _, dt, _ in steps))
+    plan = FaultPlan([Fault(t + 0.5 * j, "e001", kind)
+                      for (step, _, fate), t in zip(steps, times)
+                      if step == "sync"
+                      for j, kind in enumerate(_FATES[fate])])
+    server = SyncServer(MemoryStore(), public_keys(7, ["e001"]))
+    server.store.register_entity("e001")
+    faulty = FaultyTransport(LoopbackTransport(server), plan)
+    transport = _Recording(faulty)
+    agent = SensingAgent("e001")
+    client = SyncClient(store=agent.store,
+                        private_key=derive_keypair(7, "e001")[0],
+                        transport=transport)
+    for i, ((step, _, arg), t) in enumerate(zip(steps, times)):
+        if step == "report":
+            ingest_report(agent, arg, t)
+        elif step == "sensor":
+            dedupe_store(agent.store, Record(f"s{i}", "sensor", t, float(arg),
+                                             0.0, "accel"))
+        else:
+            faulty.advance_to(t, "e001")
+            client.attempt(t)
+        assert agent.store.in_flight <= {r.uuid for r in agent.store.pending}
+    end = times[-1] + 1.0 if times else 0.0
+    faulty.advance_to(end, "e001")
+    # each leftover one-shot fault costs one more attempt at most
+    for _ in range(len(steps) + 1):
+        if client.attempt(end) == "idle":
+            break
+    assert not agent.store.pending and not agent.store.in_flight
+    on_server = {r.uuid for r in server.store.events("e001")}
+    assert on_server == agent.store.ever_synced
+    assert transport.sent <= on_server
 
 
 def test_loopback_sync_round_trip():
@@ -344,6 +427,22 @@ def test_socket_server_reports_auth_and_internal_errors():
         reply = SocketTransport(srv.host, srv.port).send(
             encode_envelope(env, 1), "intruder")
         assert json.loads(reply) == {"ok": False, "error": "internal"}
+
+
+def test_socket_server_answers_a_predict_without_a_model_with_bad_request():
+    """A keyed, registered entity with no trained model asks for a
+    prediction: a request the server cannot answer, not a server fault."""
+    reg = public_keys(7, ["e001", "e002"])
+    server = _predicting_server(reg)
+    server.store.register_entity("e002")
+    priv, _ = derive_keypair(7, "e002")
+    request = encode_envelope(
+        sign(priv, predict_request_payload("e002", 0.0, 0.0, 0.0), "e002"))
+    with SocketServer(server) as srv:
+        transport = SocketTransport(srv.host, srv.port, timeout_s=2.0)
+        reply = transport.send(request, "e002")
+        assert json.loads(reply) == {"ok": False, "error": "bad_request"}
+        assert _client(srv.handler, transport).attempt(now=1.0) == "ok"
 
 
 def test_socket_server_refuses_oversized_frame_and_keeps_serving():
