@@ -36,8 +36,6 @@ from importlib import resources
 from pathlib import Path
 from typing import ClassVar
 
-import numpy as np
-
 from .agent import (HOMEOSTASIS_INTERVAL_S, Record, SensingAgent,
                     analyze_sentiment, dedupe_store, feed_tick,
                     homeostasis_check, ingest_report, on_system_event)
@@ -46,13 +44,13 @@ from .errors import (AuthError, ConfigurationError, ContractViolationError,
                      EmptyDatasetError, NoStructureError, NotFoundError,
                      PipelineError, UnsupportedModelError)
 from .evalstat import ConfusionMatrix, mcc_multiclass, u_test_verdict
-from .expanse import (AckLedger, EligibilityRules, MemoryStore,
-                      ModelRegistry, SyncServer, build_dataset,
-                      eligibility_funnel, funnel_counts,
-                      predict_request_payload)
-from .learn import (MODEL_KINDS, AutomlConfig, ClusterModel, automl_entity,
+from .expanse import (AckLedger, AnswerTable, EligibilityRules, MemoryStore,
+                      SyncServer, build_dataset, eligibility_funnel,
+                      funnel_counts, predict_request_payload)
+from .lazy import lazy_import
+from .learn import (MODEL_KINDS, AutomlConfig, automl_entity,
                     autodiscover_cluster_params, derive_seed,
-                    fit_cluster_model, model_from_dict, model_to_dict)
+                    fit_cluster_model, model_to_dict)
 from .learn.bayesopt import DESIGN_SIZE
 from .simworld import (SECONDS_PER_DAY, Cohort, CohortSpec, EntityProfile,
                        FaultPlan, SimClock, build_cohort, events_to_jsonl,
@@ -61,7 +59,9 @@ from .simworld import (SECONDS_PER_DAY, Cohort, CohortSpec, EntityProfile,
 from .syncsec import (SYNC_BASE_INTERVAL_MIN, FaultyTransport,
                       LoopbackTransport, SocketServer, SocketTransport,
                       SyncClient, derive_keypair, encode_envelope,
-                      public_keys, sign)
+                      parse_reply, public_keys, sign)
+
+np = lazy_import("numpy")
 
 log = logging.getLogger("valencelab.cli")
 
@@ -413,11 +413,12 @@ def learn_stage(mstore: MemoryStore, funnel_rows, config: ExperimentConfig):
     is one worker. Tuning is seeded per entity, so the outputs do not depend
     on the worker count.
 
-    Returns (model_rows, registry, registry_doc); rows carry both metrics
-    regardless of the report metric setting.
+    Returns (model_rows, registry, registry_doc): the registry is the
+    answer table of every entity's best model, the doc its models. Rows
+    carry both metrics regardless of the report metric setting.
     """
     eligible = [r["entity_id"] for r in funnel_rows if r["eligible"]]
-    registry = ModelRegistry()
+    registry = AnswerTable()
     model_rows = []
     registry_doc = {"seed": config.seed, "entities": {}}
     automl_cfg = AutomlConfig(budget=config.budget, kinds=tuple(config.models))
@@ -439,7 +440,7 @@ def learn_stage(mstore: MemoryStore, funnel_rows, config: ExperimentConfig):
         best_kind = max(config.models,
                         key=lambda k: (models[k].cv_score,
                                        MODEL_KINDS.index(k)))
-        registry.register(eid, models[best_kind], cmodel)
+        registry.fill(eid, models[best_kind], cmodel)
         kind_scores = {}
         for kind in config.models:
             m = models[kind]
@@ -657,11 +658,14 @@ def _write_world(out: Path, cohort: Cohort, events, plan: FaultPlan) -> None:
     (out / "faults.txt").write_text(plan.to_text())
 
 
-def _write_learn(out: Path, funnel_rows, model_rows, registry_doc) -> None:
+def _write_learn(out: Path, funnel_rows, model_rows, registry,
+                 registry_doc) -> None:
     _write_csv(out / "funnel.csv", FUNNEL_COLUMNS, funnel_rows)
     _write_csv(out / "models.csv", MODEL_COLUMNS, model_rows)
     (out / "models.json").write_text(
         json.dumps(registry_doc, sort_keys=True, indent=1))
+    (out / "answers.json").write_text(json.dumps(
+        dict(registry.to_dict(), seed=registry_doc["seed"]), sort_keys=True))
 
 
 def _write_stats(out: Path, stats_text: str, boxes) -> None:
@@ -708,7 +712,7 @@ class RunResult:
     funnel_rows: list
     funnel_counts: dict
     model_rows: list
-    registry: ModelRegistry
+    registry: AnswerTable
     registry_doc: dict
     summary_text: str
     digest: str
@@ -740,7 +744,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     out = Path(config.out)
     _write_world(out, cohort, events, plan)
     (out / "store.jsonl").write_text(_store_to_jsonl(drive.mstore))
-    _write_learn(out, funnel_rows, model_rows, registry_doc)
+    _write_learn(out, funnel_rows, model_rows, registry, registry_doc)
     _write_stats(out, stats_text, boxes)
     _write_report(out, summary_text, digest)
 
@@ -755,34 +759,38 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 # serving helpers
 
 
-def _registry_from_doc(doc: dict) -> ModelRegistry:
-    registry = ModelRegistry()
-    for eid, entry in doc["entities"].items():
-        registry.register(eid, model_from_dict(entry["model"]),
-                          ClusterModel.from_dict(entry["cluster"]))
-    return registry
-
-
-def _models_doc(out: Path) -> tuple[dict, int]:
-    """models.json, and the seed that the entities' keys derive from."""
-    path = _artifact(out / "models.json", "learn")
+def _answers_doc(out: Path) -> tuple[dict, int]:
+    """answers.json, and the seed that the entities' keys derive from."""
+    path = _artifact(out / "answers.json", "learn")
     with _parsing(path):
         doc = json.loads(path.read_text())
         return doc, int(doc["seed"])
 
 
+def _roster_ids(out: Path) -> list:
+    """The entity ids of cohort.jsonl, read without building profiles."""
+    path = _artifact(out / "cohort.jsonl", "simulate first")
+    with _parsing(path):
+        ids = [json.loads(line)["entity_id"]
+               for line in path.read_text().splitlines() if line.strip()]
+        if not all(isinstance(eid, str) for eid in ids):
+            raise ContractViolationError("an entity id is not a string")
+        return ids
+
+
 def _server_from_artifacts(out: Path):
-    """(SyncServer, seed) rebuilt from cohort.jsonl + models.json. The
-    server acks syncs into a uuid ledger: serving never reads a record
-    back, so it keeps none."""
-    doc, seed = _models_doc(out)
-    with _parsing(out / "models.json"):
-        registry = _registry_from_doc(doc)
-    ids = [p.entity_id for p in _load_cohort_file(out)]
+    """(SyncServer, seed) rebuilt from cohort.jsonl + answers.json. The
+    server answers predicts from the table and acks syncs into a uuid
+    ledger: serving never reads a record back, so it keeps none, and it
+    loads no model."""
+    doc, seed = _answers_doc(out)
+    with _parsing(out / "answers.json"):
+        table = AnswerTable.from_dict(doc)
+    ids = _roster_ids(out)
     ledger = AckLedger()
     for eid in ids:
         ledger.register_entity(eid)
-    return SyncServer(ledger, public_keys(seed, ids), registry), seed
+    return SyncServer(ledger, public_keys(seed, ids), table), seed
 
 
 def _predict_once(transport, seed: int, entity: str, as_entity: str,
@@ -793,13 +801,17 @@ def _predict_once(transport, seed: int, entity: str, as_entity: str,
     reply = transport.send(encode_envelope(envelope), as_entity)
     if reply is None:
         raise PipelineError("no reply from server")
-    doc = json.loads(reply)
-    if not doc.get("ok"):
-        if doc.get("error") == "auth":
-            raise AuthError(doc.get("kind", "reject"),
-                            "server refused the request")
-        raise PipelineError(f"server error: {doc}")
-    return doc
+    doc = parse_reply(reply)
+    if doc.get("ok") is True:
+        return doc
+    if doc.get("error") == "auth":
+        raise AuthError(doc.get("kind", "reject"),
+                        "server refused the request")
+    if doc.get("reason") == "not_found":
+        raise PipelineError(f"no trained model for {entity!r}")
+    error = doc.get("error")
+    raise PipelineError("server error: " + (
+        error if isinstance(error, str) else "unreadable reply"))
 
 
 # ---------------------------------------------------------------------------
@@ -828,8 +840,9 @@ def cmd_learn(config: ExperimentConfig, args) -> int:
     out = Path(config.out)
     mstore = _rebuild_store(out)
     funnel_rows, counts = funnel_stage(mstore, config)
-    model_rows, _, registry_doc = learn_stage(mstore, funnel_rows, config)
-    _write_learn(out, funnel_rows, model_rows, registry_doc)
+    model_rows, registry, registry_doc = learn_stage(
+        mstore, funnel_rows, config)
+    _write_learn(out, funnel_rows, model_rows, registry, registry_doc)
     print(f"tuned {counts['eligible']} entities into {out}")
     return 0
 
@@ -896,7 +909,7 @@ def cmd_predict(config: ExperimentConfig, args) -> int:
             raise ConfigurationError("--port is required with --host")
         _check_port(args.port, 1)
         transport = SocketTransport(args.host, args.port)
-        _, seed = _models_doc(Path(config.out))
+        _, seed = _answers_doc(Path(config.out))
     else:
         handler, seed = _server_from_artifacts(Path(config.out))
         transport = LoopbackTransport(handler)

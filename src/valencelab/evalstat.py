@@ -12,9 +12,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ContractViolationError
+from .lazy import lazy_import
+
+np = lazy_import("numpy")
 
 # Exact enumeration of the U distribution is used up to this sample size per
 # group; beyond it the normal approximation (tie- and continuity-corrected)

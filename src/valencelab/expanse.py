@@ -11,16 +11,19 @@ formula can be swapped without touching the funnel.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-
-import numpy as np
 
 from .agent.core import Record
 from .errors import ContractViolationError, EmptyDatasetError, NotFoundError
+from .lazy import lazy_import
 from .learn.automl import predict_proba
+from .learn.cluster import nearest_exemplar
 from .simworld import LABELS, day_of_week, hour_band
 from .syncsec import (SyncBatch, canonical_json, decode_envelope, parse_json,
                       verify_and_scope)
+
+np = lazy_import("numpy")
 
 LABEL_INDEX = {name: k for k, name in enumerate(LABELS)}
 
@@ -28,35 +31,66 @@ DOW_NAMES = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
 BAND_NAMES = ("morning", "afternoon", "night")
 
 
-KEY_BYTES = 40          # a key up to this long goes into the sorted array
+KEY_BYTES = 40          # a key up to this long goes into the sorted run
 MERGE_EVERY = 1024      # new keys that wait in a set before a merge
-_NO_KEYS = np.empty(0, dtype=f"S{KEY_BYTES}")
 
 
 def _key(uuid: str) -> bytes:
     """A uuid's UTF-8 bytes ended by 0xFF, a byte UTF-8 never holds.
 
-    A fixed-width bytes array drops trailing NULs; with the end mark no key
-    has any, so "a" and "a\\x00" stay two keys. "surrogatepass" encodes the
-    lone surrogate a JSON "\\ud800" decodes to."""
+    A key in the sorted run is padded with NULs to KEY_BYTES; with the end
+    mark no key ends in one, so "a" and "a\\x00" stay two keys.
+    "surrogatepass" encodes the lone surrogate a JSON "\\ud800" decodes
+    to."""
     return uuid.encode("utf-8", "surrogatepass") + b"\xff"
 
 
+class _SortedRun:
+    """Keys padded to KEY_BYTES, sorted end to end in one bytes buffer;
+    item i is the i-th key, so `bisect` searches the run."""
+
+    __slots__ = ("buf",)
+
+    def __init__(self, buf: bytes = b""):
+        self.buf = buf
+
+    def __len__(self) -> int:
+        return len(self.buf) // KEY_BYTES
+
+    def __getitem__(self, i: int) -> bytes:
+        return self.buf[i * KEY_BYTES:(i + 1) * KEY_BYTES]
+
+    def __contains__(self, key: bytes) -> bool:
+        i = bisect_left(self, key) * KEY_BYTES
+        return self.buf[i:i + KEY_BYTES] == key
+
+    def merged(self, keys) -> "_SortedRun":
+        """A run that also holds `keys`, which it must not hold yet. Each
+        stretch of this run between two of them is copied once, from a
+        view, so no object is made per key already held."""
+        view = memoryview(self.buf)
+        parts, start = [], 0
+        for key in sorted(keys):
+            i = bisect_left(self, key, start)
+            parts += (view[start * KEY_BYTES:i * KEY_BYTES], key)
+            start = i
+        parts.append(view[start * KEY_BYTES:])
+        return _SortedRun(b"".join(parts))
+
+
 class UuidSet:
-    """An exact set of uuids, kept as one sorted `S{KEY_BYTES}` array.
+    """An exact set of uuids, kept as one sorted run of fixed-width keys.
 
     The newest keys wait in a set; every MERGE_EVERY of them are merged into
-    the array (the memtable and sorted run of the log-structured merge tree,
-    O'Neil et al., Acta Informatica 1996). A key too long for the array gets
-    a set of its own, so one huge uuid never widens the array. Until the
-    first merge no lookup searches the empty array, so a set that never
-    merges calls no numpy.
+    the run (the memtable and sorted run of the log-structured merge tree,
+    O'Neil et al., Acta Informatica 1996). A key too long for the run gets
+    a set of its own, so one huge uuid never widens the run.
     """
 
     __slots__ = ("_sorted", "_recent", "_long")
 
     def __init__(self):
-        self._sorted = _NO_KEYS
+        self._sorted = _SortedRun()
         self._recent: set[bytes] = set()
         self._long: set[bytes] = set()
 
@@ -69,12 +103,9 @@ class UuidSet:
     def _has(self, key: bytes) -> bool:
         if len(key) > KEY_BYTES:
             return key in self._long
-        if key in self._recent:
-            return True
-        if not len(self._sorted):
-            return False
-        i = self._sorted.searchsorted(key)
-        return bool(i < len(self._sorted) and self._sorted[i] == key)
+        key = key.ljust(KEY_BYTES, b"\0")
+        return key in self._recent or (
+            bool(self._sorted.buf) and key in self._sorted)
 
     def add(self, uuid: str) -> bool:
         """Add one uuid; False when it was in already."""
@@ -84,12 +115,10 @@ class UuidSet:
         if len(key) > KEY_BYTES:
             self._long.add(key)
             return True
-        self._recent.add(key)
+        self._recent.add(key.ljust(KEY_BYTES, b"\0"))
         if len(self._recent) >= MERGE_EVERY:
-            recent = np.array(list(self._recent), self._sorted.dtype)
-            merged = np.concatenate((self._sorted, recent))
-            merged.sort()
-            self._sorted, self._recent = merged, set()
+            self._sorted = self._sorted.merged(self._recent)
+            self._recent = set()
         return True
 
 
@@ -333,52 +362,91 @@ def build_dataset(store: MemoryStore, entity_id: str, cluster_model) -> Dataset:
 # ---------------------------------------------------------------------------
 # prediction service
 
-class ModelRegistry:
-    """Per-entity trained artifacts: (estimator bundle, cluster model), and
-    an answer table per entity.
+def _cell_moments() -> tuple:
+    """A moment in each (hour band, day of week) cell, band-major."""
+    moments = {}
+    for hour in range(7 * 24):
+        t = hour * 3600.0
+        moments.setdefault((hour_band(t), day_of_week(t)), t)
+    return tuple(moments[band, dow] for band in range(len(BAND_NAMES))
+                 for dow in range(len(DOW_NAMES)))
+
+
+_CELL_MOMENTS = _cell_moments()
+
+
+class AnswerTable:
+    """Every reply a predict can get, per entity with a trained model.
 
     A feature row depends only on (cluster label, hour band, day of week),
-    so each entity has at most (n_clusters + 1) * 21 distinct answers. The
-    table keeps each one from its first prediction on (the prediction
-    cache of Clipper, Crankshaw et al., NSDI 2017); `register` drops it.
+    so an entity with n clusters has (n + 1) * 21 answers: the noise cell,
+    then each cluster's, each band-major over the days. `fill` predicts
+    them all from the model at learn time (the prediction cache of Clipper,
+    Crankshaw et al., NSDI 2017, filled ahead of use); `answer` finds the
+    nearest exemplar in plain Python and looks its cell up, so a table read
+    `from_dict` answers without numpy.
     """
 
     def __init__(self):
-        self._models: dict[str, tuple] = {}
-        self._answers: dict[str, dict[tuple, tuple]] = {}
+        # entity_id -> (exemplars, exemplar labels, (label, probs) per cell)
+        self._entities: dict[str, tuple] = {}
 
-    def register(self, entity_id: str, model, cluster_model) -> None:
-        self._models[entity_id] = (model, cluster_model)
-        self._answers[entity_id] = {}
-
-    def get(self, entity_id: str):
-        if entity_id not in self._models:
-            raise NotFoundError(f"no trained model for {entity_id!r}")
-        return self._models[entity_id]
+    def fill(self, entity_id: str, model, cluster_model) -> None:
+        """Predict each cell of one entity one row at a time, as a request
+        would: a batch need not round as a single row does."""
+        n = cluster_model.n_clusters
+        cells = []
+        for cluster in range(-1, n):
+            for t in _CELL_MOMENTS:
+                probs = predict_proba(model, context_features(cluster, n, t))
+                cells.append((LABELS[int(np.argmax(probs))],
+                              tuple(float(p) for p in probs)))
+        self._entities[entity_id] = (
+            tuple((float(x), float(y)) for x, y in cluster_model.exemplars),
+            tuple(int(c) for c in cluster_model.exemplar_labels),
+            tuple(cells))
 
     def entity_ids(self) -> list[str]:
-        return sorted(self._models)
+        return sorted(self._entities)
 
     def answer(self, entity_id: str, x: float, y: float,
                t: float) -> tuple[str, list]:
         """(class label, per-class probabilities) for one entity at
-        location (x, y) and moment t, predicted on the first use of its
-        context cell."""
-        model, cluster_model = self.get(entity_id)
-        cluster = int(cluster_model.assign(np.array([[x, y]]))[0])
-        # every noise label feeds the same row
-        key = (max(cluster, -1), hour_band(t), day_of_week(t))
-        answers = self._answers[entity_id]
-        if key not in answers:
-            row = context_features(cluster, cluster_model.n_clusters, t)
-            probs = predict_proba(model, row)
-            answers[key] = (LABELS[int(np.argmax(probs))],
-                            tuple(float(p) for p in probs))
-        label, probs = answers[key]
+        location (x, y) and moment t."""
+        if entity_id not in self._entities:
+            raise NotFoundError(f"no trained model for {entity_id!r}")
+        exemplars, labels, cells = self._entities[entity_id]
+        cluster = nearest_exemplar(x, y, exemplars, labels)
+        label, probs = cells[(cluster + 1) * len(_CELL_MOMENTS)
+                             + hour_band(t) * len(DOW_NAMES) + day_of_week(t)]
         return label, list(probs)
 
-    def n_answers(self, entity_id: str) -> int:
-        return len(self._answers[entity_id])
+    def to_dict(self) -> dict:
+        return {"entities": {
+            eid: {"exemplars": [list(e) for e in exemplars],
+                  "exemplar_labels": list(labels),
+                  "answers": [[label, list(probs)] for label, probs in cells]}
+            for eid, (exemplars, labels, cells) in self._entities.items()}}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "AnswerTable":
+        table = cls()
+        for eid, entry in doc["entities"].items():
+            exemplars = tuple((float(x), float(y))
+                              for x, y in entry["exemplars"])
+            labels = tuple(int(c) for c in entry["exemplar_labels"])
+            cells = tuple((label, tuple(float(p) for p in probs))
+                          for label, probs in entry["answers"])
+            n_clusters = len(cells) // len(_CELL_MOMENTS) - 1
+            if (len(cells) % len(_CELL_MOMENTS) or n_clusters < 0
+                    or len(labels) != len(exemplars)
+                    or not all(0 <= c < n_clusters for c in labels)
+                    or not all(math.isfinite(v) for e in exemplars for v in e)
+                    or not all(label in LABELS for label, _ in cells)):
+                raise ContractViolationError(
+                    f"the answers of {eid!r} do not fit its clusters")
+            table._entities[eid] = (exemplars, labels, cells)
+        return table
 
 
 def predict_request_payload(entity_id: str, x: float, y: float,
@@ -388,7 +456,7 @@ def predict_request_payload(entity_id: str, x: float, y: float,
 
 
 def handle_prediction(envelope, request: dict, store: AckLedger,
-                      models: ModelRegistry, keys) -> tuple[str, list]:
+                      models: AnswerTable, keys) -> tuple[str, list]:
     """Scoped prediction for one (location, moment) context.
 
     `request` is the envelope's payload, already parsed. The envelope must
@@ -420,10 +488,10 @@ class SyncServer:
     """Wire-level entry point: sync batches and prediction requests."""
 
     def __init__(self, store: AckLedger, keys,
-                 models: ModelRegistry | None = None):
+                 models: AnswerTable | None = None):
         self.store = store
         self.keys = keys
-        self.models = models or ModelRegistry()
+        self.models = models or AnswerTable()
 
     def receive(self, message: bytes) -> bytes:
         envelope, _ = decode_envelope(message)

@@ -11,17 +11,18 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..digest import sha256
 from ..errors import ContractViolationError, UnsupportedModelError
 from ..evalstat import confusion, f1_weighted
+from ..lazy import lazy_import
 from .baseline import StratifiedBaseline
 from .bayesopt import Dim, SearchSpace, bayes_optimize
 from .boost import GradientBoostedTrees
 from .cv import choose_cv_splits, stratified_folds
 from .linear import SoftmaxRegression
 from .mlp import MLPClassifier
+
+np = lazy_import("numpy")
 
 
 def _renamed(hyperparams: dict, **names) -> dict:

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..digest import sha256
 from ..errors import ContractViolationError
+from ..lazy import lazy_import
 from .cv import PerFoldFit
+
+np = lazy_import("numpy")
 
 
 class StratifiedBaseline(PerFoldFit):

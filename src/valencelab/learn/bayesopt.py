@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..errors import ContractViolationError
+from ..lazy import lazy_import
+
+np = lazy_import("numpy")
 
 DESIGN_SIZE = 5
 EI_XI = 0.01

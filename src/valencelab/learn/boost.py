@@ -16,10 +16,11 @@ one-fold case.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ContractViolationError
+from ..lazy import lazy_import
 from .linear import softmax
+
+np = lazy_import("numpy")
 
 MAX_BINS = 256
 ROUTE_CELLS = 1 << 11   # (tree, row) pairs routed per block in predict

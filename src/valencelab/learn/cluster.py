@@ -10,11 +10,13 @@ min_samples) pair can be picked automatically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..errors import ContractViolationError, NoStructureError
+from ..lazy import lazy_import
+
+np = lazy_import("numpy")
 
 # A candidate partition counts as usable structure only above this validity.
 # Near-zero scores are what uniformly scattered points produce.
@@ -362,6 +364,44 @@ def autodiscover_cluster_params(points, min_samples_grid):
 # -- fitted model -------------------------------------------------------------
 
 
+# every finite double is a whole multiple of 2**-1074
+_EXACT_SCALE = 2 ** 1074
+
+
+def _exact(v: float) -> int:
+    """v * 2**1074 as an integer, without rounding."""
+    num, den = float(v).as_integer_ratio()
+    return num * (_EXACT_SCALE // den)
+
+
+def _exact_nearest(point, exemplars, exemplar_labels):
+    """The label of the exemplar at the least exact squared distance from
+    a finite point, the first of equals."""
+    p = [_exact(v) for v in point]
+    d = [sum((a - _exact(b)) ** 2 for a, b in zip(p, e)) for e in exemplars]
+    return exemplar_labels[d.index(min(d))]
+
+
+def nearest_exemplar(x: float, y: float, exemplars,
+                     exemplar_labels) -> int:
+    """`ClusterModel.assign` of the one finite point (x, y), in plain
+    Python: the label of the nearest exemplar, the first of equals, -1
+    without exemplars.
+
+    Each distance is rounded in the order `assign` rounds it, so the two
+    agree bit for bit; a point `assign` finds too far to square is ranked
+    by exact squared distance in both."""
+    d = []
+    for ex, ey in exemplars:
+        dx, dy = x - ex, y - ey
+        d.append(math.sqrt(dx * dx + dy * dy))
+    if not d:
+        return -1
+    if math.inf in d:
+        return int(_exact_nearest((x, y), exemplars, exemplar_labels))
+    return int(exemplar_labels[d.index(min(d))])
+
+
 @dataclass
 class ClusterModel:
     """Fitted partition plus exemplars for assigning unseen coordinates."""
@@ -383,19 +423,14 @@ class ClusterModel:
         with np.errstate(over="ignore"):
             d = np.sqrt(((points[:, None, :] - self.exemplars[None, :, :])
                          ** 2).sum(axis=2))
+        labels = self.exemplar_labels[d.argmin(axis=1)]
         # Past about 1e154 a square overflows to inf, and the differences
-        # round exemplars together. Such a row p is ranked by
-        # (|p - e|^2 - |p|^2) / s = |e| (|e| / s) - 2 (p / s).e, with s the
-        # largest of p's coordinates' magnitudes and the exemplars' norms:
-        # it orders the exemplars as the distances do, and stays finite
-        # (p's own norm overflows past about 1.3e308).
-        far = np.isinf(d).any(axis=1)
-        if far.any():
-            p = points[far]
-            e_norm = np.hypot.reduce(self.exemplars, axis=1, initial=0.0)
-            s = np.maximum(np.abs(p).max(axis=1), e_norm.max())[:, None]
-            d[far] = e_norm * (e_norm / s) - 2.0 * (p / s) @ self.exemplars.T
-        return self.exemplar_labels[d.argmin(axis=1)]
+        # round exemplars together: such a row is ranked exactly
+        far = np.isinf(d).any(axis=1) & np.isfinite(points).all(axis=1)
+        for i in np.flatnonzero(far):
+            labels[i] = _exact_nearest(points[i], self.exemplars,
+                                       self.exemplar_labels)
+        return labels
 
     def to_dict(self) -> dict:
         return {

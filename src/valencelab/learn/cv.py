@@ -6,9 +6,10 @@ every class, which the downstream estimators require.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ContractViolationError
+from ..lazy import lazy_import
+
+np = lazy_import("numpy")
 
 
 def choose_cv_splits(y, n_max: int = 10) -> int:

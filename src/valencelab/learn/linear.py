@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ContractViolationError
+from ..lazy import lazy_import
 from .cv import PerFoldFit
+
+np = lazy_import("numpy")
 
 TOL = 1e-7          # stop once one step lowers the loss by less than this
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ContractViolationError
+from ..lazy import lazy_import
 from .linear import softmax
+
+np = lazy_import("numpy")
 
 
 def mlp_pack(W1, b1, W2, b2):

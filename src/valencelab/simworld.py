@@ -20,9 +20,10 @@ import math
 from dataclasses import dataclass, fields
 from datetime import date, timedelta
 
-import numpy as np
-
 from .errors import ConfigurationError, ContractViolationError
+from .lazy import lazy_import
+
+np = lazy_import("numpy")
 
 LABELS = ("negative", "neutral", "positive")
 GENDERS = ("female", "male", "undisclosed")

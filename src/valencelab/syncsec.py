@@ -57,6 +57,22 @@ def parse_json(data: bytes):
         raise ContractViolationError(f"unreadable JSON: {exc!r}") from exc
 
 
+def parse_reply(reply: bytes | None) -> dict:
+    """A server's reply as a JSON object; {} when nothing came back or the
+    bytes are not one, which answers and acks nothing."""
+    if reply is None:
+        return {}
+    try:
+        doc = parse_json(reply)
+    except ContractViolationError as exc:
+        log.info("unreadable reply: %s", exc)
+        return {}
+    if not isinstance(doc, dict):
+        log.info("reply is not a JSON object")
+        return {}
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # keys and envelopes
 
@@ -316,18 +332,17 @@ def _recv_exact(sock: socket.socket, n: int,
     return bytes(buf)
 
 
-def _recv_framed(sock: socket.socket,
-                 deadline: float | None = None) -> bytes | None:
+def _recv_framed(sock: socket.socket) -> bytes | None:
     """One length-prefixed message, or None when the peer closes first or
     announces more than MAX_FRAME_BYTES."""
-    head = _recv_exact(sock, _FRAME.size, deadline)
+    head = _recv_exact(sock, _FRAME.size)
     if head is None:
         return None
     (n,) = _FRAME.unpack(head)
     if n > MAX_FRAME_BYTES:
         log.warning("refused a %d-byte frame", n)
         return None
-    return _recv_exact(sock, n, deadline)
+    return _recv_exact(sock, n)
 
 
 class SocketTransport:
@@ -351,50 +366,70 @@ class SocketTransport:
 _BAD_REQUEST_ERRORS = (ContractViolationError, KeyError, NotFoundError)
 
 
+def _bad_request(reason: str) -> bytes:
+    """A "bad_request" reply and why, from a closed set: "not_found" (no
+    data or no trained model), "malformed" or "too_large". The exception's
+    text stays in the server's log."""
+    return canonical_json({"ok": False, "error": "bad_request",
+                           "reason": reason})
+
+
 class _FrameHandler(socketserver.BaseRequestHandler):
     """One framed request and one framed reply on an accepted connection."""
 
     def handle(self) -> None:
-        conn, server = self.request, self.server
-        # None: the client hung up, or announced an oversized frame, which
-        # closes the connection unread
+        conn = self.request
+        deadline = time.monotonic() + READ_DEADLINE_S
         try:
-            msg = _recv_framed(conn, time.monotonic() + READ_DEADLINE_S)
+            head = _recv_exact(conn, _FRAME.size, deadline)
+            if head is None:            # the client hung up
+                return
+            (n,) = _FRAME.unpack(head)
+            if n > MAX_FRAME_BYTES:     # answered, and its body left unread
+                log.warning("refused a %d-byte frame", n)
+                reply = _bad_request("too_large")
+            else:
+                msg = _recv_exact(conn, n, deadline)
+                if msg is None:
+                    return
+                reply = self._reply(msg)
         except OSError as exc:      # the deadline passed, or a reset
             log.info("dropped a client: %r", exc)
             return
-        if msg is None:
-            return
-        try:
-            reply = server.handler.receive(msg)
-        except AuthError as exc:
-            reply = canonical_json(
-                {"ok": False, "error": "auth", "kind": exc.kind})
-        except _BAD_REQUEST_ERRORS as exc:
-            log.info("bad request: %r", exc)
-            reply = canonical_json({"ok": False, "error": "bad_request"})
-        except Exception as exc:  # surface, never kill the server
-            log.warning("server handler failed: %s", exc)
-            reply = canonical_json({"ok": False, "error": "internal"})
         try:
             conn.settimeout(READ_DEADLINE_S)
             _send_framed(conn, reply)
         except OSError as exc:      # the client went away
             log.info("could not reply: %r", exc)
 
+    def _reply(self, msg: bytes) -> bytes:
+        try:
+            return self.server.handler.receive(msg)
+        except AuthError as exc:
+            return canonical_json(
+                {"ok": False, "error": "auth", "kind": exc.kind})
+        except _BAD_REQUEST_ERRORS as exc:
+            log.info("bad request: %r", exc)
+            return _bad_request("not_found" if isinstance(exc, NotFoundError)
+                                else "malformed")
+        except Exception as exc:  # surface, never kill the server
+            log.warning("server handler failed: %s", exc)
+            return canonical_json({"ok": False, "error": "internal"})
+
 
 class SocketServer(socketserver.TCPServer):
     """Localhost server feeding framed messages to handler.receive, one
     connection at a time on a background thread.
 
-    A frame announcing more than MAX_FRAME_BYTES is refused: its connection
-    closes before any of its body is read. A client whose frame has not
-    arrived READ_DEADLINE_S after its connection was accepted, or whose
-    connection fails, is treated as one that hung up. A failed accept()
-    costs only that try. A malformed request, or a predict for an entity
-    without data or a trained model, is answered with error "bad_request",
-    a failed signature or scope check with "auth", and any other handler
-    failure with "internal".
+    A frame announcing more than MAX_FRAME_BYTES is refused: it is answered
+    with error "bad_request", reason "too_large", and its connection closes
+    before any of its body is read. A client whose frame has not arrived
+    READ_DEADLINE_S after its connection was accepted, or whose connection
+    fails, is treated as one that hung up. A failed accept() costs only
+    that try. A malformed request is answered with error "bad_request",
+    reason "malformed"; a predict for an entity without data or a trained
+    model with reason "not_found"; a failed signature or scope check with
+    error "auth", and any other handler failure with "internal".
     """
 
     allow_reuse_address = True
@@ -445,12 +480,12 @@ class SyncClient:
         if batch is None:
             return "idle"
         envelope = sign(self.private_key, batch.to_payload(), batch.entity_id)
-        reply = self.transport.send(
-            encode_envelope(envelope, batch.batch_id), batch.entity_id)
-        ack = {} if reply is None else json.loads(reply)
+        ack = parse_reply(self.transport.send(
+            encode_envelope(envelope, batch.batch_id), batch.entity_id))
         # every transport answers the message it was sent, so an ack that
-        # names another batch acks nothing
-        outcome = ("ok" if ack.get("ok")
+        # names another batch acks nothing, and neither do bytes that are
+        # not a JSON object
+        outcome = ("ok" if ack.get("ok") is True
                    and ack.get("batch_id") == batch.batch_id
                    else "no_connectivity")
         if outcome == "ok":

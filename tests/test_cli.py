@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import os
 import select
 import shutil
 import socket
@@ -47,8 +48,8 @@ days = 12
 """
 
 ARTIFACTS = ("cohort.jsonl", "events.jsonl", "faults.txt", "store.jsonl",
-             "funnel.csv", "models.csv", "models.json", "stats.md",
-             "boxplot_f1.csv", "boxplot_mcc.csv", "summary.md",
+             "funnel.csv", "models.csv", "models.json", "answers.json",
+             "stats.md", "boxplot_f1.csv", "boxplot_mcc.csv", "summary.md",
              "run_hash.txt")
 
 
@@ -645,6 +646,87 @@ def test_serve_command_starts_and_stops(small_run, capsys):
     assert "serving on 127.0.0.1:" in capsys.readouterr().out
 
 
+# `valencelab serve` in a fresh interpreter that, once serving stops,
+# prints which numpy and hashlib modules it holds and whether numpy ran
+_SERVE_AND_REPORT = """
+import json, signal, sys
+
+def stop(signum, frame):
+    raise KeyboardInterrupt
+
+signal.signal(signal.SIGTERM, stop)
+from valencelab.cli import main
+rc = main(sys.argv[1:])
+print(json.dumps({
+    "rc": rc, "numpy": type(sys.modules.get("numpy")).__name__,
+    "loaded": sorted(m for m in sys.modules if m.startswith("numpy.")
+                     or m in ("hashlib", "_hashlib"))}))
+"""
+
+
+def test_serve_answers_and_acks_without_running_numpy(small_run):
+    """A served predict and enough syncs to merge a ledger run no numpy
+    and no hashlib; numpy's entry in sys.modules is the lazy one, never
+    executed."""
+    result, _ = small_run
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SERVE_AND_REPORT, "serve",
+         "--out", str(result.out_dir), "--max-seconds", "120"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True)
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 60.0)
+        line = proc.stdout.readline() if ready else ""
+        assert line.startswith("serving on 127.0.0.1:"), line
+        transport = syncsec.SocketTransport(
+            "127.0.0.1", int(line.rsplit(":", 1)[1]), timeout_s=5.0)
+        eid = _some_modeled_entity(result)
+        doc = cli._predict_once(transport, 7, eid, eid, 1.0, -1.0, 4e4)
+        label, probs = result.registry.answer(eid, 1.0, -1.0, 4e4)
+        assert (doc["class"], doc["probs"]) == (label, probs)
+        record = result.drive.mstore.events(eid)[0]
+        size = syncsec.MAX_BATCH_RECORDS
+        for i in range(expanse.MERGE_EVERY // size + 2):
+            batch = tuple(replace(record, uuid=f"{eid}:fresh-{i}-{j}")
+                          for j in range(size))
+            ack = json.loads(transport.send(_signed_sync(eid, batch), eid))
+            assert ack == {"ok": True, "batch_id": 3, "new": size}
+        # the first batch again, now in the merged run
+        batch = tuple(replace(record, uuid=f"{eid}:fresh-0-{j}")
+                      for j in range(size))
+        ack = json.loads(transport.send(_signed_sync(eid, batch), eid))
+        assert ack["new"] == 0
+        proc.terminate()
+        out, _ = proc.communicate(timeout=10.0)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+    report = json.loads(out.strip().splitlines()[-1])
+    assert report == {"rc": 0, "numpy": "_LazyModule", "loaded": []}
+
+
+def test_predict_without_a_model_says_so_in_process_and_remote(small_run,
+                                                               capsys):
+    result, _ = small_run
+    eid = next(e for e in result.drive.mstore.entity_ids()
+               if e not in result.registry.entity_ids())
+    args = ["predict", "--out", str(result.out_dir), "--entity", eid,
+            "--x", "0.0", "--y", "0.0", "--t", "0"]
+    message = f"pipeline error: no trained model for {eid!r}"
+    assert main(args) == 3
+    assert message in capsys.readouterr().err
+    handler, _ = _server_from_artifacts(result.out_dir)
+    with SocketServer(handler) as srv:
+        rc = main(args + ["--host", srv.host, "--port", str(srv.port)])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+
+
 def test_serve_exits_on_sigterm_with_an_idle_client_connected(small_run):
     """The benchmark stops `valencelab serve` with SIGTERM and kills it
     after 10 s; a client that connected and sent nothing must not hold it
@@ -764,42 +846,54 @@ def _first_line_with(**fields):
     return edit
 
 
-def _with_hyperparameter(text: str) -> str:
-    doc = json.loads(text)
-    entry = doc["entities"][sorted(doc["entities"])[0]]
-    entry["model"]["hyperparams"]["no_such"] = 1
-    return json.dumps(doc)
+def _first_answers_with(**fields):
+    def edit(text: str) -> str:
+        doc = json.loads(text)
+        doc["entities"][sorted(doc["entities"])[0]].update(fields)
+        return json.dumps(doc)
+    return edit
 
 
 @pytest.mark.parametrize("command, artifact, corrupt", [
     ("evaluate", "models.csv", _without_column("cv_mcc")),
     ("learn", "cohort.jsonl", lambda text: "{garbled\n" + text),
     ("report", "funnel.csv", _without_column("gender")),
-    ("predict", "models.json", lambda text: text[:len(text) // 2]),
-    ("predict", "models.json",
-     lambda text: text.replace('"kind": "', '"kind": "no-such-', 1)),
+    ("predict", "answers.json", lambda text: text[:len(text) // 2]),
     ("learn", "store.jsonl", lambda text: "5\n" + text),
-    ("predict", "models.json",
+    ("predict", "answers.json",
      lambda text: json.dumps(dict(json.loads(text), entities=[]))),
     ("learn", "store.jsonl", _first_line_with(t="x")),
-    ("predict", "models.json", _with_hyperparameter),
     ("learn", "cohort.jsonl", _first_line_with(gender="robot")),
-], ids=["evaluate", "learn", "report", "predict", "predict-unknown-kind",
+    ("serve", "answers.json", None),
+    ("predict", "answers.json", None),
+    ("serve", "answers.json", _first_answers_with(
+        exemplars=[[0.0, 0.0]], exemplar_labels=[99])),
+    ("predict", "answers.json",
+     lambda text: json.dumps(dict(json.loads(text), seed="x"))),
+    ("serve", "cohort.jsonl", _first_line_with(entity_id=7)),
+], ids=["evaluate", "learn", "report", "predict",
         "store-line-not-an-object", "entities-a-list", "record-t-a-string",
-        "unknown-hyperparameter", "unknown-gender"])
+        "unknown-gender", "serve-answers-missing", "predict-answers-missing",
+        "serve-answers-label-past-clusters", "predict-seed-not-a-number",
+        "serve-entity-id-not-a-string"])
 def test_exit_code_3_for_a_malformed_artifact(small_run, tmp_path, capsys,
                                               command, artifact, corrupt):
+    """Exit 3, naming the artifact; None deletes it."""
     result, _ = small_run
     out = tmp_path / "out"
     shutil.copytree(result.out_dir, out)
     path = out / artifact
-    path.write_text(corrupt(path.read_text()))
-    rc = main([command, "--out", str(out)] + (
-        ["--entity", _some_modeled_entity(result),
-         "--x", "0.0", "--y", "0.0", "--t", "0"]
-        if command == "predict" else []))
+    if corrupt is None:
+        path.unlink()
+    else:
+        path.write_text(corrupt(path.read_text()))
+    flags = {"predict": ["--entity", _some_modeled_entity(result),
+                         "--x", "0.0", "--y", "0.0", "--t", "0"],
+             "serve": ["--max-seconds", "0"]}
+    rc = main([command, "--out", str(out)] + flags.get(command, []))
     assert rc == 3
-    assert f"malformed artifact {path}" in capsys.readouterr().err
+    problem = "missing" if corrupt is None else "malformed"
+    assert f"{problem} artifact {path}" in capsys.readouterr().err
 
 
 def _closed_port() -> int:

@@ -13,15 +13,16 @@ from valencelab import expanse
 from valencelab.agent import Record
 from valencelab.errors import (AuthError, ContractViolationError,
                                EmptyDatasetError, NotFoundError)
-from valencelab.expanse import (AckLedger, EligibilityRules, EntitySummary,
-                                MemoryStore, ModelRegistry, SyncServer,
+from valencelab.expanse import (AckLedger, AnswerTable, EligibilityRules,
+                                EntitySummary, MemoryStore, SyncServer,
                                 aggregate_entity, build_dataset,
                                 check_eligibility, context_features,
                                 eligibility_funnel, feature_names_for,
                                 handle_prediction, imbalance_degree, ingest,
                                 predict_request_payload)
-from valencelab.learn import ClusterModel, train
-from valencelab.simworld import day_of_week, hour_band
+from valencelab.learn import ClusterModel, predict_proba, train
+from valencelab.learn.cluster import nearest_exemplar
+from valencelab.simworld import LABELS
 from valencelab.syncsec import (SignedEnvelope, SyncBatch, canonical_json,
                                 derive_keypair, encode_envelope, public_keys,
                                 sign)
@@ -88,8 +89,8 @@ def test_ingest_counts_only_new():
     assert ingest(store, more) == 1
 
 
-# Characters a fixed-width bytes key could confuse: NUL, which numpy drops
-# at the end of a key; lone surrogates, which a JSON escape decodes to and a
+# Characters a fixed-width bytes key could confuse: NUL, which pads a key
+# to its width; lone surrogates, which a JSON escape decodes to and a
 # strict encode refuses; U+00FF, whose code point is the key's end byte; and
 # other non-ASCII text of 2, 3 and 4 bytes.
 _UUID_CHARS = st.sampled_from(
@@ -324,8 +325,8 @@ def _trained_service():
     X = np.vstack([ds.X] * 8 + [rng.normal(size=(4, 14))])
     y = np.concatenate([np.tile(ds.y, 8), np.array([0, 1, 2, 0])])
     model = train("logreg", X, y, n_classes=3)
-    registry = ModelRegistry()
-    registry.register("e1", model, cluster)
+    registry = AnswerTable()
+    registry.fill("e1", model, cluster)
     keys = public_keys(7, ["e1", "e2"])
     return store, registry, keys
 
@@ -335,9 +336,9 @@ def _predict(env, store, registry, keys):
                              keys)
 
 
-def test_model_registry_unknown_entity():
+def test_answer_table_unknown_entity():
     with pytest.raises(NotFoundError):
-        ModelRegistry().get("nobody")
+        AnswerTable().answer("nobody", 0.0, 0.0, 0.0)
 
 
 def test_prediction_is_scoped_to_signer():
@@ -384,8 +385,7 @@ _CLUSTERS = {"e1": _two_cluster_model(), "e2": _no_cluster_model()}
 
 @functools.cache
 def _answer_models(kind: str) -> dict:
-    """Two models per entity, trained on every context cell with shifted
-    labels, so that an answer kept from the first shows under the second."""
+    """A model per entity, trained on every context cell."""
     models = {}
     for i, (eid, cluster) in enumerate(_CLUSTERS.items()):
         X = np.array([context_features(c, cluster.n_clusters,
@@ -394,28 +394,21 @@ def _answer_models(kind: str) -> dict:
                       for d in range(7) for h in (8.0, 16.0, 23.0)])
         y = np.random.default_rng(i).integers(0, 3, size=len(X))
         y[:3] = (0, 1, 2)
-        models[eid] = [train(kind, X, (y + shift) % 3, seed=i)
-                       for shift in (0, 1)]
+        models[eid] = train(kind, X, y, seed=i)
     return models
 
 
 @functools.cache
-def _long_lived_server(kind: str) -> SyncServer:
-    """One server per kind that every example of a property asks."""
+def _answering_server(kind: str) -> SyncServer:
+    """One server per kind that every example of a property asks, its
+    table read back from the JSON that `learn` writes."""
     store = MemoryStore()
-    registry = ModelRegistry()
+    table = AnswerTable()
     for eid, cluster in _CLUSTERS.items():
         store.register_entity(eid)
-        registry.register(eid, _answer_models(kind)[eid][0], cluster)
-    return SyncServer(store, public_keys(7, list(_CLUSTERS)), registry)
-
-
-def _fresh_server(server: SyncServer) -> SyncServer:
-    """The same models in a registry whose answer table is empty."""
-    registry = ModelRegistry()
-    for eid in server.models.entity_ids():
-        registry.register(eid, *server.models.get(eid))
-    return SyncServer(server.store, server.keys, registry)
+        table.fill(eid, _answer_models(kind)[eid], cluster)
+    table = AnswerTable.from_dict(json.loads(json.dumps(table.to_dict())))
+    return SyncServer(store, public_keys(7, list(_CLUSTERS)), table)
 
 
 def _ask(server, entity_id, x, y, t) -> bytes:
@@ -432,38 +425,28 @@ _TIMES = st.one_of(_COORDS, st.floats(-30 * 86400.0, 0.0),
 @pytest.mark.parametrize("kind", ["logreg", "gbt", "mlp"])
 @settings(max_examples=80, deadline=None)
 @given(entity=st.sampled_from(sorted(_CLUSTERS)), x=_COORDS, y=_COORDS,
-       t=_TIMES, weeks=st.integers(-2, 2), retrain=st.integers(0, 7))
+       t=_TIMES, weeks=st.integers(-2, 2))
 def test_answer_table_replies_as_a_fresh_registry(kind, entity, x, y, t,
-                                                  weeks, retrain):
-    server = _long_lived_server(kind)
-    registry = server.models
-    if retrain == 0:
-        model, cluster = registry.get(entity)
-        held = {eid: registry.n_answers(eid) for eid in _CLUSTERS}
-        other = next(m for m in _answer_models(kind)[entity]
-                     if m is not model)
-        registry.register(entity, other, cluster)
-        held[entity] = 0
-        assert {eid: registry.n_answers(eid) for eid in _CLUSTERS} == held
-    reply = _ask(server, entity, x, y, t)
-    assert reply == _ask(_fresh_server(server), entity, x, y, t)
-    # a moment whole weeks away is in the same cell unless rounding moved
-    # it across a band or day edge
-    t2 = t + weeks * 7 * 86400.0
-    held = registry.n_answers(entity)
-    reply2 = _ask(server, entity, x, y, t2)
-    assert reply2 == _ask(_fresh_server(server), entity, x, y, t2)
-    if (hour_band(t2), day_of_week(t2)) == (hour_band(t), day_of_week(t)):
-        assert registry.n_answers(entity) == held
-        assert reply2 == reply
-    for eid, cluster in _CLUSTERS.items():
-        assert registry.n_answers(eid) <= (cluster.n_clusters + 1) * 21
+                                                  weeks):
+    """The table's reply is the model's own one-row prediction for the
+    request's context, at t and at whole weeks from it."""
+    server = _answering_server(kind)
+    cluster = _CLUSTERS[entity]
+    for moment in (t, t + weeks * 7 * 86400.0):
+        label = int(cluster.assign(np.array([[x, y]]))[0])
+        probs = predict_proba(_answer_models(kind)[entity], context_features(
+            label, cluster.n_clusters, moment))
+        assert _ask(server, entity, x, y, moment) == canonical_json(
+            {"ok": True, "entity_id": entity,
+             "class": LABELS[int(np.argmax(probs))],
+             "probs": [float(p) for p in probs]})
 
 
 def test_answer_table_predicts_once_per_cell_and_verifies_every_request(
         monkeypatch):
-    """Each predict is verified, but a cell is predicted once. Both go
-    through the module's globals, where a tracer wraps them."""
+    """Each predict is verified, but each cell is predicted once, when the
+    table is filled. Both go through the module's globals, where a tracer
+    wraps them."""
     calls = {"verify_and_scope": 0, "predict_proba": 0}
 
     def counting(name):
@@ -476,15 +459,65 @@ def test_answer_table_predicts_once_per_cell_and_verifies_every_request(
 
     for name in calls:
         monkeypatch.setattr(expanse, name, counting(name))
-    server = _fresh_server(_long_lived_server("logreg"))
+    store, table, keys = _trained_service()
+    assert calls == {"verify_and_scope": 0, "predict_proba": 3 * 21}
+    server = SyncServer(store, keys, table)
     # one Monday-night cell per cluster, then a Tuesday-morning one
     moments = [0.0, 3600.0, 7 * 86400.0, 86400.0 + 8 * 3600.0]
     replies = [_ask(server, "e1", x, x, t)
                for x in (0.0, 10.0) for t in moments]
-    assert calls == {"verify_and_scope": 8, "predict_proba": 4}
-    assert server.models.n_answers("e1") == 4
+    assert calls == {"verify_and_scope": 8, "predict_proba": 3 * 21}
     assert replies[0] == replies[1] == replies[2]
     assert replies[4] == replies[5] == replies[6]
+
+
+@pytest.mark.parametrize("bad", [
+    {"exemplar_labels": [0, 2]},            # no cells for cluster 2
+    {"exemplar_labels": [0]},               # one label for two exemplars
+    {"exemplars": [[0.0, 0.0], [math.nan, 0.0]]},
+    {"exemplars": [[0.0, 0.0], [1.0]]},
+    {"answers": []},
+    {"answers": "x"},
+], ids=["label-past-clusters", "label-count", "exemplar-nan",
+        "exemplar-one-coordinate", "no-answers", "answers-a-string"])
+def test_answer_table_refuses_answers_that_do_not_fit(bad):
+    _, table, _ = _trained_service()
+    doc = table.to_dict()
+    doc["entities"]["e1"].update(bad)
+    with pytest.raises((ContractViolationError, ValueError)):
+        AnswerTable.from_dict(json.loads(json.dumps(doc)))
+    doc["entities"]["e1"] = table.to_dict()["entities"]["e1"]
+    doc["entities"]["e1"]["answers"][0][0] = "elated"
+    with pytest.raises(ContractViolationError):
+        AnswerTable.from_dict(doc)
+
+
+# Coordinates that round, tie and overflow: any finite float; small
+# integers, so that exemplars tie; and magnitudes past 1e154, whose squares
+# overflow.
+_ANY = st.floats(allow_nan=False, allow_infinity=False)
+_PLACES = st.one_of(_ANY, st.integers(-3, 3).map(float),
+                    st.floats(1e154, 1.7e308), st.floats(-1.7e308, -1e154))
+
+
+@settings(max_examples=400, deadline=None)
+@given(point=st.tuples(_PLACES, _PLACES),
+       exemplars=st.lists(st.tuples(_PLACES, _PLACES), min_size=1,
+                          max_size=6),
+       repeat=st.integers(0, 5), data=st.data())
+def test_nearest_exemplar_is_cluster_assign(point, exemplars, repeat, data):
+    """The serving path's plain-Python assignment equals the model's, ties
+    (a repeated exemplar under another label) and far points included."""
+    exemplars.append(exemplars[repeat % len(exemplars)])
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=len(exemplars),
+                                max_size=len(exemplars)))
+    model = ClusterModel(min_cluster_size=2, min_samples=1,
+                         labels=np.zeros(0, dtype=np.int64),
+                         exemplars=np.array(exemplars),
+                         exemplar_labels=np.array(labels), n_clusters=4)
+    got = nearest_exemplar(*point, exemplars, labels)
+    assert got == model.assign(np.array([point]))[0]
+    assert nearest_exemplar(*point, [], []) == -1
 
 
 def test_sync_server_receive_paths():

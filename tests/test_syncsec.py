@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valencelab import syncsec
+from valencelab import cli, syncsec
 from valencelab.agent import (LocalStore, Record, SensingAgent, dedupe_store,
                               ingest_report)
-from valencelab.errors import AuthError, ContractViolationError
-from valencelab.expanse import (AckLedger, EligibilityRules, MemoryStore,
-                                ModelRegistry, SyncServer, aggregate_entity,
+from valencelab.errors import AuthError, ContractViolationError, PipelineError
+from valencelab.expanse import (AckLedger, AnswerTable, EligibilityRules,
+                                MemoryStore, SyncServer, aggregate_entity,
                                 context_features, eligibility_funnel,
                                 predict_request_payload)
 from valencelab.learn import ClusterModel, train
@@ -431,7 +431,8 @@ def test_socket_server_reports_auth_and_internal_errors():
 
 def test_socket_server_answers_a_predict_without_a_model_with_bad_request():
     """A keyed, registered entity with no trained model asks for a
-    prediction: a request the server cannot answer, not a server fault."""
+    prediction: a request the server cannot answer, not a server fault,
+    and the reply says why."""
     reg = public_keys(7, ["e001", "e002"])
     server = _predicting_server(reg)
     server.store.register_entity("e002")
@@ -441,7 +442,8 @@ def test_socket_server_answers_a_predict_without_a_model_with_bad_request():
     with SocketServer(server) as srv:
         transport = SocketTransport(srv.host, srv.port, timeout_s=2.0)
         reply = transport.send(request, "e002")
-        assert json.loads(reply) == {"ok": False, "error": "bad_request"}
+        assert json.loads(reply) == {"ok": False, "error": "bad_request",
+                                     "reason": "not_found"}
         assert _client(srv.handler, transport).attempt(now=1.0) == "ok"
 
 
@@ -452,7 +454,11 @@ def test_socket_server_refuses_oversized_frame_and_keeps_serving():
         with socket.create_connection((srv.host, srv.port),
                                       timeout=2.0) as sock:
             sock.sendall(struct.pack(">I", 2 ** 32 - 1))
-            # the server hangs up without waiting for a 4 GiB body
+            # the server says why and hangs up, without waiting for a 4 GiB
+            # body
+            reply = syncsec._recv_framed(sock)
+            assert json.loads(reply) == {"ok": False, "error": "bad_request",
+                                         "reason": "too_large"}
             assert sock.recv(1) == b""
         client = _client(srv.handler, SocketTransport(srv.host, srv.port,
                                                       timeout_s=2.0))
@@ -502,8 +508,8 @@ def _predicting_server(reg) -> SyncServer:
                            exemplar_labels=np.zeros(1, dtype=np.int64),
                            n_clusters=1)
     X = np.array([context_features(0, 1, h * 3600.0) for h in range(6)])
-    models = ModelRegistry()
-    models.register("e001", train("dummy", X, np.arange(6) % 3), cluster)
+    models = AnswerTable()
+    models.fill("e001", train("dummy", X, np.arange(6) % 3), cluster)
     return SyncServer(store, reg, models)
 
 
@@ -544,7 +550,8 @@ def test_socket_server_answers_garbage_with_bad_request(body):
     with SocketServer(_predicting_server(reg)) as srv:
         transport = SocketTransport(srv.host, srv.port, timeout_s=2.0)
         reply = transport.send(body, "e001")
-        assert json.loads(reply) == {"ok": False, "error": "bad_request"}
+        assert json.loads(reply) == {"ok": False, "error": "bad_request",
+                                     "reason": "malformed"}
         assert srv.handler.store.total_records() == 0
         assert _client(srv.handler, transport).attempt(now=1.0) == "ok"
     assert time.monotonic() - started < 5.0
@@ -688,7 +695,8 @@ def test_socket_server_answers_truncated_envelope_with_bad_request():
         transport = SocketTransport(srv.host, srv.port, timeout_s=2.0)
         for cut in (3, len(data) - 5):
             reply = transport.send(data[:cut], "e001")
-            assert json.loads(reply) == {"ok": False, "error": "bad_request"}
+            assert json.loads(reply) == {"ok": False, "error": "bad_request",
+                                         "reason": "malformed"}
         assert _client(srv.handler, transport).attempt(now=1.0) == "ok"
     assert time.monotonic() - started < 5.0
 
@@ -733,7 +741,8 @@ def test_socket_server_survives_a_failed_accept(monkeypatch):
         assert _client(srv.handler, transport).attempt(now=1.0) == "ok"
         assert failures == [errno.EMFILE]
         reply = transport.send(b"garbage", "e001")
-        assert json.loads(reply) == {"ok": False, "error": "bad_request"}
+        assert json.loads(reply) == {"ok": False, "error": "bad_request",
+                                     "reason": "malformed"}
     assert time.monotonic() - started < 5.0
 
 
@@ -769,3 +778,63 @@ def test_client_treats_error_reply_as_no_connectivity():
     client = _client(Refuser())
     assert client.attempt(now=1.0) == "no_connectivity"
     assert len(client.store.pending) == 3    # nothing marked, retry later
+
+
+class ScriptedTransport:
+    """Replies with each of `replies` in turn, then acks what was sent."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+
+    def send(self, message: bytes, entity_id: str) -> bytes | None:
+        if self.replies:
+            return self.replies.pop(0)
+        _, header = decode_envelope(message)
+        return canonical_json({"ok": True, "batch_id": header["batch_id"]})
+
+
+# arbitrary bytes, and JSON of every shape, acks of other batches included
+_REPLIES = st.one_of(
+    st.binary(max_size=64),
+    _RAW_JSON.map(str.encode),
+    st.dictionaries(st.sampled_from(["ok", "batch_id", "error", "kind",
+                                     "reason", "class", "probs"]),
+                    st.one_of(st.booleans(), st.integers(0, 3),
+                              st.sampled_from(["auth", "scope", "not_found",
+                                               "bad_request"])),
+                    max_size=4).map(canonical_json))
+
+
+def _parse_json_or_none(data: bytes):
+    try:
+        return json.loads(data)
+    except (ValueError, RecursionError):
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPLIES)
+def test_a_bad_reply_acks_nothing_and_never_raises(reply):
+    """The client half decodes whatever comes back. A reply that is not an
+    ok ack of the batch sent leaves its records pending and in flight, and
+    the next good one marks them; a predict that gets it answers or fails
+    as a pipeline or authorization error."""
+    client = _client(None, ScriptedTransport([reply]))
+    outcome = client.attempt(now=1.0)
+    ack = _parse_json_or_none(reply)
+    if isinstance(ack, dict) and ack.get("ok") is True \
+            and ack.get("batch_id") == 1:
+        assert outcome == "ok"
+    else:
+        assert outcome == "no_connectivity"
+        assert len(client.store.pending) == 3
+        assert client.store.in_flight == {"r0", "r1", "r2"}
+        assert client.attempt(now=2.0) == "ok"
+    assert client.store.pending == [] and client.store.in_flight == set()
+    assert client.store.ever_synced == {"r0", "r1", "r2"}
+    try:
+        doc = cli._predict_once(ScriptedTransport([reply]), 7, "e001",
+                                "e001", 0.0, 0.0, 0.0)
+    except (PipelineError, AuthError):
+        return
+    assert doc["ok"] is True
