@@ -11,7 +11,7 @@ formula can be swapped without touching the funnel.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+import zlib
 from dataclasses import dataclass
 
 from .agent.core import Record
@@ -31,95 +31,71 @@ DOW_NAMES = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
 BAND_NAMES = ("morning", "afternoon", "night")
 
 
-KEY_BYTES = 40          # a key up to this long goes into the sorted run
-MERGE_EVERY = 1024      # new keys that wait in a set before a merge
+BUCKET_KEYS = 64    # mean keys per bucket past which the buckets double
 
 
 def _key(uuid: str) -> bytes:
     """A uuid's UTF-8 bytes ended by 0xFF, a byte UTF-8 never holds.
 
-    A key in the sorted run is padded with NULs to KEY_BYTES; with the end
-    mark no key ends in one, so "a" and "a\\x00" stay two keys.
     "surrogatepass" encodes the lone surrogate a JSON "\\ud800" decodes
     to."""
     return uuid.encode("utf-8", "surrogatepass") + b"\xff"
 
 
-class _SortedRun:
-    """Keys padded to KEY_BYTES, sorted end to end in one bytes buffer;
-    item i is the i-th key, so `bisect` searches the run."""
-
-    __slots__ = ("buf",)
-
-    def __init__(self, buf: bytes = b""):
-        self.buf = buf
-
-    def __len__(self) -> int:
-        return len(self.buf) // KEY_BYTES
-
-    def __getitem__(self, i: int) -> bytes:
-        return self.buf[i * KEY_BYTES:(i + 1) * KEY_BYTES]
-
-    def __contains__(self, key: bytes) -> bool:
-        i = bisect_left(self, key) * KEY_BYTES
-        return self.buf[i:i + KEY_BYTES] == key
-
-    def merged(self, keys) -> "_SortedRun":
-        """A run that also holds `keys`, which it must not hold yet. Each
-        stretch of this run between two of them is copied once, from a
-        view, so no object is made per key already held."""
-        view = memoryview(self.buf)
-        parts, start = [], 0
-        for key in sorted(keys):
-            i = bisect_left(self, key, start)
-            parts += (view[start * KEY_BYTES:i * KEY_BYTES], key)
-            start = i
-        parts.append(view[start * KEY_BYTES:])
-        return _SortedRun(b"".join(parts))
-
-
 class UuidSet:
-    """An exact set of uuids, kept as one sorted run of fixed-width keys.
+    """An exact set of uuids, hashed into buckets of delimited keys.
 
-    The newest keys wait in a set; every MERGE_EVERY of them are merged into
-    the run (the memtable and sorted run of the log-structured merge tree,
-    O'Neil et al., Acta Informatica 1996). A key too long for the run gets
-    a set of its own, so one huge uuid never widens the run.
+    A bucket is one bytearray: 0xFF, then each key with its 0xFF end mark.
+    No key holds 0xFF before its end, so 0xFF + key occurs in a bucket only
+    where that whole key is held. A key's bucket is the low bits of its
+    crc32, which no PYTHONHASHSEED moves. Once the set holds more than
+    BUCKET_KEYS keys per bucket, the bucket count doubles: each bucket in
+    turn splits into itself and one new bucket, so no step copies more
+    than one bucket's keys (the split of linear hashing, Litwin, VLDB 1980,
+    taken a whole round at a time).
     """
 
-    __slots__ = ("_sorted", "_recent", "_long")
+    __slots__ = ("_buckets", "_n")
 
     def __init__(self):
-        self._sorted = _SortedRun()
-        self._recent: set[bytes] = set()
-        self._long: set[bytes] = set()
+        self._buckets = [bytearray(b"\xff")]
+        self._n = 0
 
     def __len__(self) -> int:
-        return len(self._sorted) + len(self._recent) + len(self._long)
+        return self._n
+
+    def _bucket(self, key: bytes) -> bytearray:
+        return self._buckets[zlib.crc32(key) & (len(self._buckets) - 1)]
 
     def __contains__(self, uuid: str) -> bool:
-        return self._has(_key(uuid))
-
-    def _has(self, key: bytes) -> bool:
-        if len(key) > KEY_BYTES:
-            return key in self._long
-        key = key.ljust(KEY_BYTES, b"\0")
-        return key in self._recent or (
-            bool(self._sorted.buf) and key in self._sorted)
+        key = _key(uuid)
+        return b"\xff" + key in self._bucket(key)
 
     def add(self, uuid: str) -> bool:
         """Add one uuid; False when it was in already."""
         key = _key(uuid)
-        if self._has(key):
+        bucket = self._bucket(key)
+        if b"\xff" + key in bucket:
             return False
-        if len(key) > KEY_BYTES:
-            self._long.add(key)
-            return True
-        self._recent.add(key.ljust(KEY_BYTES, b"\0"))
-        if len(self._recent) >= MERGE_EVERY:
-            self._sorted = self._sorted.merged(self._recent)
-            self._recent = set()
+        bucket += key
+        self._n += 1
+        if self._n > BUCKET_KEYS * len(self._buckets):
+            self._double()
         return True
+
+    def _double(self) -> None:
+        """Split bucket i into i and i + n, where n is the old count: a
+        key moves when bit n of its crc32 is set."""
+        n = len(self._buckets)
+        for i in range(n):
+            stay, move = bytearray(b"\xff"), bytearray(b"\xff")
+            # every key ends in 0xFF, so the last piece is empty and is
+            # dropped; an empty bucket splits into no key at all
+            for body in self._buckets[i][1:].split(b"\xff")[:-1]:
+                key = body + b"\xff"
+                (move if zlib.crc32(key) & n else stay).extend(key)
+            self._buckets[i] = stay
+            self._buckets.append(move)
 
 
 class AckLedger:

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from datetime import date, timedelta
+from itertools import accumulate
 
 from .errors import ConfigurationError, ContractViolationError
 from .lazy import lazy_import
@@ -498,26 +500,37 @@ def build_cohort(spec: CohortSpec, seed: int) -> Cohort:
     return Cohort(spec=spec, seed=seed, profiles=tuple(profiles))
 
 
+def _cdf(row) -> list[float]:
+    """The cumulative sums of `row` over their total, as Generator.choice
+    makes them: bisect_right(cdf, rng.random()) draws the category that
+    rng.choice(len(row), p=row) draws, from the same one double."""
+    cdf = list(accumulate(float(p) for p in row))
+    return [c / cdf[-1] for c in cdf]
+
+
+_ACTIVITY_CDF = _cdf(ACTIVITY_PROBS)
+
+
 def _stream_events(prof: EntityProfile, kind: str, rate: float, rng,
                    horizon: float):
     """One Poisson stream of `kind` events for `prof`, up to the horizon."""
     if rate <= 0:
         return
     scale = SECONDS_PER_DAY / rate
-    visit = place_visit_matrix(len(prof.places))
+    visit = [_cdf(row) for row in place_visit_matrix(len(prof.places))]
+    valence = [[_cdf(row) for row in bands] for bands in prof.valence_policy]
     t = float(rng.exponential(scale))
     seq = 0
     while t < horizon:
         band = hour_band(t)
-        place = int(rng.choice(len(prof.places), p=visit[band]))
+        place = bisect_right(visit[band], rng.random())
         cx, cy = prof.places[place]
         x = cx + float(rng.normal(0.0, prof.place_spread))
         y = cy + float(rng.normal(0.0, prof.place_spread))
         if kind == "report":
-            cls = int(rng.choice(3, p=prof.valence_policy[place, band]))
-            payload = LABELS[cls]
+            payload = LABELS[bisect_right(valence[place][band], rng.random())]
         elif kind == "sensor":
-            payload = ACTIVITIES[int(rng.choice(3, p=ACTIVITY_PROBS))]
+            payload = ACTIVITIES[bisect_right(_ACTIVITY_CDF, rng.random())]
         else:
             payload = TEXT_POOL[int(rng.integers(len(TEXT_POOL)))]
         yield Event(f"{prof.entity_id}:{kind[0]}{seq:05d}", prof.entity_id,

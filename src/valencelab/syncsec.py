@@ -239,14 +239,49 @@ def next_sync_interval(current_min: float, outcome: str) -> float:
 # ---------------------------------------------------------------------------
 # transports
 
+# What a request the server cannot answer raises: bad framing, unreadable
+# JSON or another broken contract, a missing key, an entity with no data or
+# no trained model. A handler's own ValueError stays an "internal" error.
+_BAD_REQUEST_ERRORS = (ContractViolationError, KeyError, NotFoundError)
+
+
+def _bad_request(reason: str) -> bytes:
+    """A "bad_request" reply and why, from a closed set: "not_found" (no
+    data or no trained model), "malformed" or "too_large". The exception's
+    text stays in the server's log."""
+    return canonical_json({"ok": False, "error": "bad_request",
+                           "reason": reason})
+
+
+def server_reply(handler, message: bytes) -> bytes:
+    """handler.receive(message), or the reply its failure maps to: an
+    AuthError is error "auth" with its kind, a request it cannot answer is
+    "bad_request" and any other failure "internal". The loopback and the
+    socket server both answer with these bytes, so no handler exception
+    reaches a client."""
+    try:
+        return handler.receive(message)
+    except AuthError as exc:
+        return canonical_json(
+            {"ok": False, "error": "auth", "kind": exc.kind})
+    except _BAD_REQUEST_ERRORS as exc:
+        log.info("bad request: %r", exc)
+        return _bad_request("not_found" if isinstance(exc, NotFoundError)
+                            else "malformed")
+    except Exception as exc:  # surface, never kill the server
+        log.warning("server handler failed: %s", exc, exc_info=True)
+        return canonical_json({"ok": False, "error": "internal"})
+
+
 class LoopbackTransport:
-    """In-process delivery straight into a server's receive()."""
+    """In-process delivery into a server's receive(), answered as the
+    socket server answers."""
 
     def __init__(self, server):
         self.server = server
 
     def send(self, message: bytes, entity_id: str) -> bytes | None:
-        return self.server.receive(message)
+        return server_reply(self.server, message)
 
 
 class FaultyTransport:
@@ -360,20 +395,6 @@ class SocketTransport:
             return _recv_framed(sock)
 
 
-# What a request the server cannot answer raises: bad framing, unreadable
-# JSON or another broken contract, a missing key, an entity with no data or
-# no trained model. A handler's own ValueError stays an "internal" error.
-_BAD_REQUEST_ERRORS = (ContractViolationError, KeyError, NotFoundError)
-
-
-def _bad_request(reason: str) -> bytes:
-    """A "bad_request" reply and why, from a closed set: "not_found" (no
-    data or no trained model), "malformed" or "too_large". The exception's
-    text stays in the server's log."""
-    return canonical_json({"ok": False, "error": "bad_request",
-                           "reason": reason})
-
-
 class _FrameHandler(socketserver.BaseRequestHandler):
     """One framed request and one framed reply on an accepted connection."""
 
@@ -392,7 +413,7 @@ class _FrameHandler(socketserver.BaseRequestHandler):
                 msg = _recv_exact(conn, n, deadline)
                 if msg is None:
                     return
-                reply = self._reply(msg)
+                reply = server_reply(self.server.handler, msg)
         except OSError as exc:      # the deadline passed, or a reset
             log.info("dropped a client: %r", exc)
             return
@@ -401,20 +422,6 @@ class _FrameHandler(socketserver.BaseRequestHandler):
             _send_framed(conn, reply)
         except OSError as exc:      # the client went away
             log.info("could not reply: %r", exc)
-
-    def _reply(self, msg: bytes) -> bytes:
-        try:
-            return self.server.handler.receive(msg)
-        except AuthError as exc:
-            return canonical_json(
-                {"ok": False, "error": "auth", "kind": exc.kind})
-        except _BAD_REQUEST_ERRORS as exc:
-            log.info("bad request: %r", exc)
-            return _bad_request("not_found" if isinstance(exc, NotFoundError)
-                                else "malformed")
-        except Exception as exc:  # surface, never kill the server
-            log.warning("server handler failed: %s", exc)
-            return canonical_json({"ok": False, "error": "internal"})
 
 
 class SocketServer(socketserver.TCPServer):

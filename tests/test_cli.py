@@ -611,9 +611,11 @@ def test_served_ledger_acks_as_the_store_does(small_run):
     assert ack == {"ok": True, "batch_id": 3, "new": 5}
     assert json.loads(handler.receive(message))["new"] == 0
     assert handler.store.total_records() == 5
-    # past two merges of the entity's ledger; each batch also repeats one
-    # uuid of every batch before it, and the first five records
-    n_batches, size = 2 * expanse.MERGE_EVERY // 100 + 5, 100
+    # past three doublings of the entity's ledger, checked against a plain
+    # set after every batch; each batch also repeats one uuid of every
+    # batch before it, and the first five records
+    acked = {r.uuid for r in records}
+    n_batches, size = 8 * expanse.BUCKET_KEYS // 100 + 5, 100
     for i in range(n_batches):
         fresh = tuple(replace(records[0], uuid=f"{eid}:more-{i}-{j}")
                       for j in range(size))
@@ -623,8 +625,13 @@ def test_served_ledger_acks_as_the_store_does(small_run):
         ack = json.loads(handler.receive(message))
         assert ack == json.loads(reference.receive(message))
         assert ack["new"] == size
+        acked.update(r.uuid for r in fresh)
+        assert handler.store.total_records() == len(acked)
+        assert all(r.uuid in handler.store._uuids[eid]
+                   for r in fresh + again + records)
     assert handler.store.total_records() == 5 + n_batches * size
     assert handler.store.total_records() == reference.store.total_records()
+    assert len(handler.store._uuids[eid]._buckets) >= 8
     ledger = handler.store
     assert not isinstance(ledger, MemoryStore)
     assert not hasattr(ledger, "events")
@@ -665,9 +672,9 @@ print(json.dumps({
 
 
 def test_serve_answers_and_acks_without_running_numpy(small_run):
-    """A served predict and enough syncs to merge a ledger run no numpy
-    and no hashlib; numpy's entry in sys.modules is the lazy one, never
-    executed."""
+    """A served predict and enough syncs to split a ledger's buckets run
+    no numpy and no hashlib; numpy's entry in sys.modules is the lazy one,
+    never executed."""
     result, _ = small_run
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -689,12 +696,12 @@ def test_serve_answers_and_acks_without_running_numpy(small_run):
         assert (doc["class"], doc["probs"]) == (label, probs)
         record = result.drive.mstore.events(eid)[0]
         size = syncsec.MAX_BATCH_RECORDS
-        for i in range(expanse.MERGE_EVERY // size + 2):
+        for i in range(4 * expanse.BUCKET_KEYS // size + 2):
             batch = tuple(replace(record, uuid=f"{eid}:fresh-{i}-{j}")
                           for j in range(size))
             ack = json.loads(transport.send(_signed_sync(eid, batch), eid))
             assert ack == {"ok": True, "batch_id": 3, "new": size}
-        # the first batch again, now in the merged run
+        # the first batch again, its keys since split across buckets
         batch = tuple(replace(record, uuid=f"{eid}:fresh-0-{j}")
                       for j in range(size))
         ack = json.loads(transport.send(_signed_sync(eid, batch), eid))

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -89,40 +90,49 @@ def test_ingest_counts_only_new():
     assert ingest(store, more) == 1
 
 
-# Characters a fixed-width bytes key could confuse: NUL, which pads a key
-# to its width; lone surrogates, which a JSON escape decodes to and a
-# strict encode refuses; U+00FF, whose code point is the key's end byte; and
-# other non-ASCII text of 2, 3 and 4 bytes.
+# Characters a delimited bytes key could confuse: NUL; lone surrogates,
+# which a JSON escape decodes to and a strict encode refuses; U+00FF, whose
+# code point is the key's end byte; U+FFFF, whose UTF-8 (EF BF BF) is all
+# high bytes; and other non-ASCII text of 2, 3 and 4 bytes.
 _UUID_CHARS = st.sampled_from(
-    ["a", "b", "\x00", "\ud800", "\udfff", "\xff", "\xe9", "\u732b",
-     "\U0001f600"])
+    ["a", "b", "\x00", "\ud800", "\udfff", "\xff", "\uffff", "\xe9",
+     "\u732b", "\U0001f600"])
 _UUIDS = st.one_of(
     st.lists(_UUID_CHARS, max_size=4).map("".join),     # "" included
-    # keys a few bytes either side of KEY_BYTES
-    st.tuples(st.integers(expanse.KEY_BYTES - 9, expanse.KEY_BYTES + 1),
-              st.lists(_UUID_CHARS, max_size=2).map("".join)).map(
-        lambda nt: "a" * nt[0] + nt[1]),
-    # far past it
+    # up to 5,000 characters
     st.tuples(_UUID_CHARS, st.integers(100, 5000)).map(
         lambda cn: cn[0] * cn[1]),
     st.text(st.characters(exclude_categories=()), max_size=50))
+
+# adds that take one entity's ledger through three doublings: 1 -> 8 buckets
+_THREE_DOUBLINGS = 4 * expanse.BUCKET_KEYS + 1
+
+
+def _assert_buckets_hold(uuid_set, uuids):
+    """The buckets hold each key, end mark included, once and nothing else
+    but one leading 0xFF each."""
+    buckets = uuid_set._buckets
+    assert len(buckets) & (len(buckets) - 1) == 0
+    assert sum(map(len, buckets)) == (
+        sum(len(expanse._key(u)) for u in uuids) + len(buckets))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["e1", "e2"]), _UUIDS,
                           st.booleans(),
-                          st.sampled_from([0, 0, 0, 1, 300, 1000])),
+                          st.sampled_from([0, 0, 0, 1, 30, 100])),
                 max_size=30))
 def test_ack_ledger_is_a_set_of_uuids(ops):
-    """Adds and lookups, with filler adds between them, match a plain set.
-    Then 2 * MERGE_EVERY more fillers per entity make two merges or more,
-    and every uuid drawn is looked up and added again."""
+    """Adds and lookups, with filler adds between them, match a plain set
+    after every add. Then fillers take each entity through three doublings
+    or more, and every uuid drawn is looked up and added again."""
     ledger, reference = AckLedger(), {"e1": set(), "e2": set()}
     filler = iter(range(10 ** 9))
 
     def add(eid, uuid):
         assert ledger.add(eid, _sensor(uuid)) is (uuid not in reference[eid])
         reference[eid].add(uuid)
+        assert uuid in ledger._uuids[eid]
         assert ledger.total_records() == sum(map(len, reference.values()))
 
     def look(eid, uuid):
@@ -135,11 +145,36 @@ def test_ack_ledger_is_a_set_of_uuids(ops):
             add(eid, f"fill-{next(filler)}")
         (add if adding else look)(eid, uuid)
     for eid in reference:
-        for _ in range(2 * expanse.MERGE_EVERY):
+        for _ in range(_THREE_DOUBLINGS):
             add(eid, f"fill-{next(filler)}")
+        assert len(ledger._uuids[eid]._buckets) >= 8
+        _assert_buckets_hold(ledger._uuids[eid], reference[eid])
     for eid, uuid, _, _ in ops:
         look(eid, uuid)
         add(eid, uuid)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_an_empty_bucket_splits_into_no_key(parity):
+    """Uuids whose crc32s share their lowest bit leave bucket 1 - parity
+    empty when the set first doubles, so that bucket is empty again when
+    it splits at the next doubling: the split adds no key, "" included."""
+    uuid_set, held = expanse.UuidSet(), set()
+    names = (f"u{i}" for i in range(10 ** 6))
+    while len(held) < _THREE_DOUBLINGS:
+        uuid = next(names)
+        if zlib.crc32(expanse._key(uuid)) & 1 == parity:
+            assert uuid_set.add(uuid) is True
+            held.add(uuid)
+            if len(held) == 2 * expanse.BUCKET_KEYS:     # before the split
+                assert uuid_set._buckets[1 - parity] == b"\xff"
+    assert len(uuid_set._buckets) == 8
+    assert len(uuid_set) == len(held)
+    _assert_buckets_hold(uuid_set, held)
+    assert "" not in uuid_set
+    assert all(uuid in uuid_set for uuid in held)
+    assert uuid_set.add("") is True
+    assert "" in uuid_set
 
 
 def test_aggregate_entity_counts_and_demographics():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from dataclasses import replace
 from datetime import date
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from valencelab.errors import ConfigurationError, ContractViolationError
 from valencelab.simworld import (LABELS, SECONDS_PER_DAY, CohortSpec,
-                                 EntityProfile, Fault, FaultPlan,
+                                 EntityProfile, Fault, FaultPlan, _cdf,
                                  build_cohort, day_of_week, events_to_jsonl,
                                  hour_band, make_crash_plan,
                                  make_delivery_fault_plan, make_net_flap_plan,
@@ -253,6 +254,33 @@ def test_event_stream_matches_golden_digest(spec, seed, n_events, digest):
     assert len(events) == n_events
     text = events_to_jsonl(events)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# rows with zeros, tiny weights and sums a rounding away from one, as
+# Generator.choice accepts them
+_ROWS = st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                 min_size=1, max_size=6).filter(lambda r: sum(r) > 0).map(
+    lambda r: [w / sum(r) for w in r])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_ROWS, min_size=1, max_size=5),
+       st.integers(0, 2 ** 32 - 1))
+def test_cdf_draws_what_generator_choice_draws(rows, seed):
+    """bisect_right over _cdf(row) with one rng.random() draws the index
+    rng.choice(len(row), p=row) draws, and leaves the generator where
+    choice leaves it; the cdf is numpy's cumsum over its last value."""
+    for row in rows:
+        cdf = np.cumsum(row)
+        cdf /= cdf[-1]
+        assert _cdf(row) == cdf.tolist()
+    by_choice, by_cdf = (np.random.default_rng(seed) for _ in range(2))
+    cdfs = [_cdf(row) for row in rows]
+    for i in range(200):
+        row, cdf = rows[i % len(rows)], cdfs[i % len(rows)]
+        assert (int(by_choice.choice(len(row), p=row))
+                == bisect_right(cdf, by_cdf.random()))
+    assert by_choice.bit_generator.state == by_cdf.bit_generator.state
 
 
 def test_event_jsonl_round_trip():

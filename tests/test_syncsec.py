@@ -557,6 +557,41 @@ def test_socket_server_answers_garbage_with_bad_request(body):
     assert time.monotonic() - started < 5.0
 
 
+def test_loopback_answers_as_the_socket_does():
+    """Garbage and a forged signature get the socket server's reply bytes
+    over the loopback too, not the server's exception, and a sync client
+    counts either reply as a failed send."""
+    reg = public_keys(7, ["e001"])
+    server = _predicting_server(reg)
+    loopback = LoopbackTransport(server)
+    forger, _ = derive_keypair(99, "e001")      # not e001's key
+    batch = SyncBatch(batch_id=1, entity_id="e001", records=(_rec("c"),),
+                      created_at=0.0)
+    forged = encode_envelope(sign(forger, batch.to_payload(), "e001"), 1)
+    with SocketServer(server) as srv:
+        over_socket = SocketTransport(srv.host, srv.port, timeout_s=2.0)
+        for message, expected in (
+                (b"\x00\x01\x02garbage\xff" * 8,
+                 {"ok": False, "error": "bad_request", "reason": "malformed"}),
+                (forged, {"ok": False, "error": "auth", "kind": "reject"})):
+            reply = loopback.send(message, "e001")
+            assert reply == over_socket.send(message, "e001")
+            assert json.loads(reply) == expected
+    assert server.store.total_records() == 0
+
+    class Garbled:
+        def receive(self, message):
+            raise ContractViolationError("unreadable")
+
+    forging = SyncClient(store=_loaded_store(3), private_key=forger,
+                         transport=loopback)
+    for client in (_client(None, LoopbackTransport(Garbled())), forging):
+        assert client.attempt(now=1.0) == "no_connectivity"
+        assert [r.uuid for r in client.store.pending] == ["r0", "r1", "r2"]
+        assert not client.store.ever_synced
+    assert server.store.total_records() == 0
+
+
 @pytest.mark.parametrize("store", [AckLedger, MemoryStore])
 def test_socket_server_acks_a_lone_surrogate_uuid_once(store):
     """A JSON "\\ud800" decodes to a lone surrogate; the served ledger and
