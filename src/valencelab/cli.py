@@ -42,7 +42,7 @@ from .agent import (HOMEOSTASIS_INTERVAL_S, Record, SensingAgent,
 from .digest import sha256
 from .errors import (AuthError, ConfigurationError, ContractViolationError,
                      EmptyDatasetError, NoStructureError, NotFoundError,
-                     PipelineError, UnsupportedModelError)
+                     PipelineError)
 from .evalstat import ConfusionMatrix, mcc_multiclass, u_test_verdict
 from .expanse import (AckLedger, AnswerTable, EligibilityRules, MemoryStore,
                       SyncServer, build_dataset, eligibility_funnel,
@@ -609,11 +609,12 @@ def _parsing(path: Path):
     """Raises what goes wrong parsing the artifact at `path` inside as a
     PipelineError that names it: bad JSON or text, a missing key or column,
     a value or a JSON container of the wrong type, a broken contract such
-    as an unknown gender or hyperparameter, an unknown model kind."""
+    as an unknown gender or answers that do not fit their clusters or
+    labels."""
     try:
         yield
     except (ValueError, KeyError, TypeError, AttributeError, csv.Error,
-            ContractViolationError, UnsupportedModelError) as exc:
+            ContractViolationError) as exc:
         raise PipelineError(f"malformed artifact {path}: {exc!r}") from exc
 
 

@@ -418,9 +418,12 @@ class AnswerTable:
                     or len(labels) != len(exemplars)
                     or not all(0 <= c < n_clusters for c in labels)
                     or not all(math.isfinite(v) for e in exemplars for v in e)
-                    or not all(label in LABELS for label, _ in cells)):
+                    or not all(label in LABELS and len(probs) == len(LABELS)
+                               and all(map(math.isfinite, probs))
+                               for label, probs in cells)):
                 raise ContractViolationError(
-                    f"the answers of {eid!r} do not fit its clusters")
+                    f"the answers of {eid!r} do not fit its clusters or "
+                    "labels")
             table._entities[eid] = (exemplars, labels, cells)
         return table
 

@@ -7,7 +7,6 @@ from .automl import (
     automl_entity,
     derive_seed,
     feature_importance,
-    model_from_dict,
     model_to_dict,
     predict_proba,
     train,
@@ -29,7 +28,6 @@ __all__ = [
     "automl_entity",
     "derive_seed",
     "feature_importance",
-    "model_from_dict",
     "model_to_dict",
     "predict_proba",
     "train",

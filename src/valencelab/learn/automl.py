@@ -240,19 +240,3 @@ def model_to_dict(model: TrainedModel) -> dict:
                          else np.asarray(model.cv_confusion).tolist()),
         "payload": model.estimator.to_payload(),
     }
-
-
-def model_from_dict(d: dict) -> TrainedModel:
-    kind = d["kind"]
-    hyperparams = dict(d["hyperparams"])
-    n_classes = int(d["n_classes"])
-    # the seed only steers fitting; a dummy's comes back with its payload
-    est = _kind(kind).make(hyperparams, 0).load_payload(d["payload"],
-                                                         n_classes)
-    conf = d.get("cv_confusion")
-    return TrainedModel(
-        kind=kind, estimator=est, hyperparams=hyperparams,
-        cv_splits=int(d["cv_splits"]), cv_score=float(d["cv_score"]),
-        duration_s=float(d["duration_s"]),
-        feature_names=list(d["feature_names"]), n_classes=n_classes,
-        cv_confusion=None if conf is None else np.asarray(conf, dtype=np.int64))

@@ -56,9 +56,3 @@ class StratifiedBaseline(PerFoldFit):
 
     def to_payload(self) -> dict:
         return {"seed": self.seed, "class_probs": self.class_probs_.tolist()}
-
-    def load_payload(self, payload: dict, n_classes: int):
-        self.seed = int(payload["seed"])
-        self.class_probs_ = np.array(payload["class_probs"], dtype=np.float64)
-        self.n_classes_ = n_classes
-        return self

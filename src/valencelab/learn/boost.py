@@ -51,22 +51,6 @@ class _Forest:
         self.value = value
         self.n_classes = n_classes
 
-    @classmethod
-    def from_trees(cls, trees: list, n_classes: int) -> "_Forest":
-        flat = [t for rnd in trees for t in rnd]
-        sizes = [len(t["feature"]) for t in flat]
-        local = np.concatenate([np.arange(n) for n in [0] + sizes])
-
-        def column(name, dtype=np.int64):
-            return np.array([v for t in flat for v in t[name]], dtype=dtype)
-
-        feature = column("feature")
-        inner = feature >= 0
-        if np.any(column("right")[inner] != local[inner] + 1):
-            raise ContractViolationError("tree nodes are not in growth order")
-        return cls(feature, column("split_bin"), column("left"),
-                   column("value", np.float64), sizes, n_classes)
-
     def to_trees(self) -> list:
         trees = []
         for a, b in zip(self.start[:-1], self.start[1:]):
@@ -126,7 +110,6 @@ class GradientBoostedTrees:
         self.bin_values_ = []       # per feature, sorted training values
         self.gain_sums_ = None
         self.loss_curve_ = []       # length n_rounds + 1, entry 0 pre-training
-        self.n_classes_ = 0
 
     # -- binning -----------------------------------------------------------
 
@@ -190,14 +173,6 @@ class GradientBoostedTrees:
             "bin_values": [u.tolist() for u in self.bin_values_],
             "gain_sums": self.gain_sums_.tolist(),
         }
-
-    def load_payload(self, payload: dict, n_classes: int):
-        self.forest_ = _Forest.from_trees(payload["trees"], n_classes)
-        self.bin_values_ = [np.array(u, dtype=np.float64)
-                            for u in payload["bin_values"]]
-        self.gain_sums_ = np.array(payload["gain_sums"], dtype=np.float64)
-        self.n_classes_ = n_classes
-        return self
 
     def importance_shares(self) -> np.ndarray:
         total = self.gain_sums_.sum()
@@ -302,7 +277,6 @@ class _Lockstep:
             model.forest_ = _Forest(*links, values, sizes, K)
             model.gain_sums_ = gains[j].copy()
             model.loss_curve_ = curves[j]
-            model.n_classes_ = K
 
     def _losses(self, probs):
         """Each boosting model's mean log loss."""

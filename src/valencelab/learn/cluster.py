@@ -442,18 +442,6 @@ class ClusterModel:
             "n_clusters": int(self.n_clusters),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClusterModel":
-        return cls(
-            min_cluster_size=int(d["min_cluster_size"]),
-            min_samples=int(d["min_samples"]),
-            labels=np.array(d["labels"], dtype=np.int64),
-            exemplars=np.array(d["exemplars"], dtype=np.float64).reshape(
-                len(d["exemplars"]), -1),
-            exemplar_labels=np.array(d["exemplar_labels"], dtype=np.int64),
-            n_clusters=int(d["n_clusters"]),
-        )
-
 
 def fit_cluster_model(points, min_cluster_size: int,
                       min_samples: int) -> ClusterModel:

@@ -51,7 +51,6 @@ class SoftmaxRegression(PerFoldFit):
         self.lr = float(lr)
         self.n_iter = int(n_iter)
         self.W_ = None
-        self.n_classes_ = 0
 
     def fit(self, X, y, n_classes: int):
         X = np.asarray(X, dtype=np.float64)
@@ -80,7 +79,6 @@ class SoftmaxRegression(PerFoldFit):
                 break
             prev = loss
         self.W_ = w.reshape(d + 1, n_classes)
-        self.n_classes_ = n_classes
         return self
 
     def predict_proba(self, X):
@@ -92,9 +90,3 @@ class SoftmaxRegression(PerFoldFit):
 
     def to_payload(self) -> dict:
         return {"l2": self.l2, "weights": self.W_.tolist()}
-
-    def load_payload(self, payload: dict, n_classes: int):
-        self.l2 = float(payload["l2"])
-        self.W_ = np.array(payload["weights"], dtype=np.float64)
-        self.n_classes_ = n_classes
-        return self

@@ -107,13 +107,6 @@ class MLPClassifier:
         return {"n_hidden": self.n_hidden, "W1": W1.tolist(),
                 "b1": b1.tolist(), "W2": W2.tolist(), "b2": b2.tolist()}
 
-    def load_payload(self, payload: dict, n_classes: int):
-        self.n_hidden = int(payload["n_hidden"])
-        self.params_ = tuple(np.array(payload[name], dtype=np.float64)
-                             for name in ("W1", "b1", "W2", "b2"))
-        self.n_classes_ = n_classes
-        return self
-
 
 def _fit_lockstep(models, Xs, ys, n_classes: int):
     """One lockstep pass over models that share every setting but the seed."""
@@ -175,4 +168,3 @@ def _fit_lockstep(models, Xs, ys, n_classes: int):
     for j, model in enumerate(stack):
         model.params_ = (W1[j, :n_in].copy(), W1[j, n_in].copy(),
                          W2[j, :H].copy(), W2[j, H].copy())
-        model.n_classes_ = n_classes

@@ -861,6 +861,14 @@ def _first_answers_with(**fields):
     return edit
 
 
+def _first_cell_probs(probs):
+    def edit(text: str) -> str:
+        doc = json.loads(text)
+        doc["entities"][sorted(doc["entities"])[0]]["answers"][0][1] = probs
+        return json.dumps(doc)
+    return edit
+
+
 @pytest.mark.parametrize("command, artifact, corrupt", [
     ("evaluate", "models.csv", _without_column("cv_mcc")),
     ("learn", "cohort.jsonl", lambda text: "{garbled\n" + text),
@@ -878,11 +886,12 @@ def _first_answers_with(**fields):
     ("predict", "answers.json",
      lambda text: json.dumps(dict(json.loads(text), seed="x"))),
     ("serve", "cohort.jsonl", _first_line_with(entity_id=7)),
+    ("predict", "answers.json", _first_cell_probs([math.nan, 1.0, 2.0])),
 ], ids=["evaluate", "learn", "report", "predict",
         "store-line-not-an-object", "entities-a-list", "record-t-a-string",
         "unknown-gender", "serve-answers-missing", "predict-answers-missing",
         "serve-answers-label-past-clusters", "predict-seed-not-a-number",
-        "serve-entity-id-not-a-string"])
+        "serve-entity-id-not-a-string", "predict-answers-probs-nan"])
 def test_exit_code_3_for_a_malformed_artifact(small_run, tmp_path, capsys,
                                               command, artifact, corrupt):
     """Exit 3, naming the artifact; None deletes it."""

@@ -513,13 +513,23 @@ def test_answer_table_predicts_once_per_cell_and_verifies_every_request(
     {"exemplars": [[0.0, 0.0], [1.0]]},
     {"answers": []},
     {"answers": "x"},
+    {"probs": []},                          # the first cell's
+    {"probs": [math.nan, 1.0, 2.0, 3.0]},
+    {"probs": [0.25, 0.25, 0.25, 0.25]},
 ], ids=["label-past-clusters", "label-count", "exemplar-nan",
-        "exemplar-one-coordinate", "no-answers", "answers-a-string"])
+        "exemplar-one-coordinate", "no-answers", "answers-a-string",
+        "probs-empty", "probs-nan", "probs-four"])
 def test_answer_table_refuses_answers_that_do_not_fit(bad):
     _, table, _ = _trained_service()
     doc = table.to_dict()
-    doc["entities"]["e1"].update(bad)
-    with pytest.raises((ContractViolationError, ValueError)):
+    if "probs" in bad:
+        # served as is, a NaN would make a reply that is not JSON
+        doc["entities"]["e1"]["answers"][0][1] = bad["probs"]
+        refusal = ContractViolationError
+    else:
+        doc["entities"]["e1"].update(bad)
+        refusal = (ContractViolationError, ValueError)
+    with pytest.raises(refusal):
         AnswerTable.from_dict(json.loads(json.dumps(doc)))
     doc["entities"]["e1"] = table.to_dict()["entities"]["e1"]
     doc["entities"]["e1"]["answers"][0][0] = "elated"

@@ -7,7 +7,6 @@ import json
 import numpy as np
 import pytest
 
-from valencelab.errors import ContractViolationError
 from valencelab.learn.boost import GradientBoostedTrees
 from valencelab.learn.cv import stratified_folds
 from valencelab.learn.mlp import (MLPClassifier, _fit_lockstep,
@@ -179,31 +178,30 @@ def test_mlp_lockstep_with_mixed_settings_equals_one_fold_fits():
         assert same_bits(model.predict_proba(X), alone.predict_proba(X))
 
 
-def test_gbt_payload_round_trip_predicts_the_same():
+def test_gbt_predicts_one_row_as_the_batch_does():
     X, y = golden_data()
     model = GradientBoostedTrees(n_rounds=10, max_depth=4, subsample=0.8,
                                  seed=2).fit(X, y, 3)
-    payload = json.loads(json.dumps(model.to_payload()))
-    loaded = GradientBoostedTrees().load_payload(payload, 3)
-    assert loaded.to_payload() == payload
-    for name in ("feature", "split_bin", "left", "start"):
-        assert np.array_equal(getattr(loaded.forest_, name),
-                              getattr(model.forest_, name))
-    assert same_bits(loaded.predict_proba(X), model.predict_proba(X))
-    one = loaded.predict_proba(X[:1])
-    assert same_bits(one, model.predict_proba(X)[:1])
-    assert loaded.predict_proba(X[:0]).shape == (0, 3)
+    assert same_bits(model.predict_proba(X[:1]), model.predict_proba(X)[:1])
+    assert model.predict_proba(X[:0]).shape == (0, 3)
 
 
-def test_gbt_load_rejects_nodes_out_of_growth_order():
+def test_gbt_payload_lists_nodes_in_growth_order():
+    """A split node's right child is the next node, and its left child
+    comes after the right one's subtree; a leaf links nowhere."""
     X, y = golden_data()
-    payload = GradientBoostedTrees(n_rounds=2, max_depth=2).fit(
-        X, y, 3).to_payload()
-    tree = payload["trees"][0][0]
-    assert tree["right"][0] == 1
-    tree["left"][0], tree["right"][0] = tree["right"][0], tree["left"][0]
-    with pytest.raises(ContractViolationError):
-        GradientBoostedTrees().load_payload(payload, 3)
+    payload = GradientBoostedTrees(n_rounds=10, max_depth=4, subsample=0.8,
+                                   seed=2).fit(X, y, 3).to_payload()
+    splits = 0
+    for tree in (tree for rnd in payload["trees"] for tree in rnd):
+        nodes = zip(tree["feature"], tree["left"], tree["right"])
+        for i, (feature, left, right) in enumerate(nodes):
+            if feature < 0:
+                assert left == right == -1
+                continue
+            splits += 1
+            assert right == i + 1 < left < len(tree["feature"])
+    assert splits > 0
 
 
 # Digests of fitted payloads on fixed data, recorded before the lockstep

@@ -1,6 +1,7 @@
 """Estimator contracts: the dummy law, gradient checks, serialization."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from valencelab.errors import ContractViolationError, UnsupportedModelError
 from valencelab.evalstat import confusion, f1_weighted
 from valencelab.learn import (
     feature_importance,
-    model_from_dict,
     model_to_dict,
     predict_proba,
     train,
@@ -225,26 +225,6 @@ PAYLOAD_KEYS = {
 }
 
 
-@pytest.mark.parametrize("kind", ["dummy", "logreg", "gbt", "mlp"])
-def test_serialization_roundtrip_preserves_predictions(kind):
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(80, 5))
-    y = ((X[:, 0] > 0).astype(int) + (X[:, 1] > 0).astype(int))
-    hp = {"rounds": 15} if kind == "gbt" else {"epochs": 15} if kind == "mlp" else {}
-    model = train(kind, X, y, hyperparams=hp, seed=4,
-                  feature_names=[f"c{i}" for i in range(5)])
-    doc = model_to_dict(model)
-    # the models.json format: a change here breaks saved artifacts
-    assert doc["format_version"] == 1
-    assert set(doc["payload"]) == PAYLOAD_KEYS[kind]
-    restored = model_from_dict(doc)
-    Xq = rng.normal(size=(40, 5))
-    assert np.allclose(predict_proba(model, Xq), predict_proba(restored, Xq))
-    assert restored.kind == model.kind
-    assert restored.hyperparams == model.hyperparams
-    assert restored.feature_names == model.feature_names
-
-
 def test_unknown_kind_or_hyperparameter_is_rejected():
     rng = np.random.default_rng(15)
     X = rng.normal(size=(20, 2))
@@ -253,22 +233,24 @@ def test_unknown_kind_or_hyperparameter_is_rejected():
         train("forest", X, y)
     with pytest.raises(ContractViolationError):
         train("gbt", X, y, hyperparams={"trees": 5})
-    doc = model_to_dict(train("logreg", X, y))
-    doc["kind"] = "forest"
-    with pytest.raises(UnsupportedModelError):
-        model_from_dict(doc)
 
 
-def test_serialization_is_json_compatible():
-    import json
-
-    rng = np.random.default_rng(10)
-    X = rng.normal(size=(50, 3))
-    y = rng.integers(0, 3, size=50)
-    model = train("gbt", X, y, hyperparams={"rounds": 8}, seed=0)
-    text = json.dumps(model_to_dict(model))
-    restored = model_from_dict(json.loads(text))
-    assert np.allclose(predict_proba(model, X), predict_proba(restored, X))
+@pytest.mark.parametrize("kind", ["dummy", "logreg", "gbt", "mlp"])
+def test_serialization_is_json_compatible(kind):
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(80, 5))
+    y = ((X[:, 0] > 0).astype(int) + (X[:, 1] > 0).astype(int))
+    hp = {"rounds": 15} if kind == "gbt" else {"epochs": 15} if kind == "mlp" else {}
+    model = train(kind, X, y, hyperparams=hp, seed=4,
+                  feature_names=[f"c{i}" for i in range(5)])
+    # scored as the tuner leaves a model: train's NaN score equals nothing
+    model.cv_score, model.cv_splits = 0.625, 3
+    model.cv_confusion = np.arange(9, dtype=np.int64).reshape(3, 3)
+    doc = model_to_dict(model)
+    # the models.json format: a change here changes the written artifact
+    assert doc["format_version"] == 1
+    assert set(doc["payload"]) == PAYLOAD_KEYS[kind]
+    assert json.loads(json.dumps(doc)) == doc
 
 
 # -- feature importance ---------------------------------------------------------
