@@ -236,7 +236,7 @@ def test_unknown_kind_or_hyperparameter_is_rejected():
 
 
 @pytest.mark.parametrize("kind", ["dummy", "logreg", "gbt", "mlp"])
-def test_serialization_is_json_compatible(kind):
+def test_serialization_writes_the_models_json_format(kind):
     rng = np.random.default_rng(9)
     X = rng.normal(size=(80, 5))
     y = ((X[:, 0] > 0).astype(int) + (X[:, 1] > 0).astype(int))
@@ -251,6 +251,17 @@ def test_serialization_is_json_compatible(kind):
     assert doc["format_version"] == 1
     assert set(doc["payload"]) == PAYLOAD_KEYS[kind]
     assert json.loads(json.dumps(doc)) == doc
+
+
+def test_serialization_is_json_compatible():
+    rng = np.random.default_rng(10)
+    X = rng.normal(size=(50, 3))
+    y = rng.integers(0, 3, size=50)
+    model = train("gbt", X, y, hyperparams={"rounds": 8}, seed=0)
+    model.cv_score, model.cv_splits = 0.5, 3
+    model.cv_confusion = np.eye(3, dtype=np.int64)
+    text = json.dumps(model_to_dict(model), allow_nan=False)
+    assert json.loads(text) == model_to_dict(model)
 
 
 # -- feature importance ---------------------------------------------------------
