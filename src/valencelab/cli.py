@@ -44,9 +44,9 @@ from .errors import (AuthError, ConfigurationError, ContractViolationError,
                      EmptyDatasetError, NoStructureError, NotFoundError,
                      PipelineError)
 from .evalstat import ConfusionMatrix, mcc_multiclass, u_test_verdict
-from .expanse import (AckLedger, AnswerTable, EligibilityRules, MemoryStore,
-                      SyncServer, build_dataset, eligibility_funnel,
-                      funnel_counts, predict_request_payload)
+from .expanse import (AckLedger, AnswerTable, MemoryStore, SyncServer,
+                      build_dataset, eligibility_funnel, funnel_counts,
+                      predict_request_payload)
 from .lazy import lazy_import
 from .learn import (MODEL_KINDS, AutomlConfig, automl_entity,
                     autodiscover_cluster_params, derive_seed,
@@ -67,7 +67,6 @@ log = logging.getLogger("valencelab.cli")
 
 # each reported metric: its model-row column and its title in stats.md
 REPORT_METRICS = {"f1": ("cv_f1", "weighted F1"), "mcc": ("cv_mcc", "MCC")}
-METRICS = (*REPORT_METRICS, "both")
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +79,9 @@ MIN_SAMPLES = 5         # the clustering density parameter of every entity
 @dataclass
 class ExperimentConfig:
     """Everything one run needs; file values lose to explicit CLI flags.
-    The drive window, the sync schedule and batch size, the CV split cap
-    and MIN_SAMPLES are constants, which no file or flag sets."""
+    The drive window, the sync schedule and batch size, the funnel gates,
+    the CV split cap, MIN_SAMPLES and the reported metrics (REPORT_METRICS)
+    are constants, which no file or flag sets."""
 
     step_s: ClassVar[float] = 900.0     # drive window and revive cadence
     seed: int = 7
@@ -89,13 +89,7 @@ class ExperimentConfig:
     cohort: str = ""            # path to a cohort config; "" = packaged default
     fault_plan: str = ""        # path to a fault plan; "" = no faults
     models: tuple = MODEL_KINDS
-    metric: str = "both"
     budget: int = 8             # tuning evaluations per (entity, kind)
-    min_reports: int = 20
-    min_classes: int = 2
-    min_per_class: int = 2
-    max_imbalance_degree: float = 25.0
-    require_demographics: bool = True
 
     def __post_init__(self):
         if isinstance(self.models, str):
@@ -109,29 +103,14 @@ class ExperimentConfig:
         if len(set(self.models)) != len(self.models):
             # a repeated kind would be tuned and counted twice per entity
             raise ConfigurationError(f"repeated model kinds: {self.models}")
-        if self.metric not in METRICS:
-            raise ConfigurationError(
-                f"metric must be one of {METRICS}, got {self.metric!r}")
         # the tuner spends DESIGN_SIZE evaluations on its space-filling
         # design before modeling anything, so smaller budgets cannot run
         if self.budget < DESIGN_SIZE:
             raise ConfigurationError(f"budget must be >= {DESIGN_SIZE}")
-        try:
-            self.rules()
-        except ContractViolationError as exc:
-            raise ConfigurationError(str(exc)) from exc
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
         return cls(**typed_fields(cls, mapping, "experiment"))
-
-    def rules(self) -> EligibilityRules:
-        return EligibilityRules(
-            require_demographics=self.require_demographics,
-            min_reports=self.min_reports,
-            min_classes=self.min_classes,
-            min_per_class=self.min_per_class,
-            max_imbalance_degree=self.max_imbalance_degree)
 
 
 def _input_file(path, what: str) -> Path:
@@ -345,7 +324,7 @@ def _drive_group(plan: FaultPlan, keys, events, private_keys,
 
 
 def funnel_stage(mstore: MemoryStore, config: ExperimentConfig):
-    return eligibility_funnel(mstore, config.rules())
+    return eligibility_funnel(mstore)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +393,7 @@ def learn_stage(mstore: MemoryStore, funnel_rows, config: ExperimentConfig):
     on the worker count.
 
     Returns (model_rows, registry, registry_doc): the registry is the
-    answer table of every entity's best model, the doc its models. Rows
-    carry both metrics regardless of the report metric setting.
+    answer table of every entity's best model, the doc its models.
     """
     eligible = [r["entity_id"] for r in funnel_rows if r["eligible"]]
     registry = AnswerTable()
@@ -504,18 +482,15 @@ def _stats_table(by_kind: dict, metric_name: str) -> str:
 
 
 def evaluate_stage(model_rows, config: ExperimentConfig):
-    """Returns (stats markdown, f1 quartile rows, mcc quartile rows); the
-    rows of a metric that the config does not report are None."""
+    """Returns (stats markdown, f1 quartile rows, mcc quartile rows)."""
     if not model_rows:
         raise PipelineError("no tuned models to evaluate")
-    blocks = ["# Model comparison", ""]
-    boxes = dict.fromkeys(REPORT_METRICS)
-    for metric, (column, title) in REPORT_METRICS.items():
-        if config.metric in (metric, "both"):
-            by_kind = _metric_by_kind(model_rows, column)
-            blocks += [_stats_table(by_kind, title), ""]
-            boxes[metric] = _quartile_rows(by_kind)
-    return ("\n".join(blocks), *boxes.values())
+    blocks, boxes = ["# Model comparison", ""], []
+    for column, title in REPORT_METRICS.values():
+        by_kind = _metric_by_kind(model_rows, column)
+        blocks += [_stats_table(by_kind, title), ""]
+        boxes.append(_quartile_rows(by_kind))
+    return ("\n".join(blocks), *boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -670,11 +645,10 @@ def _write_learn(out: Path, funnel_rows, model_rows, registry,
 
 
 def _write_stats(out: Path, stats_text: str, boxes) -> None:
-    """stats.md, and a box plot for each metric with quartile rows."""
+    """stats.md, and a box plot of each reported metric."""
     (out / "stats.md").write_text(stats_text)
     for metric, rows in zip(REPORT_METRICS, boxes):
-        if rows is not None:
-            _write_csv(out / f"boxplot_{metric}.csv", BOX_FIELDS, rows)
+        _write_csv(out / f"boxplot_{metric}.csv", BOX_FIELDS, rows)
 
 
 def _write_report(out: Path, summary_text: str, digest: str) -> None:
@@ -905,6 +879,9 @@ def cmd_serve(config: ExperimentConfig, args) -> int:
 
 
 def cmd_predict(config: ExperimentConfig, args) -> int:
+    for flag in ("x", "y", "t"):    # JSON has no token for nan or inf
+        if not math.isfinite(value := getattr(args, flag)):
+            raise ConfigurationError(f"--{flag} must be finite, not {value}")
     if args.host is not None:
         if args.port is None:
             raise ConfigurationError("--port is required with --host")
@@ -945,7 +922,6 @@ def _add_command(sub, name: str, run) -> argparse.ArgumentParser:
     parser.add_argument("--models", default=None,
                         help="comma-separated kinds "
                              f"(subset of {','.join(MODEL_KINDS)})")
-    parser.add_argument("--metric", choices=METRICS, default=None)
     parser.add_argument("--budget", type=int, default=None,
                         help="tuning evaluations per model kind")
     return parser

@@ -204,47 +204,36 @@ def imbalance_degree(class_counts) -> float:
     return 2.0 * sum(c * math.log(k * c / n) for c in counts if c > 0)
 
 
-@dataclass(frozen=True)
-class EligibilityRules:
-    require_demographics: bool = True
-    min_reports: int = 20
-    min_classes: int = 2
-    min_per_class: int = 2
-    max_imbalance_degree: float = 25.0
-
-    def __post_init__(self):
-        if (self.min_reports < 0 or self.min_classes < 0
-                or self.min_per_class < 0 or self.max_imbalance_degree < 0):
-            raise ContractViolationError("rule thresholds must be >= 0")
-        if self.min_classes > len(LABELS):
-            raise ContractViolationError(
-                f"min_classes must be <= {len(LABELS)}, the number of labels")
+# the funnel's gates, after the demographics gate, in the order they apply
+MIN_REPORTS = 20
+MIN_PER_CLASS = 2           # reports a class needs to count as present
+MIN_CLASSES = 2
+MAX_IMBALANCE_DEGREE = 25.0
 
 
-def check_eligibility(summary: EntitySummary,
-                      rules: EligibilityRules) -> tuple[bool, str]:
+def check_eligibility(summary: EntitySummary) -> tuple[bool, str]:
     """Apply the funnel in order; the first failed stage is the reason."""
-    if rules.require_demographics and not summary.has_demographics:
+    if not summary.has_demographics:
         return False, "demographics"
-    if summary.n_reports < rules.min_reports:
+    if summary.n_reports < MIN_REPORTS:
         return False, "min_reports"
-    usable = sum(1 for c in summary.class_counts if c >= rules.min_per_class)
-    if usable < rules.min_classes:
+    usable = sum(1 for c in summary.class_counts if c >= MIN_PER_CLASS)
+    if usable < MIN_CLASSES:
         return False, "min_classes"
-    if imbalance_degree(summary.class_counts) > rules.max_imbalance_degree:
+    if imbalance_degree(summary.class_counts) > MAX_IMBALANCE_DEGREE:
         return False, "imbalance"
     return True, "eligible"
 
 
-def eligibility_funnel(store: MemoryStore, rules: EligibilityRules):
-    """Run every registered entity through the rules.
+def eligibility_funnel(store: MemoryStore):
+    """Run every registered entity through the funnel.
 
     Returns (rows, counts): one dict per entity plus `funnel_counts(rows)`.
     """
     rows = []
     for eid in store.entity_ids():
         summary = aggregate_entity(store, eid)
-        eligible, reason = check_eligibility(summary, rules)
+        eligible, reason = check_eligibility(summary)
         degree = (imbalance_degree(summary.class_counts)
                   if summary.n_reports else float("nan"))
         rows.append({
@@ -418,8 +407,12 @@ class AnswerTable:
                     or len(labels) != len(exemplars)
                     or not all(0 <= c < n_clusters for c in labels)
                     or not all(math.isfinite(v) for e in exemplars for v in e)
-                    or not all(label in LABELS and len(probs) == len(LABELS)
+                    or not all(len(probs) == len(LABELS)
                                and all(map(math.isfinite, probs))
+                               and min(probs) >= 0
+                               and abs(math.fsum(probs) - 1) <= 1e-9
+                               # labelled at the first maximum, as in fill
+                               and label == LABELS[probs.index(max(probs))]
                                for label, probs in cells)):
                 raise ContractViolationError(
                     f"the answers of {eid!r} do not fit its clusters or "

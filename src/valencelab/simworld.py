@@ -370,15 +370,9 @@ def _finite(raw: str) -> float:
     return value
 
 
-def _parse_bool(raw: str) -> bool:
-    if raw.lower() not in ("true", "false"):
-        raise ValueError(raw)
-    return raw.lower() == "true"
-
-
 # each config field's text parser, by the field's annotation
 _FIELD_PARSERS = {
-    "int": int, "float": _finite, "bool": _parse_bool, "str": str,
+    "int": int, "float": _finite, "str": str,
     "tuple": lambda raw: tuple(v.strip() for v in raw.split(",")
                                if v.strip()),
 }

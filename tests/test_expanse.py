@@ -14,9 +14,9 @@ from valencelab import expanse
 from valencelab.agent import Record
 from valencelab.errors import (AuthError, ContractViolationError,
                                EmptyDatasetError, NotFoundError)
-from valencelab.expanse import (AckLedger, AnswerTable, EligibilityRules,
-                                EntitySummary, MemoryStore, SyncServer,
-                                aggregate_entity, build_dataset,
+from valencelab.expanse import (AckLedger, AnswerTable, EntitySummary,
+                                MemoryStore, SyncServer, aggregate_entity,
+                                build_dataset,
                                 check_eligibility, context_features,
                                 eligibility_funnel, feature_names_for,
                                 handle_prediction, imbalance_degree, ingest,
@@ -225,30 +225,21 @@ def test_imbalance_degree_properties(counts):
 # -- eligibility -----------------------------------------------------------------
 
 
-def test_rules_reject_negative_thresholds():
-    with pytest.raises(ContractViolationError):
-        EligibilityRules(min_reports=-1)
-
-
 def test_check_eligibility_reason_order():
-    rules = EligibilityRules()
-    assert check_eligibility(_summary(has_demographics=False), rules) \
+    assert check_eligibility(_summary(has_demographics=False)) \
         == (False, "demographics")
-    assert check_eligibility(
-        _summary(class_counts=(2, 2, 1), n_reports=5), rules) \
+    assert check_eligibility(_summary(class_counts=(2, 2, 1), n_reports=5)) \
         == (False, "min_reports")
-    assert check_eligibility(
-        _summary(class_counts=(30, 0, 0), n_reports=30), rules) \
+    assert check_eligibility(_summary(class_counts=(30, 0, 0), n_reports=30)) \
         == (False, "min_classes")
     assert check_eligibility(
-        _summary(class_counts=(100, 2, 0), n_reports=102), rules) \
+        _summary(class_counts=(100, 2, 0), n_reports=102)) \
         == (False, "imbalance")
-    assert check_eligibility(_summary(), rules) == (True, "eligible")
+    assert check_eligibility(_summary()) == (True, "eligible")
     # a single well-populated class pair passes the class gate
-    loose = EligibilityRules(require_demographics=False)
     assert check_eligibility(
         _summary(class_counts=(12, 10, 0), n_reports=22,
-                 has_demographics=False), loose) == (True, "eligible")
+                 has_demographics=True)) == (True, "eligible")
 
 
 def test_eligibility_funnel_counts_and_rows():
@@ -262,7 +253,7 @@ def test_eligibility_funnel_counts_and_rows():
     store.register_entity("c", gender="male", birthdate="1985-05-05")
     for i in range(5):
         store.add("c", _report(f"c{i}", t=60.0 * i, label="positive"))
-    rows, counts = eligibility_funnel(store, EligibilityRules())
+    rows, counts = eligibility_funnel(store)
     assert counts == {"total": 3, "with_demographics": 2, "eligible": 1}
     by_id = {r["entity_id"]: r for r in rows}
     assert by_id["a"]["eligible"] and by_id["a"]["reason"] == "eligible"
@@ -516,15 +507,22 @@ def test_answer_table_predicts_once_per_cell_and_verifies_every_request(
     {"probs": []},                          # the first cell's
     {"probs": [math.nan, 1.0, 2.0, 3.0]},
     {"probs": [0.25, 0.25, 0.25, 0.25]},
+    {"cell": ["positive", [-1.0, 0.0, 2.0]]},     # sums to 1
+    {"cell": ["positive", [0.2, 0.2, 0.5]]},
+    {"cell": ["neutral", [0.2, 0.3, 0.5]]},
+    {"cell": ["positive", [0.4, 0.2, 0.4]]},      # np.argmax takes the first
 ], ids=["label-past-clusters", "label-count", "exemplar-nan",
         "exemplar-one-coordinate", "no-answers", "answers-a-string",
-        "probs-empty", "probs-nan", "probs-four"])
+        "probs-empty", "probs-nan", "probs-four", "probs-negative",
+        "probs-sum", "label-not-argmax", "label-at-a-later-tie"])
 def test_answer_table_refuses_answers_that_do_not_fit(bad):
     _, table, _ = _trained_service()
     doc = table.to_dict()
-    if "probs" in bad:
-        # served as is, a NaN would make a reply that is not JSON
-        doc["entities"]["e1"]["answers"][0][1] = bad["probs"]
+    first = doc["entities"]["e1"]["answers"][0]
+    if "probs" in bad or "cell" in bad:
+        # served as is, a NaN would make a reply that is not JSON, and a
+        # negative or mislabelled cell an answer fill never gives
+        first[:] = bad.get("cell") or [first[0], bad["probs"]]
         refusal = ContractViolationError
     else:
         doc["entities"]["e1"].update(bad)

@@ -17,8 +17,8 @@ from valencelab import cli, syncsec
 from valencelab.agent import (LocalStore, Record, SensingAgent, dedupe_store,
                               ingest_report)
 from valencelab.errors import AuthError, ContractViolationError, PipelineError
-from valencelab.expanse import (AckLedger, AnswerTable, EligibilityRules,
-                                MemoryStore, SyncServer, aggregate_entity,
+from valencelab.expanse import (AckLedger, AnswerTable, MemoryStore,
+                                SyncServer, aggregate_entity,
                                 context_features, eligibility_funnel,
                                 predict_request_payload)
 from valencelab.learn import ClusterModel, train
@@ -718,7 +718,7 @@ def test_hostile_requests_get_a_reply_auth_or_bad_request(message):
     assert reply["ok"] is True
     # whatever an ok sync stored, the pipeline can read
     aggregate_entity(server.store, "e001")
-    eligibility_funnel(server.store, EligibilityRules())
+    eligibility_funnel(server.store)
 
 
 def test_socket_server_answers_truncated_envelope_with_bad_request():
