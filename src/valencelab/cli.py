@@ -946,9 +946,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="entity whose model answers")
     predict.add_argument("--as-entity", default=None,
                          help="signing identity (defaults to --entity)")
-    predict.add_argument("--x", type=float, required=True)
-    predict.add_argument("--y", type=float, required=True)
-    predict.add_argument("--t", type=float, required=True)
+    for flag in ("--x", "--y", "--t"):
+        predict.add_argument(flag, type=float, required=True,
+                             help=f"a number; give a negative as {flag}=-1e3")
     predict.add_argument("--host", default=None,
                          help="remote server; omit to answer in-process")
     predict.add_argument("--port", type=int, default=None)

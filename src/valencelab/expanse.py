@@ -168,27 +168,6 @@ def ingest(store: AckLedger, batch: SyncBatch) -> int:
     return sum(1 for rec in batch.records if store.add(batch.entity_id, rec))
 
 
-@dataclass(frozen=True)
-class EntitySummary:
-    entity_id: str
-    class_counts: tuple
-    n_reports: int
-    has_demographics: bool
-    gender: str
-
-
-def aggregate_entity(store: MemoryStore, entity_id: str) -> EntitySummary:
-    counts = [0, 0, 0]
-    for rec in store.events(entity_id):
-        if rec.kind == "report":
-            counts[LABEL_INDEX[rec.payload]] += 1
-    demo = store.demographics(entity_id)
-    has_demo = demo["gender"] != "undisclosed" and demo["birthdate"] is not None
-    return EntitySummary(entity_id=entity_id, class_counts=tuple(counts),
-                         n_reports=sum(counts), has_demographics=has_demo,
-                         gender=demo["gender"])
-
-
 def imbalance_degree(class_counts) -> float:
     """Likelihood-ratio distance from perfectly balanced counts.
 
@@ -211,42 +190,34 @@ MIN_CLASSES = 2
 MAX_IMBALANCE_DEGREE = 25.0
 
 
-def check_eligibility(summary: EntitySummary) -> tuple[bool, str]:
-    """Apply the funnel in order; the first failed stage is the reason."""
-    if not summary.has_demographics:
-        return False, "demographics"
-    if summary.n_reports < MIN_REPORTS:
-        return False, "min_reports"
-    usable = sum(1 for c in summary.class_counts if c >= MIN_PER_CLASS)
-    if usable < MIN_CLASSES:
-        return False, "min_classes"
-    if imbalance_degree(summary.class_counts) > MAX_IMBALANCE_DEGREE:
-        return False, "imbalance"
-    return True, "eligible"
+def funnel_row(store: MemoryStore, entity_id: str) -> dict:
+    """One entity's funnel.csv row: its reports per class, counted in one
+    pass, and the first gate it fails as the reason, else "eligible"."""
+    counts = [0, 0, 0]
+    for rec in store.events(entity_id):
+        if rec.kind == "report":
+            counts[LABEL_INDEX[rec.payload]] += 1
+    n_reports = sum(counts)
+    degree = imbalance_degree(counts) if n_reports else float("nan")
+    demo = store.demographics(entity_id)
+    no_demo = demo["gender"] == "undisclosed" or demo["birthdate"] is None
+    n_classes = sum(c >= MIN_PER_CLASS for c in counts)
+    reason = ("demographics" if no_demo
+              else "min_reports" if n_reports < MIN_REPORTS
+              else "min_classes" if n_classes < MIN_CLASSES
+              else "imbalance" if degree > MAX_IMBALANCE_DEGREE
+              else "eligible")
+    return {"entity_id": entity_id, "gender": demo["gender"],
+            "n_reports": n_reports, "n_negative": counts[0],
+            "n_neutral": counts[1], "n_positive": counts[2],
+            "imbalance_degree": degree, "eligible": reason == "eligible",
+            "reason": reason}
 
 
 def eligibility_funnel(store: MemoryStore):
-    """Run every registered entity through the funnel.
-
-    Returns (rows, counts): one dict per entity plus `funnel_counts(rows)`.
-    """
-    rows = []
-    for eid in store.entity_ids():
-        summary = aggregate_entity(store, eid)
-        eligible, reason = check_eligibility(summary)
-        degree = (imbalance_degree(summary.class_counts)
-                  if summary.n_reports else float("nan"))
-        rows.append({
-            "entity_id": eid,
-            "gender": summary.gender,
-            "n_reports": summary.n_reports,
-            "n_negative": summary.class_counts[0],
-            "n_neutral": summary.class_counts[1],
-            "n_positive": summary.class_counts[2],
-            "imbalance_degree": degree,
-            "eligible": eligible,
-            "reason": reason,
-        })
+    """(rows, counts): a `funnel_row` per registered entity, and
+    `funnel_counts(rows)`."""
+    rows = [funnel_row(store, eid) for eid in store.entity_ids()]
     return rows, funnel_counts(rows)
 
 

@@ -156,10 +156,6 @@ class EntityProfile:
         if np.any(pol < 0):
             raise ContractViolationError("policy probabilities must be >= 0")
 
-    @property
-    def has_demographics(self) -> bool:
-        return self.birthdate is not None and self.gender != "undisclosed"
-
     def to_dict(self) -> dict:
         return {
             "entity_id": self.entity_id,

@@ -349,17 +349,18 @@ def _send_framed(sock: socket.socket, data: bytes) -> None:
     sock.sendall(_FRAME.pack(len(data)) + data)
 
 
-def _recv_exact(sock: socket.socket, n: int,
-                deadline: float | None = None) -> bytes | None:
-    """n bytes, or None when the peer closes first. With a deadline (a
-    time.monotonic() value), a read still waiting then raises
-    TimeoutError."""
+class _FrameTooLarge(Exception):
+    """A frame announced more than MAX_FRAME_BYTES."""
+
+
+def _recv_exact(sock: socket.socket, n: int, deadline: float) -> bytes | None:
+    """n bytes, or None when the peer closes first. A read still waiting at
+    the deadline (a time.monotonic() value) raises TimeoutError."""
     buf = bytearray(n)
     view = memoryview(buf)
     got = 0
     while got < n:
-        if deadline is not None:
-            sock.settimeout(max(deadline - time.monotonic(), 1e-3))
+        sock.settimeout(max(deadline - time.monotonic(), 1e-3))
         k = sock.recv_into(view[got:])
         if k == 0:
             return None
@@ -367,21 +368,23 @@ def _recv_exact(sock: socket.socket, n: int,
     return bytes(buf)
 
 
-def _recv_framed(sock: socket.socket) -> bytes | None:
-    """One length-prefixed message, or None when the peer closes first or
-    announces more than MAX_FRAME_BYTES."""
-    head = _recv_exact(sock, _FRAME.size)
+def _recv_framed(sock: socket.socket, deadline: float) -> bytes | None:
+    """One length-prefixed message by the deadline, or None when the peer
+    closes first. A frame announcing more than MAX_FRAME_BYTES raises
+    _FrameTooLarge before any of its body is read."""
+    head = _recv_exact(sock, _FRAME.size, deadline)
     if head is None:
         return None
     (n,) = _FRAME.unpack(head)
     if n > MAX_FRAME_BYTES:
         log.warning("refused a %d-byte frame", n)
-        return None
-    return _recv_exact(sock, n)
+        raise _FrameTooLarge(n)
+    return _recv_exact(sock, n, deadline)
 
 
 class SocketTransport:
-    """One TCP round-trip per send; same bytes as the loopback."""
+    """One TCP round-trip per send; same bytes as the loopback. A reply
+    not whole timeout_s after the request was sent raises TimeoutError."""
 
     def __init__(self, host: str, port: int, timeout_s: float = 5.0):
         self.host = host
@@ -392,7 +395,10 @@ class SocketTransport:
         with socket.create_connection((self.host, self.port),
                                       timeout=self.timeout_s) as sock:
             _send_framed(sock, message)
-            return _recv_framed(sock)
+            try:
+                return _recv_framed(sock, time.monotonic() + self.timeout_s)
+            except _FrameTooLarge:
+                return None
 
 
 class _FrameHandler(socketserver.BaseRequestHandler):
@@ -400,20 +406,13 @@ class _FrameHandler(socketserver.BaseRequestHandler):
 
     def handle(self) -> None:
         conn = self.request
-        deadline = time.monotonic() + READ_DEADLINE_S
         try:
-            head = _recv_exact(conn, _FRAME.size, deadline)
-            if head is None:            # the client hung up
+            msg = _recv_framed(conn, time.monotonic() + READ_DEADLINE_S)
+            if msg is None:             # the client hung up
                 return
-            (n,) = _FRAME.unpack(head)
-            if n > MAX_FRAME_BYTES:     # answered, and its body left unread
-                log.warning("refused a %d-byte frame", n)
-                reply = _bad_request("too_large")
-            else:
-                msg = _recv_exact(conn, n, deadline)
-                if msg is None:
-                    return
-                reply = server_reply(self.server.handler, msg)
+            reply = server_reply(self.server.handler, msg)
+        except _FrameTooLarge:          # answered, and its body left unread
+            reply = _bad_request("too_large")
         except OSError as exc:      # the deadline passed, or a reset
             log.info("dropped a client: %r", exc)
             return

@@ -554,6 +554,20 @@ def test_predict_in_process(small_run, capsys):
     assert len(doc["probs"]) == 3
 
 
+def test_predict_takes_a_negative_exponent_after_an_equals_sign(small_run,
+                                                                capsys):
+    """argparse reads `--x -1e3` as a flag, not a value; `--x=-1e3` is the
+    form that the README and the flags' help give."""
+    result, _ = small_run
+    eid = _some_modeled_entity(result)
+    rc = main(["predict", "--out", str(result.out_dir), "--entity", eid,
+               "--x=-1e3", "--y=-2.5e2", "--t=86400"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert (doc["class"], doc["probs"]) \
+        == result.registry.answer(eid, -1e3, -2.5e2, 86400.0)
+
+
 def test_predict_remote_over_socket(small_run, capsys):
     from valencelab.cli import _server_from_artifacts
     result, _ = small_run

@@ -14,12 +14,11 @@ from valencelab import expanse
 from valencelab.agent import Record
 from valencelab.errors import (AuthError, ContractViolationError,
                                EmptyDatasetError, NotFoundError)
-from valencelab.expanse import (AckLedger, AnswerTable, EntitySummary,
-                                MemoryStore, SyncServer, aggregate_entity,
-                                build_dataset,
-                                check_eligibility, context_features,
+from valencelab.expanse import (AckLedger, AnswerTable, MemoryStore,
+                                SyncServer, build_dataset, context_features,
                                 eligibility_funnel, feature_names_for,
-                                handle_prediction, imbalance_degree, ingest,
+                                funnel_row, handle_prediction,
+                                imbalance_degree, ingest,
                                 predict_request_payload)
 from valencelab.learn import ClusterModel, predict_proba, train
 from valencelab.learn.cluster import nearest_exemplar
@@ -37,11 +36,15 @@ def _sensor(uuid, t=0.0):
     return Record(uuid=uuid, kind="sensor", t=t, x=0.0, y=0.0, payload="still")
 
 
-def _summary(**kw):
-    base = dict(entity_id="e", class_counts=(10, 10, 10), n_reports=30,
-                has_demographics=True, gender="female")
-    base.update(kw)
-    return EntitySummary(**base)
+def _funnel(class_counts=(10, 10, 10), gender="female",
+            birthdate="1990-01-01") -> dict:
+    """The funnel row of one entity holding these reports per class."""
+    store = MemoryStore()
+    store.register_entity("e", gender=gender, birthdate=birthdate)
+    for label, n in zip(LABELS, class_counts):
+        for i in range(n):
+            store.add("e", _report(f"{label}{i}", t=60.0 * i, label=label))
+    return funnel_row(store, "e")
 
 
 def _two_cluster_model() -> ClusterModel:
@@ -177,21 +180,29 @@ def test_an_empty_bucket_splits_into_no_key(parity):
     assert "" in uuid_set
 
 
-def test_aggregate_entity_counts_and_demographics():
+def test_funnel_row_counts_and_demographics():
     store = MemoryStore()
     store.register_entity("e1", gender="female", birthdate="1990-04-02")
     store.add("e1", _sensor("s0", t=0.0))
     store.add("e1", _report("r0", t=3600.0, label="negative"))
     store.add("e1", _report("r1", t=7200.0, label="positive"))
     store.add("e1", _report("r2", t=86400.0, label="positive"))
-    summary = aggregate_entity(store, "e1")
-    assert summary.class_counts == (1, 0, 2)
-    assert summary.n_reports == 3
-    assert summary.has_demographics is True
-    # either missing field disqualifies the demographics flag
+    row = funnel_row(store, "e1")
+    assert (row["n_negative"], row["n_neutral"], row["n_positive"]) \
+        == (1, 0, 2)
+    assert row["n_reports"] == 3
+    assert row["gender"] == "female"
+    assert row["reason"] == "min_reports"      # past the demographics gate
+    # either missing field fails the demographics gate
     store.register_entity("e2", gender="male")
     store.add("e2", _report("x"))
-    assert aggregate_entity(store, "e2").has_demographics is False
+    assert funnel_row(store, "e2")["reason"] == "demographics"
+    store.register_entity("e3", birthdate="1990-04-02")
+    store.add("e3", _report("y"))
+    assert funnel_row(store, "e3")["reason"] == "demographics"
+    # no reports: no imbalance degree
+    store.register_entity("e4", gender="male", birthdate="1990-04-02")
+    assert math.isnan(funnel_row(store, "e4")["imbalance_degree"])
 
 
 # -- imbalance -------------------------------------------------------------------
@@ -225,21 +236,19 @@ def test_imbalance_degree_properties(counts):
 # -- eligibility -----------------------------------------------------------------
 
 
-def test_check_eligibility_reason_order():
-    assert check_eligibility(_summary(has_demographics=False)) \
-        == (False, "demographics")
-    assert check_eligibility(_summary(class_counts=(2, 2, 1), n_reports=5)) \
-        == (False, "min_reports")
-    assert check_eligibility(_summary(class_counts=(30, 0, 0), n_reports=30)) \
-        == (False, "min_classes")
-    assert check_eligibility(
-        _summary(class_counts=(100, 2, 0), n_reports=102)) \
-        == (False, "imbalance")
-    assert check_eligibility(_summary()) == (True, "eligible")
+def test_funnel_row_reason_order():
+    def verdict(**kw):
+        row = _funnel(**kw)
+        return row["eligible"], row["reason"]
+
+    assert verdict(gender="undisclosed") == (False, "demographics")
+    assert verdict(birthdate=None) == (False, "demographics")
+    assert verdict(class_counts=(2, 2, 1)) == (False, "min_reports")
+    assert verdict(class_counts=(30, 0, 0)) == (False, "min_classes")
+    assert verdict(class_counts=(100, 2, 0)) == (False, "imbalance")
+    assert verdict() == (True, "eligible")
     # a single well-populated class pair passes the class gate
-    assert check_eligibility(
-        _summary(class_counts=(12, 10, 0), n_reports=22,
-                 has_demographics=True)) == (True, "eligible")
+    assert verdict(class_counts=(12, 10, 0)) == (True, "eligible")
 
 
 def test_eligibility_funnel_counts_and_rows():

@@ -100,9 +100,6 @@ def test_profile_dict_round_trip():
     assert q.entity_id == p.entity_id and q.birthdate == p.birthdate
     np.testing.assert_array_equal(q.valence_policy, p.valence_policy)
     assert q.places == p.places
-    assert _profile(birthdate=None, gender="undisclosed").has_demographics \
-        is False
-    assert p.has_demographics is True
 
 
 # -- fault plans ---------------------------------------------------------------

@@ -18,8 +18,8 @@ from valencelab.agent import (LocalStore, Record, SensingAgent, dedupe_store,
                               ingest_report)
 from valencelab.errors import AuthError, ContractViolationError, PipelineError
 from valencelab.expanse import (AckLedger, AnswerTable, MemoryStore,
-                                SyncServer, aggregate_entity,
-                                context_features, eligibility_funnel,
+                                SyncServer, context_features,
+                                eligibility_funnel, funnel_row,
                                 predict_request_payload)
 from valencelab.learn import ClusterModel, train
 from valencelab.simworld import EVENT_KINDS, LABELS, Fault, FaultPlan
@@ -456,7 +456,7 @@ def test_socket_server_refuses_oversized_frame_and_keeps_serving():
             sock.sendall(struct.pack(">I", 2 ** 32 - 1))
             # the server says why and hangs up, without waiting for a 4 GiB
             # body
-            reply = syncsec._recv_framed(sock)
+            reply = syncsec._recv_framed(sock, time.monotonic() + 2.0)
             assert json.loads(reply) == {"ok": False, "error": "bad_request",
                                          "reason": "too_large"}
             assert sock.recv(1) == b""
@@ -464,6 +464,38 @@ def test_socket_server_refuses_oversized_frame_and_keeps_serving():
                                                       timeout_s=2.0))
         assert client.attempt(now=1.0) == "ok"
     assert time.monotonic() - started < 5.0
+
+
+def test_socket_client_gives_up_on_a_dripping_reply_after_timeout_s():
+    """A server that sends its reply one byte every 0.25 s never lets a
+    single read wait 0.5 s, yet the client gives up 0.5 s after sending,
+    not when the last byte comes."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    done = threading.Event()
+
+    def drip():
+        conn, _ = listener.accept()
+        with conn:
+            for byte in struct.pack(">I", 16) + b"x" * 16:
+                if done.wait(0.25):
+                    return
+                try:
+                    conn.sendall(bytes([byte]))
+                except OSError:     # the client hung up
+                    return
+
+    dripper = threading.Thread(target=drip, daemon=True)
+    dripper.start()
+    transport = SocketTransport(*listener.getsockname(), timeout_s=0.5)
+    started = time.monotonic()
+    try:
+        with pytest.raises(TimeoutError):
+            transport.send(b"ping", "e001")
+        assert time.monotonic() - started < 1.5
+    finally:
+        done.set()
+        dripper.join(timeout=2.0)
+        listener.close()
 
 
 def _section(data: bytes) -> bytes:
@@ -717,7 +749,7 @@ def test_hostile_requests_get_a_reply_auth_or_bad_request(message):
         return
     assert reply["ok"] is True
     # whatever an ok sync stored, the pipeline can read
-    aggregate_entity(server.store, "e001")
+    funnel_row(server.store, "e001")
     eligibility_funnel(server.store)
 
 
