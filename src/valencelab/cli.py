@@ -31,6 +31,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from datetime import date
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -52,7 +53,7 @@ from .learn import (MODEL_KINDS, AutomlConfig, automl_entity,
                     autodiscover_cluster_params, derive_seed,
                     fit_cluster_model, model_to_dict)
 from .learn.bayesopt import DESIGN_SIZE
-from .simworld import (SECONDS_PER_DAY, Cohort, CohortSpec, EntityProfile,
+from .simworld import (GENDERS, SECONDS_PER_DAY, Cohort, CohortSpec,
                        FaultPlan, SimClock, build_cohort, events_to_jsonl,
                        load_fault_plan, parse_kv_config, run_cohort,
                        typed_fields)
@@ -192,7 +193,9 @@ def drive_agents(cohort: Cohort, events, plan: FaultPlan,
     for prof in cohort.profiles:
         private_keys[prof.entity_id], keys[prof.entity_id] = derive_keypair(
             config.seed, prof.entity_id)
-    mstore = _registered_store(cohort.profiles)
+    mstore = _registered_store(
+        (p.entity_id, p.gender, p.birthdate.isoformat() if p.birthdate
+         else None) for p in cohort.profiles)
     transport = FaultyTransport(LoopbackTransport(SyncServer(mstore, keys)),
                                 plan)
     ids = [p.entity_id for p in cohort.profiles]
@@ -584,12 +587,12 @@ def _parsing(path: Path):
     """Raises what goes wrong parsing the artifact at `path` inside as a
     PipelineError that names it: bad JSON or text, a missing key or column,
     a value or a JSON container of the wrong type, a broken contract such
-    as an unknown gender or answers that do not fit their clusters or
-    labels."""
+    as an unknown gender or answers that do not fit their clusters, or a
+    value no config may hold, such as a budget below the tuner's design."""
     try:
         yield
     except (ValueError, KeyError, TypeError, AttributeError, csv.Error,
-            ContractViolationError) as exc:
+            ContractViolationError, ConfigurationError) as exc:
         raise PipelineError(f"malformed artifact {path}: {exc!r}") from exc
 
 
@@ -617,13 +620,11 @@ def _store_to_jsonl(mstore: MemoryStore) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _registered_store(profiles) -> MemoryStore:
-    """An empty store that knows every entity and its demographics."""
+def _registered_store(roster) -> MemoryStore:
+    """An empty store that knows each (entity_id, gender, birthdate)."""
     mstore = MemoryStore()
-    for prof in profiles:
-        mstore.register_entity(
-            prof.entity_id, prof.gender,
-            prof.birthdate.isoformat() if prof.birthdate else None)
+    for eid, gender, birthdate in roster:
+        mstore.register_entity(eid, gender, birthdate)
     return mstore
 
 
@@ -634,14 +635,15 @@ def _write_world(out: Path, cohort: Cohort, events, plan: FaultPlan) -> None:
     (out / "faults.txt").write_text(plan.to_text())
 
 
-def _write_learn(out: Path, funnel_rows, model_rows, registry,
-                 registry_doc) -> None:
+def _write_learn(out: Path, config: ExperimentConfig, funnel_rows,
+                 model_rows, registry, registry_doc) -> None:
     _write_csv(out / "funnel.csv", FUNNEL_COLUMNS, funnel_rows)
     _write_csv(out / "models.csv", MODEL_COLUMNS, model_rows)
     (out / "models.json").write_text(
         json.dumps(registry_doc, sort_keys=True, indent=1))
     (out / "answers.json").write_text(json.dumps(
-        dict(registry.to_dict(), seed=registry_doc["seed"]), sort_keys=True))
+        dict(registry.to_dict(), seed=config.seed, budget=config.budget),
+        sort_keys=True))
 
 
 def _write_stats(out: Path, stats_text: str, boxes) -> None:
@@ -656,15 +658,26 @@ def _write_report(out: Path, summary_text: str, digest: str) -> None:
     (out / "run_hash.txt").write_text(digest + "\n")
 
 
-def _load_cohort_file(out: Path) -> list:
+def _roster(out: Path) -> list:
+    """(entity_id, gender, ISO birthdate or None) of each cohort.jsonl
+    line: all that learn and serve read of the cohort."""
     path = _artifact(out / "cohort.jsonl", "simulate first")
     with _parsing(path):
-        return [EntityProfile.from_dict(json.loads(line))
-                for line in path.read_text().splitlines() if line.strip()]
+        docs = [json.loads(line) for line in path.read_text().splitlines()
+                if line.strip()]
+        roster = [(d["entity_id"], d["gender"], d["birthdate"]) for d in docs]
+        for eid, gender, birthdate in roster:
+            if not isinstance(eid, str):
+                raise ContractViolationError("an entity id is not a string")
+            if gender not in GENDERS:
+                raise ContractViolationError(f"unknown gender {gender!r}")
+            if birthdate is not None:
+                date.fromisoformat(birthdate)   # raises unless it is ISO
+        return roster
 
 
 def _rebuild_store(out: Path) -> MemoryStore:
-    mstore = _registered_store(_load_cohort_file(out))
+    mstore = _registered_store(_roster(out))
     path = _artifact(out / "store.jsonl", "pipeline first")
     with _parsing(path):
         for line in path.read_text().splitlines():
@@ -719,7 +732,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     out = Path(config.out)
     _write_world(out, cohort, events, plan)
     (out / "store.jsonl").write_text(_store_to_jsonl(drive.mstore))
-    _write_learn(out, funnel_rows, model_rows, registry, registry_doc)
+    _write_learn(out, config, funnel_rows, model_rows, registry,
+                 registry_doc)
     _write_stats(out, stats_text, boxes)
     _write_report(out, summary_text, digest)
 
@@ -742,17 +756,6 @@ def _answers_doc(out: Path) -> tuple[dict, int]:
         return doc, int(doc["seed"])
 
 
-def _roster_ids(out: Path) -> list:
-    """The entity ids of cohort.jsonl, read without building profiles."""
-    path = _artifact(out / "cohort.jsonl", "simulate first")
-    with _parsing(path):
-        ids = [json.loads(line)["entity_id"]
-               for line in path.read_text().splitlines() if line.strip()]
-        if not all(isinstance(eid, str) for eid in ids):
-            raise ContractViolationError("an entity id is not a string")
-        return ids
-
-
 def _server_from_artifacts(out: Path):
     """(SyncServer, seed) rebuilt from cohort.jsonl + answers.json. The
     server answers predicts from the table and acks syncs into a uuid
@@ -761,7 +764,7 @@ def _server_from_artifacts(out: Path):
     doc, seed = _answers_doc(out)
     with _parsing(out / "answers.json"):
         table = AnswerTable.from_dict(doc)
-    ids = _roster_ids(out)
+    ids = [eid for eid, _, _ in _roster(out)]
     ledger = AckLedger()
     for eid in ids:
         ledger.register_entity(eid)
@@ -817,7 +820,8 @@ def cmd_learn(config: ExperimentConfig, args) -> int:
     funnel_rows, counts = funnel_stage(mstore, config)
     model_rows, registry, registry_doc = learn_stage(
         mstore, funnel_rows, config)
-    _write_learn(out, funnel_rows, model_rows, registry, registry_doc)
+    _write_learn(out, config, funnel_rows, model_rows, registry,
+                 registry_doc)
     print(f"tuned {counts['eligible']} entities into {out}")
     return 0
 
@@ -835,6 +839,10 @@ def cmd_report(config: ExperimentConfig, args) -> int:
     out = Path(config.out)
     funnel_rows = _read_rows(out / "funnel.csv", FUNNEL_COLUMNS)
     model_rows = _read_rows(out / "models.csv", MODEL_COLUMNS)
+    # the summary names the seed and budget of the tuning, not the flags
+    doc, seed = _answers_doc(out)
+    with _parsing(out / "answers.json"):
+        config = replace(config, seed=seed, budget=int(doc["budget"]))
     counts = funnel_counts(funnel_rows)
     stats_text, _, _ = evaluate_stage(model_rows, config)
     summary_text, digest = report_stage(

@@ -38,10 +38,23 @@ ACTIVITY_PROBS = (0.6, 0.3, 0.1)
 SECONDS_PER_DAY = 86400.0
 PLACE_BOX = 10.0
 
-# the largest horizon and per-day event rate a cohort config may ask for:
-# finite but absurd values would simulate until the process is killed
+# the longest horizon: a finite but absurd one would simulate until killed
 MAX_DAYS = 3650.0
-MAX_RATE_PER_DAY = 1440.0
+
+# Per-day emission rates: the report rate lands eligible entities near 80
+# self-reports over a 30-day study, the low rate well under the 20-report
+# eligibility floor. Visits spread tightly around well-separated places.
+# PEAK_PROB is the mass on an entity's preferred valence class per (place,
+# band) cell, SKEW_PROB the skewed archetype's mass on its dominant class.
+REPORT_RATE = 2.7
+LOW_REPORT_RATE = 0.2
+TEXT_RATE = 1.0
+SENSOR_RATE = 24.0
+PLACE_SPREAD = 0.4
+MIN_PLACE_SEPARATION = 4.0
+PEAK_PROB = 0.85
+SKEW_PROB = 0.90
+NET_OUTAGE_S = 3600.0       # each net_down window of a net flap plan
 
 # substreams hanging off (seed, entity_index, stream)
 _PROFILE_STREAM = 0
@@ -135,27 +148,6 @@ class EntityProfile:
     sensor_rate: float = 0.0
     archetype: str = "band_only"
 
-    def __post_init__(self):
-        object.__setattr__(self, "places",
-                           tuple((float(x), float(y)) for x, y in self.places))
-        pol = np.asarray(self.valence_policy, dtype=np.float64)
-        object.__setattr__(self, "valence_policy", pol)
-        if len(self.places) < 1:
-            raise ContractViolationError("profile needs at least one place")
-        if self.gender not in GENDERS:
-            raise ContractViolationError(f"unknown gender {self.gender!r}")
-        if self.report_rate < 0 or self.text_rate < 0 or self.sensor_rate < 0:
-            raise ContractViolationError("event rates must be >= 0")
-        if pol.shape != (len(self.places), 3, 3):
-            raise ContractViolationError(
-                f"policy shape {pol.shape} does not match "
-                f"{len(self.places)} places x 3 bands x 3 classes")
-        sums = pol.sum(axis=2)
-        if not np.all(np.abs(sums - 1.0) <= 1e-9):
-            raise ContractViolationError("policy rows must sum to 1 +- 1e-9")
-        if np.any(pol < 0):
-            raise ContractViolationError("policy probabilities must be >= 0")
-
     def to_dict(self) -> dict:
         return {
             "entity_id": self.entity_id,
@@ -170,22 +162,6 @@ class EntityProfile:
             "sensor_rate": self.sensor_rate,
             "archetype": self.archetype,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EntityProfile":
-        bd = d["birthdate"]
-        return cls(
-            entity_id=d["entity_id"],
-            birthdate=None if bd is None else date.fromisoformat(bd),
-            gender=d["gender"],
-            places=tuple(tuple(p) for p in d["places"]),
-            place_spread=d["place_spread"],
-            valence_policy=np.asarray(d["valence_policy"]),
-            report_rate=d["report_rate"],
-            text_rate=d["text_rate"],
-            sensor_rate=d["sensor_rate"],
-            archetype=d["archetype"],
-        )
 
 
 @dataclass
@@ -292,12 +268,9 @@ def events_to_jsonl(events) -> str:
 
 @dataclass(frozen=True)
 class CohortSpec:
-    """Cohort composition and rates.
-
-    The archetype counts must sum to n_entities. Entities split into one
-    excluded-at-demographics group and five behavioral groups; rates are
-    per simulated day.
-    """
+    """Cohort composition and horizon. The archetype counts must sum to
+    n_entities: one group excluded at demographics, five behavioral ones.
+    Rates, places and valence sharpness are the module's constants."""
 
     n_entities: int = 57
     n_no_demographics: int = 8
@@ -307,14 +280,6 @@ class CohortSpec:
     n_interaction: int = 15
     n_band_only: int = 16
     days: float = 30.0
-    report_rate: float = 2.7
-    low_report_rate: float = 0.2
-    text_rate: float = 1.0
-    sensor_rate: float = 24.0
-    place_spread: float = 0.4
-    min_place_separation: float = 4.0
-    peak_prob: float = 0.85
-    skew_prob: float = 0.90
 
     def __post_init__(self):
         counts = (self.n_entities, self.n_no_demographics, self.n_low_rate,
@@ -329,15 +294,6 @@ class CohortSpec:
                 f"expected n_entities={self.n_entities}")
         if not 0 < self.days <= MAX_DAYS:
             raise ConfigurationError(f"days must be in (0, {MAX_DAYS:g}]")
-        for name in ("report_rate", "low_report_rate", "text_rate",
-                     "sensor_rate"):
-            if not 0 <= getattr(self, name) <= MAX_RATE_PER_DAY:
-                raise ConfigurationError(
-                    f"{name} must be in [0, {MAX_RATE_PER_DAY:g}]")
-        if not (0.34 <= self.peak_prob <= 1.0 and 0.34 <= self.skew_prob <= 1.0):
-            raise ConfigurationError("peak/skew probabilities must majorize 1/3")
-        if self.place_spread <= 0 or self.min_place_separation <= 0:
-            raise ConfigurationError("geometry parameters must be > 0")
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "CohortSpec":
@@ -345,16 +301,20 @@ class CohortSpec:
 
 
 def parse_kv_config(text: str) -> dict:
-    """key = value lines; blank lines and # comments ignored."""
-    out: dict[str, str] = {}
+    """key = value lines, each key at most once; # comments ignored."""
+    out, first_line = {}, {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigurationError(f"config line {ln}: expected key = value")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ConfigurationError(
+                f"config lines {first_line[key]} and {ln} both set {key!r}")
+        first_line[key] = ln
+        out[key] = val
     return out
 
 
@@ -402,21 +362,18 @@ class Cohort:
                        for p in self.profiles)
 
 
-def _sample_places(rng, n: int, min_sep: float) -> tuple:
+def _sample_places(rng) -> tuple:
+    """Three centers in the box, MIN_PLACE_SEPARATION apart, by rejection."""
     places: list[np.ndarray] = []
-    tries = 0
-    while len(places) < n:
+    while len(places) < 3:
         cand = rng.uniform(0.0, PLACE_BOX, 2)
-        tries += 1
-        if tries > 10000:
-            raise ContractViolationError(
-                "could not place separated centers; lower min_place_separation")
-        if all(float(np.hypot(*(cand - p))) >= min_sep for p in places):
+        if all(float(np.hypot(*(cand - p))) >= MIN_PLACE_SEPARATION
+               for p in places):
             places.append(cand)
     return tuple((float(p[0]), float(p[1])) for p in places)
 
 
-def _policy_for(archetype: str, rng, spec: CohortSpec) -> np.ndarray:
+def _policy_for(archetype: str, rng) -> np.ndarray:
     """(3 places, 3 bands, 3 classes) policy per behavioral archetype."""
     pol = np.zeros((3, 3, 3))
     if archetype == "interaction":
@@ -424,22 +381,22 @@ def _policy_for(archetype: str, rng, spec: CohortSpec) -> np.ndarray:
         # model over one-hot place and band features
         for p in range(3):
             for b in range(3):
-                pol[p, b] = peaked_row((p + b) % 3, spec.peak_prob)
+                pol[p, b] = peaked_row((p + b) % 3, PEAK_PROB)
     elif archetype == "single_class":
         k = int(rng.integers(3))
         pol[:, :, k] = 1.0
     elif archetype == "skewed":
         k = int(rng.integers(3))
         row = [0.0, 0.0, 0.0]
-        row[k] = spec.skew_prob
-        row[(k + 1) % 3] = (1.0 - spec.skew_prob) * 0.8
-        row[(k + 2) % 3] = (1.0 - spec.skew_prob) * 0.2
+        row[k] = SKEW_PROB
+        row[(k + 1) % 3] = (1.0 - SKEW_PROB) * 0.8
+        row[(k + 2) % 3] = (1.0 - SKEW_PROB) * 0.2
         pol[:, :] = row
     else:
         # band_only (also used for the excluded and low-rate groups):
         # top class follows the hour band alone
         for b in range(3):
-            pol[:, b] = peaked_row(b, spec.peak_prob)
+            pol[:, b] = peaked_row(b, PEAK_PROB)
     return pol
 
 
@@ -466,25 +423,25 @@ def build_cohort(spec: CohortSpec, seed: int) -> Cohort:
     for i in range(n):
         rng = np.random.default_rng([seed, i, _PROFILE_STREAM])
         arch = archetypes[i]
-        places = _sample_places(rng, 3, spec.min_place_separation)
-        policy = _policy_for(arch, rng, spec)
+        places = _sample_places(rng)
+        policy = _policy_for(arch, rng)
         birth = date(1970, 1, 1) + timedelta(days=int(rng.integers(0, 13149)))
         if arch == "no_demographics":
             gender, birthdate = "undisclosed", None
         else:
             gender = "female" if i in female else "male"
             birthdate = birth
-        rate = spec.low_report_rate if arch == "low_rate" else spec.report_rate
+        rate = LOW_REPORT_RATE if arch == "low_rate" else REPORT_RATE
         profiles.append(EntityProfile(
             entity_id=f"e{i:03d}",
             birthdate=birthdate,
             gender=gender,
             places=places,
-            place_spread=spec.place_spread,
+            place_spread=PLACE_SPREAD,
             valence_policy=policy,
             report_rate=rate,
-            text_rate=spec.text_rate,
-            sensor_rate=spec.sensor_rate,
+            text_rate=TEXT_RATE,
+            sensor_rate=SENSOR_RATE,
             archetype=arch,
         ))
     return Cohort(spec=spec, seed=seed, profiles=tuple(profiles))
@@ -576,7 +533,7 @@ def make_delivery_fault_plan(entity_ids, n_dup: int, n_drop: int,
 
 
 def make_net_flap_plan(entity_ids, n_cycles: int, horizon_s: float,
-                       seed: int, outage_s: float = 3600.0) -> FaultPlan:
+                       seed: int) -> FaultPlan:
     """Alternating net_down/net_up windows per sampled entity.
 
     Each cycle lives in its own slice of the horizon so windows for the same
@@ -587,7 +544,7 @@ def make_net_flap_plan(entity_ids, n_cycles: int, horizon_s: float,
     slot = horizon_s / max(n_cycles, 1)
     entries = []
     for k in range(n_cycles):
-        width = min(outage_s, 0.8 * slot)
+        width = min(NET_OUTAGE_S, 0.8 * slot)
         t = k * slot + float(rng.uniform(0.0, slot - width))
         who = ids[int(rng.integers(len(ids)))]
         entries.append(Fault(t, who, "net_down"))

@@ -107,10 +107,9 @@ def test_config_from_mapping_and_file(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("days", "inf"), ("sensor_rate", "inf"), ("report_rate", "nan"),
-    ("report_rate", "-inf")])
+    ("days", "inf"), ("days", "nan"), ("days", "-inf")])
 def test_non_finite_cohort_numbers_fail_at_load(key, value):
-    # an infinite horizon or rate would simulate until killed
+    # an infinite horizon would simulate until killed
     with pytest.raises(ConfigurationError,
                        match=f"bad value for '{key}': '{value}'"):
         CohortSpec.from_mapping({key: value})
@@ -156,6 +155,37 @@ def test_exit_code_2_for_a_fixed_value_in_a_config_file(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key", [
+    "report_rate", "low_report_rate", "text_rate", "sensor_rate",
+    "place_spread", "min_place_separation", "peak_prob", "skew_prob"])
+def test_exit_code_2_for_a_fixed_value_in_a_cohort_file(tmp_path, capsys,
+                                                        key):
+    # rates, place geometry and sharpness are constants of simworld
+    cohort_path = tmp_path / "cohort.cfg"
+    cohort_path.write_text(SMALL_COHORT + f"{key} = 1.0\n")
+    rc = main(["simulate", "--out", str(tmp_path / "o"),
+               "--cohort", str(cohort_path)])
+    assert rc == 2
+    assert f"unknown cohort key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--cohort", SMALL_COHORT + "days = 3\n",
+     "config lines 8 and 9 both set 'days'"),
+    ("--config", "seed = 3\nbudget = 8\n# again\nseed = 4\n",
+     "config lines 1 and 4 both set 'seed'")], ids=["cohort", "experiment"])
+def test_exit_code_2_for_a_key_named_twice(tmp_path, capsys, flag, text,
+                                           message):
+    # a second value would silently win over the first
+    path = tmp_path / "named_twice.cfg"
+    path.write_text(text)
+    rc = main(["simulate", "--out", str(tmp_path / "o"), flag, str(path)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_code_2_for_the_metric_flag(tmp_path, capsys):
     # both metrics are always reported; the flag is gone
     with pytest.raises(SystemExit) as exc:
@@ -174,12 +204,9 @@ def test_readme_config_example_loads(tmp_path):
     assert config.models == ("dummy", "logreg", "gbt", "mlp")
 
 
-@pytest.mark.parametrize("key, value", [
-    ("days", "1e300"), ("days", "3651"), ("sensor_rate", "1e12"),
-    ("report_rate", "1441"), ("low_report_rate", "1e12"),
-    ("text_rate", "1e300")])
+@pytest.mark.parametrize("key, value", [("days", "1e300"), ("days", "3651")])
 def test_absurd_finite_cohort_numbers_fail_at_load(key, value):
-    # a finite but absurd horizon or rate would simulate until killed
+    # a finite but absurd horizon would simulate until killed
     with pytest.raises(ConfigurationError, match=f"{key} must be in"):
         CohortSpec.from_mapping({key: value})
 
@@ -210,15 +237,14 @@ def test_small_cohort_funnel(small_run):
 @pytest.mark.parametrize("run", ["small_run"])
 def test_report_recounts_the_funnel_the_pipeline_counted(run, request,
                                                          tmp_path, capsys):
-    result, cohort_path = request.getfixturevalue(run)
+    result, _ = request.getfixturevalue(run)
     rows = _read_rows(result.out_dir / "funnel.csv", FUNNEL_COLUMNS)
     assert funnel_counts(rows) == result.funnel_counts
     out = tmp_path / "report"
     shutil.copytree(result.out_dir, out)
     (out / "summary.md").unlink()
-    assert main(["report", "--out", str(out), "--cohort", str(cohort_path),
-                 "--seed", "7", "--budget", "5",
-                 "--models", ",".join(result.config.models)]) == 0
+    # the seed and budget come from the run's artifacts, not from flags
+    assert main(["report", "--out", str(out)]) == 0
     capsys.readouterr()
     assert (out / "summary.md").read_text() == result.summary_text
 
@@ -894,11 +920,17 @@ def _first_cell_probs(probs):
      lambda text: json.dumps(dict(json.loads(text), seed="x"))),
     ("serve", "cohort.jsonl", _first_line_with(entity_id=7)),
     ("predict", "answers.json", _first_cell_probs([math.nan, 1.0, 2.0])),
+    ("serve", "cohort.jsonl", _first_line_with(gender="robot")),
+    ("learn", "cohort.jsonl", _first_line_with(birthdate="soon")),
+    ("report", "answers.json",
+     lambda text: json.dumps(dict(json.loads(text), budget=2))),
 ], ids=["evaluate", "learn", "report", "predict",
         "store-line-not-an-object", "entities-a-list", "record-t-a-string",
         "unknown-gender", "serve-answers-missing", "predict-answers-missing",
         "serve-answers-label-past-clusters", "predict-seed-not-a-number",
-        "serve-entity-id-not-a-string", "predict-answers-probs-nan"])
+        "serve-entity-id-not-a-string", "predict-answers-probs-nan",
+        "serve-unknown-gender", "learn-birthdate-not-iso",
+        "report-budget-below-the-design"])
 def test_exit_code_3_for_a_malformed_artifact(small_run, tmp_path, capsys,
                                               command, artifact, corrupt):
     """Exit 3, naming the artifact; None deletes it."""

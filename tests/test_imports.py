@@ -1,7 +1,8 @@
-"""Every name a module imports is used in it, and every private name a
-module defines is used in the package: a deletion leaves no import and no
-helper behind. Package `__init__.py` files import to re-export, so their
-imports are not scanned."""
+"""Every name a module imports is used in it, every private name a module
+defines is used in the package, and every public constant is read in the
+package: a deletion leaves no import, helper or constant behind. Package
+`__init__.py` files import to re-export, so their imports are not scanned
+and their reads do not count."""
 
 import ast
 import re
@@ -125,3 +126,54 @@ def test_the_scan_sees_a_dead_private_helper():
         "_LIMIT", "_cache", "_used", "_dead", "_Named"}
     assert {name for name in _private_definitions(tree)
             if name not in _references(tree)} == {"_dead"}
+
+
+def _constants(tree: ast.Module) -> dict:
+    """Each module-level UPPER_CASE name an assignment binds, with its
+    line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update((n.id, node.lineno) for t in targets
+                         for n in ast.walk(t) if isinstance(n, ast.Name)
+                         and re.fullmatch(r"[A-Z][A-Z0-9_]*", n.id))
+    return names
+
+
+def _reads(tree: ast.Module) -> set:
+    """Names and attributes the code reads; a word in a docstring or a
+    comment does not read a constant."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+def test_every_public_constant_is_read():
+    trees = {p: ast.parse(p.read_text(), filename=str(p))
+             for p in SRC.rglob("*.py")}
+    read = set().union(*(_reads(tree) for path, tree in trees.items()
+                         if path.name != "__init__.py"))
+    unread = {f"{path.relative_to(SRC)}:{line} {name}"
+              for path, tree in trees.items()
+              for name, line in _constants(tree).items()
+              if name not in read}
+    assert not unread, f"constants nothing reads: {sorted(unread)}"
+
+
+def test_the_scan_sees_an_unread_constant():
+    tree = ast.parse(
+        "MAX_RATE, MAX_DAYS = 1440.0, 3650.0\n"
+        "LIMIT: int = 3\n"
+        "_PRIVATE = 1\n"
+        "log = None\n"
+        "class Config:\n"
+        "    STEP = 900.0\n"
+        "def check(days):\n"
+        "    'days below MAX_RATE'\n"
+        "    return days <= MAX_DAYS and Config.STEP > LIMIT\n")
+    assert set(_constants(tree)) == {"MAX_RATE", "MAX_DAYS", "LIMIT"}
+    assert {name for name in _constants(tree)
+            if name not in _reads(tree)} == {"MAX_RATE"}

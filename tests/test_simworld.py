@@ -5,7 +5,6 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import replace
-from datetime import date
 
 import numpy as np
 import pytest
@@ -13,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valencelab.errors import ConfigurationError, ContractViolationError
-from valencelab.simworld import (LABELS, SECONDS_PER_DAY, CohortSpec,
-                                 EntityProfile, Fault, FaultPlan, _cdf,
-                                 build_cohort, day_of_week, events_to_jsonl,
-                                 hour_band, make_crash_plan,
+from valencelab.simworld import (LABELS, LOW_REPORT_RATE,
+                                 MIN_PLACE_SEPARATION, REPORT_RATE,
+                                 SECONDS_PER_DAY, CohortSpec, Fault,
+                                 FaultPlan, _cdf, build_cohort, day_of_week,
+                                 events_to_jsonl, hour_band, make_crash_plan,
                                  make_delivery_fault_plan, make_net_flap_plan,
                                  parse_kv_config, peaked_row,
                                  place_visit_matrix, run_cohort)
@@ -67,39 +67,6 @@ def test_peaked_row_shape():
     assert math.isclose(sum(row), 1.0)
     # remainder splits 2:1 starting at the next index
     assert math.isclose(row[2], 0.10) and math.isclose(row[0], 0.05)
-
-
-def _profile(**over):
-    base = dict(
-        entity_id="e000", birthdate=date(1990, 5, 1), gender="female",
-        places=((0.0, 0.0), (5.0, 0.0), (0.0, 5.0)), place_spread=0.4,
-        valence_policy=np.tile(peaked_row(0, 0.85), (3, 3, 1)),
-        report_rate=2.7, text_rate=1.0, sensor_rate=24.0)
-    base.update(over)
-    return EntityProfile(**base)
-
-
-def test_profile_validation():
-    with pytest.raises(ContractViolationError):
-        _profile(gender="other")
-    with pytest.raises(ContractViolationError):
-        _profile(report_rate=-1.0)
-    with pytest.raises(ContractViolationError):
-        _profile(places=())
-    bad = np.tile(peaked_row(0, 0.85), (3, 3, 1))
-    bad[0, 0, 0] += 0.1
-    with pytest.raises(ContractViolationError):
-        _profile(valence_policy=bad)
-    with pytest.raises(ContractViolationError):
-        _profile(valence_policy=np.ones((2, 3, 3)) / 3.0)
-
-
-def test_profile_dict_round_trip():
-    p = _profile()
-    q = EntityProfile.from_dict(p.to_dict())
-    assert q.entity_id == p.entity_id and q.birthdate == p.birthdate
-    np.testing.assert_array_equal(q.valence_policy, p.valence_policy)
-    assert q.places == p.places
 
 
 # -- fault plans ---------------------------------------------------------------
@@ -156,6 +123,9 @@ def test_parse_kv_config():
     assert parse_kv_config(text) == {"n_entities": "6", "days": "3"}
     with pytest.raises(ConfigurationError):
         parse_kv_config("just words\n")
+    with pytest.raises(ConfigurationError,
+                       match="config lines 1 and 3 both set 'days'"):
+        parse_kv_config("days = 30\nn_entities = 57\ndays = 3\n")
 
 
 def test_cohort_spec_validation():
@@ -201,13 +171,13 @@ def test_default_cohort_composition():
     assert genders.count("female") == 18
     assert genders.count("male") == 31
     assert all(p.birthdate is None for p in by_arch["no_demographics"])
-    assert all(p.report_rate == cohort.spec.low_report_rate
+    assert all(p.report_rate == LOW_REPORT_RATE
                for p in by_arch["low_rate"])
     for p in profiles:
         for a, b in ((0, 1), (0, 2), (1, 2)):
             d = math.hypot(p.places[a][0] - p.places[b][0],
                            p.places[a][1] - p.places[b][1])
-            assert d >= cohort.spec.min_place_separation
+            assert d >= MIN_PLACE_SEPARATION
 
 
 def test_cohort_is_deterministic():
@@ -300,7 +270,7 @@ def test_report_rate_matches_poisson_mean():
     for e in events:
         if e.kind == "report":
             per_entity[e.entity_id] += 1
-    mean = spec.report_rate * spec.days
+    mean = REPORT_RATE * spec.days
     band = 5.0 * math.sqrt(mean)
     for n in per_entity.values():
         assert abs(n - mean) <= band
